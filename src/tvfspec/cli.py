@@ -136,7 +136,7 @@ class Run:
             "config_sha256": hashlib.sha256(self.config_bytes).hexdigest(),
             "inputs": self.inputs,
             "outputs": {name: _sha256(self.path(name)) for name in self.outputs},
-            "package": "artifact",
+            "package": "tvfspec",
             "version": __version__,
             "seed": self.seed,
         }

@@ -7,11 +7,16 @@ u uses the N observations centred at floor(uT),
 
 the periodogram operator is the normalized rank-one tensor
 D (x) D / (2 pi H_{2,N}(0)) with H_{k,N}(omega) = sum_s h(s/N)^k e^{-i omega s},
-and the final estimate smooths periodograms over the N Fourier frequencies
-with a renormalized kernel weight sum (circular in omega).  The taper
-implicitly smooths over time with kernel K_t(x) = h(x + 1/2)^2 / int h^2 and
-bandwidth b_t = N / T; the frequency bandwidth b_f scales the frequency
-kernel's own axis.
+and the estimate at any frequency omega_b is one weight sum over the N
+Fourier frequencies omega_n,
+
+    Fhat(u, omega_b) = sum_n W[b, n] I_N(u, omega_n),
+    W[b, n] = K_f(wrap(omega_b - omega_n) / b_f) / sum_m K_f(wrap(omega_b - omega_m) / b_f),
+
+with frequency distances wrapped into [-pi, pi).  The taper implicitly
+smooths over time with kernel K_t(x) = h(x + 1/2)^2 / int h^2 and bandwidth
+b_t = N / T; the frequency bandwidth b_f scales the frequency kernel's own
+axis.
 
 Segments must lie inside the observation window: u is restricted to
 [N/(2T), 1 - N/(2T)] for a series observed on [1, T], and requests outside
@@ -24,9 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .funspace import adjoint
 from .spectrum import SpectralGrid, TWO_PI
 
 
@@ -60,6 +63,12 @@ class TaperSpec:
         edge = np.minimum(x, 1.0 - x)
         rise = 0.5 * (1.0 - np.cos(np.pi * edge / rho))
         return np.where(inside, np.where(edge < rho, rise, 1.0), 0.0)
+
+    def breakpoints(self):
+        """Ends of the pieces of [0, 1] on which h is smooth."""
+        if self.name == "cosine_flat":
+            return np.unique([0.0, self.rho, 1.0 - self.rho, 1.0])
+        return np.array([0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -96,9 +105,22 @@ class KernelConstants:
     l2: float
 
 
+def _quadrature(breaks):
+    """Gauss-Legendre nodes and weights over [breaks[0], breaks[-1]].
+
+    A fixed 64-point rule on each piece between consecutive breaks, so
+    integrands smooth on every piece converge to rounding level.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    t, w = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * np.diff(breaks)[:, None]
+    return (breaks[:-1, None] + half * (t + 1.0)).ravel(), (half * w).ravel()
+
+
 def induced_time_kernel(taper):
     """Time-direction kernel K_t(x) = h(x + 1/2)^2 / int h^2 on [-1/2, 1/2]."""
-    h2_mass, _ = quad(lambda x: taper.values(x) ** 2, 0.0, 1.0, limit=200)
+    x, w = _quadrature(taper.breakpoints())
+    h2_mass = float(w @ taper.values(x) ** 2)
 
     def kernel(x):
         return taper.values(np.asarray(x) + 0.5) ** 2 / h2_mass
@@ -110,17 +132,18 @@ def kernel_constants(obj):
     """Kernel moments for a FreqKernelSpec or the induced kernel of a TaperSpec."""
     if isinstance(obj, TaperSpec):
         fn = induced_time_kernel(obj)
-        lo, hi = -0.5, 0.5
+        breaks = obj.breakpoints() - 0.5
     elif isinstance(obj, FreqKernelSpec):
         fn = obj.values
-        lo, hi = -obj.half_width, obj.half_width
+        breaks = [-obj.half_width, obj.half_width]
     else:
         raise TypeError("expected TaperSpec or FreqKernelSpec")
-    mass = quad(lambda x: float(fn(x)), lo, hi, limit=200)[0]
-    mean = quad(lambda x: x * float(fn(x)), lo, hi, limit=200)[0]
-    kappa = quad(lambda x: x * x * float(fn(x)), lo, hi, limit=200)[0]
-    l2 = quad(lambda x: float(fn(x)) ** 2, lo, hi, limit=200)[0]
-    return KernelConstants(mass=mass, mean=mean, kappa=kappa, l2=l2)
+    x, w = _quadrature(breaks)
+    f = fn(x)
+    return KernelConstants(
+        mass=float(w @ f), mean=float(w @ (x * f)),
+        kappa=float(w @ (x * x * f)), l2=float(w @ (f * f)),
+    )
 
 
 def fourier_frequencies(count):
@@ -257,7 +280,8 @@ def local_periodogram_grid(x, u, cfg, T, t0=1):
     return d[:, :, None] * np.conj(d[:, None, :]) / _periodogram_norm(cfg)
 
 
-def _check_resolution(cfg):
+def _smoothing_weights(cfg, omegas):
+    """Row-normalized weights W[b, n] of the N Fourier frequencies at each omega_b."""
     spacing = TWO_PI / cfg.N
     if cfg.b_f <= spacing:
         warnings.warn(
@@ -265,84 +289,39 @@ def _check_resolution(cfg):
             f"spacing {spacing:.4g}; the weight sum degenerates",
             stacklevel=3,
         )
+    w = cfg.fkernel.values(wrap_frequency(omegas[:, None] - cfg.omega_grid()) / cfg.b_f)
+    totals = w.sum(axis=1)
+    empty = np.flatnonzero(totals <= 0)
+    if empty.size:
+        raise ValueError(
+            "no Fourier frequency falls inside the kernel support "
+            f"at omega={omegas[empty[0]]:.6g}"
+        )
+    return w / totals[:, None]
 
 
-def _smoothing_weights(cfg, deltas):
-    """Normalized kernel weights for wrapped frequency offsets ``deltas``."""
-    w = cfg.fkernel.values(wrap_frequency(deltas) / cfg.b_f)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("no Fourier frequency falls inside the kernel support")
-    return w / total
-
-
-def smooth_estimate(x, u, omega, cfg, T, t0=1):
-    """Kernel-smoothed spectral density estimate at one (u, omega).
-
-    Renormalized Riemann sum of periodogram operators over the N Fourier
-    frequencies, with circular frequency distances.
-    """
-    _check_resolution(cfg)
-    per = local_periodogram_grid(x, u, cfg, T, t0=t0)
-    w = _smoothing_weights(cfg, float(omega) - cfg.omega_grid())
-    return np.tensordot(w, per, axes=(0, 0))
-
-
-def smooth_estimate_grid(x, u, cfg, T, t0=1):
-    """Smoothed estimates at all N Fourier frequencies, shape (N, K, K).
-
-    On the Fourier grid the weight sum is a circular convolution, evaluated
-    by FFT along the frequency axis.
-    """
-    _check_resolution(cfg)
-    per = local_periodogram_grid(x, u, cfg, T, t0=t0)
-    offsets = TWO_PI * np.arange(cfg.N) / cfg.N
-    w = _smoothing_weights(cfg, offsets)
-    conv = np.fft.ifft(np.fft.fft(per, axis=0) * np.fft.fft(w)[:, None, None], axis=0)
-    return conv
-
-
-def estimate_grid(x, cfg, T, u_grid, omega_grid=None, t0=1, raw=False):
-    """Spectral estimates on a (u, omega) product grid.
+def estimate_grid(x, cfg, T, u_grid, omega_grid=None, t0=1):
+    """Smoothed spectral estimates on a (u, omega) product grid.
 
     Parameters
     ----------
     omega_grid : array_like, optional
-        Defaults to the N Fourier frequencies, where the smoother runs as a
-        circular convolution; other frequencies fall back to explicit
-        weight sums.
-    raw : bool
-        Return unsmoothed periodogram operators instead (only on the
-        Fourier grid).
+        Frequencies to estimate at, on or off the Fourier grid; defaults to
+        the N Fourier frequencies.
 
     Returns
     -------
-    SpectralGrid with provenance ``smoothed`` (or ``periodogram``).
+    SpectralGrid with provenance ``smoothed``.
     """
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     k = np.asarray(x).shape[1]
-    on_fourier = omega_grid is None
-    omegas = cfg.omega_grid() if on_fourier else np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    if omega_grid is None:
+        omegas = cfg.omega_grid()
+    else:
+        omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    weights = _smoothing_weights(cfg, omegas)
     values = np.empty((u_grid.size, omegas.size, k, k), dtype=complex)
     for a, u in enumerate(u_grid):
-        if raw:
-            if not on_fourier:
-                raise ValueError("raw periodograms are computed on the Fourier grid only")
-            values[a] = local_periodogram_grid(x, u, cfg, T, t0=t0)
-        elif on_fourier:
-            values[a] = smooth_estimate_grid(x, u, cfg, T, t0=t0)
-        else:
-            per = local_periodogram_grid(x, u, cfg, T, t0=t0)
-            grid = cfg.omega_grid()
-            for b, omega in enumerate(omegas):
-                w = _smoothing_weights(cfg, omega - grid)
-                values[a, b] = np.tensordot(w, per, axes=(0, 0))
-    return SpectralGrid(
-        u=u_grid, omega=omegas, values=values,
-        provenance="periodogram" if raw else "smoothed",
-    )
-
-
-def hermitian_part(mat):
-    """Project onto the Hermitian part (numerical symmetrization)."""
-    return 0.5 * (mat + adjoint(mat))
+        per = local_periodogram_grid(x, u, cfg, T, t0=t0)
+        values[a] = (weights @ per.reshape(cfg.N, k * k)).reshape(omegas.size, k, k)
+    return SpectralGrid(u=u_grid, omega=omegas, values=values, provenance="smoothed")

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import kernel_constants, local_periodogram_grid, _smoothing_weights
-from .funspace import hs_norm
+from .estimator import estimate_grid, kernel_constants
 from .model import replication_seed, simulate, simulate_frozen
 from .spectrum import SpectralGrid, TWO_PI, true_spectral_density
 
@@ -85,12 +84,9 @@ def _estimate_points(x, cfg, T, points, t0=1):
         order.setdefault(float(u), []).append(idx)
     k = np.asarray(x).shape[1]
     out = np.empty((len(points), k, k), dtype=complex)
-    grid = cfg.omega_grid()
     for u, idxs in order.items():
-        per = local_periodogram_grid(x, u, cfg, T, t0=t0)
-        for idx in idxs:
-            w = _smoothing_weights(cfg, float(points[idx][1]) - grid)
-            out[idx] = np.tensordot(w, per, axes=(0, 0))
+        omegas = [points[idx][1] for idx in idxs]
+        out[idxs] = estimate_grid(x, cfg, T, [u], omegas, t0=t0).values[0]
     return out
 
 

@@ -250,8 +250,19 @@ def read_spectral_grid(path):
         i, j = divmod(rest, dim)
         if (int(row[2]), int(row[3])) != (i, j):
             raise ParseError(path, number, "rows out of nested (u, omega, i, j) order")
-        u[iu] = row[0]
-        omega[iw] = row[1]
+        # the first row of each u block fixes u, the first u block fixes omega
+        if iw == i == j == 0:
+            u[iu] = row[0]
+        elif row[0] != u[iu]:
+            raise ParseError(
+                path, number, f"u {row[0]:.17g} differs from {u[iu]:.17g} in earlier rows"
+            )
+        if iu == i == j == 0:
+            omega[iw] = row[1]
+        elif row[1] != omega[iw]:
+            raise ParseError(
+                path, number, f"omega {row[1]:.17g} differs from {omega[iw]:.17g} in earlier rows"
+            )
         values[iu, iw, i, j] = row[4] + 1j * row[5]
     return SpectralGrid(u=u, omega=omega, values=values, provenance=provenance)
 

@@ -92,32 +92,24 @@ def _ma_symbol(model, u, omegas):
     return phi @ model.c_at(u).astype(complex)
 
 
-def transfer_batch(model, u, omegas):
-    """Transfer operators A(u, omega) over an array of frequencies."""
+def transfer_operator(model, u, omegas):
+    """Transfer operators A(u, omega) over frequencies, shape (len(omegas), K, K).
+
+    Raises ``TransferSingularError`` when the AR symbol's condition number
+    exceeds 1e12 (or is not finite) at any of the frequencies.
+    """
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     bmat = _ar_symbol(model, u, omegas)
-    rhs = _ma_symbol(model, u, omegas)
-    try:
-        sol = np.linalg.solve(bmat, rhs)
-    except np.linalg.LinAlgError:
-        conds = np.linalg.cond(bmat)
-        worst = int(np.argmax(conds))
-        raise TransferSingularError(u, float(np.asarray(omegas)[worst]), float(conds[worst]))
-    return sol / np.sqrt(TWO_PI)
-
-
-def transfer_operator(model, u, omega):
-    """Transfer operator A(u, omega), with an explicit conditioning check."""
-    bmat = _ar_symbol(model, u, [omega])[0]
-    cond = float(np.linalg.cond(bmat))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise TransferSingularError(u, omega, cond)
-    rhs = _ma_symbol(model, u, [omega])[0]
-    return np.linalg.solve(bmat, rhs) / np.sqrt(TWO_PI)
+    conds = np.linalg.cond(bmat)
+    bad = np.flatnonzero(~(conds <= 1e12))
+    if bad.size:
+        raise TransferSingularError(u, float(omegas[bad[0]]), float(conds[bad[0]]))
+    return np.linalg.solve(bmat, _ma_symbol(model, u, omegas)) / np.sqrt(TWO_PI)
 
 
 def true_spectral_density(model, u, omega):
     """Exact spectral density operator F(u, omega) = A C_eps A*."""
-    a = transfer_operator(model, u, omega)
+    a = transfer_operator(model, u, omega)[0]
     return a @ model.innovations.covariance @ adjoint(a)
 
 
@@ -129,7 +121,7 @@ def truth_grid(model, u_grid, omega_grid):
     cov = model.innovations.covariance.astype(complex)
     values = np.empty((u_grid.size, omega_grid.size, k, k), dtype=complex)
     for a, u in enumerate(u_grid):
-        amp = transfer_batch(model, u, omega_grid)
+        amp = transfer_operator(model, u, omega_grid)
         values[a] = amp @ cov @ adjoint(amp)
     return SpectralGrid(u=u_grid, omega=omega_grid, values=values, provenance="truth")
 

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tvfspec
 from tvfspec import cli
 from tvfspec.estimator import fourier_frequencies
 from tvfspec.ingest import (
@@ -29,6 +32,24 @@ def unstable_document():
     return model_document(model)
 
 
+def test_import_needs_numpy_only():
+    # numpy is the only runtime dependency: no other installed distribution
+    # provides a module that the import adds to a fresh interpreter
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tvfspec.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, importlib.metadata as md; before = set(sys.modules); "
+        "import tvfspec.cli; "
+        "added = {m.split('.')[0] for m in set(sys.modules) - before} - {'numpy', 'tvfspec'}; "
+        "print(sorted(added & set(md.packages_distributions())))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestSimulate:
     def test_writes_series_and_manifest(self, tmp_path):
         config = write_config(
@@ -44,6 +65,7 @@ class TestSimulate:
         assert raw.grid.size == 16
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
+        assert manifest["package"] == "tvfspec"
         assert manifest["seed"] == 3
         assert manifest["T"] == 512
         assert set(manifest["outputs"]) == {

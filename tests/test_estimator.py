@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvfspec.estimator import (
     BoundaryError,
@@ -15,7 +17,7 @@ from tvfspec.estimator import (
     local_fdft,
     local_fdft_grid,
     local_periodogram,
-    smooth_estimate,
+    local_periodogram_grid,
     taper_transform,
     taper_transform_grid,
     wrap_frequency,
@@ -78,6 +80,17 @@ class TestKernelConstants:
         assert c.mass == pytest.approx(1.0, abs=1e-10)
         assert c.kappa == pytest.approx(4.0 / 20.0, abs=1e-10)
         assert c.l2 == pytest.approx(0.5 * 6.0 / 5.0, abs=1e-10)
+
+    def test_flat_taper_moments(self):
+        c = kernel_constants(TaperSpec(name="flat"))
+        assert c.kappa == pytest.approx(1.0 / 12.0, abs=1e-13)
+        assert c.l2 == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5])
+    def test_cosine_flat_mass_and_mean(self, rho):
+        c = kernel_constants(TaperSpec(name="cosine_flat", rho=rho))
+        assert c.mass == pytest.approx(1.0, abs=1e-13)
+        assert c.mean == pytest.approx(0.0, abs=1e-13)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown frequency kernel"):
@@ -224,34 +237,56 @@ class TestPeriodogram:
         assert 0.5 < ratio < 2.0
 
 
-class TestSmoothing:
-    def test_explicit_weights_match_convolution_path(self):
-        rng = np.random.default_rng(11)
-        T = 512
-        x = rng.standard_normal((T, 2))
-        cfg = EstimatorConfig(N=128, b_f=0.5)
-        fourier = estimate_grid(x, cfg, T, [0.5]).values[0]
-        explicit = estimate_grid(x, cfg, T, [0.5], omega_grid=cfg.omega_grid()).values[0]
-        assert np.abs(fourier - explicit).max() < 1e-10
+def weight_loop_estimate(x, cfg, T, u, omegas):
+    """Reference smoother: one explicit normalized weight sum per frequency."""
+    per = local_periodogram_grid(x, u, cfg, T)
+    grid = fourier_frequencies(cfg.N)
+    out = []
+    for omega in omegas:
+        w = cfg.fkernel.values(wrap_frequency(omega - grid) / cfg.b_f)
+        out.append(sum(wn * pn for wn, pn in zip(w / w.sum(), per)))
+    return np.array(out)
 
-    def test_single_point_matches_grid(self):
-        rng = np.random.default_rng(13)
-        T = 256
-        x = rng.standard_normal((T, 2))
-        cfg = EstimatorConfig(N=64, b_f=0.5)
-        omega = cfg.omega_grid()[20]
-        single = smooth_estimate(x, 0.5, omega, cfg, T)
-        grid = estimate_grid(x, cfg, T, [0.5]).values[0, 20]
-        assert np.abs(single - grid).max() < 1e-10
+
+class TestSmoothing:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.sampled_from([1, 3]),
+        n=st.sampled_from([16, 32, 64]),
+        b_f=st.floats(0.5, 2.0),
+        seed=st.integers(0, 2**16),
+        us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        fourier_idx=st.lists(st.integers(0, 63), min_size=1, max_size=4),
+        off_grid=st.lists(st.floats(-2.0 * np.pi, 2.0 * np.pi), max_size=4),
+        default_grid=st.booleans(),
+    )
+    def test_matches_per_frequency_weight_loop(self, k, n, b_f, seed, us, fourier_idx,
+                                               off_grid, default_grid):
+        T = 4 * n
+        x = np.random.default_rng(seed).standard_normal((T, k))
+        cfg = EstimatorConfig(N=n, b_f=b_f)
+        lo, hi = cfg.valid_band(T)
+        us = [lo + (hi - lo) * v for v in us]
+        if default_grid:
+            omegas = None
+            expected_omegas = fourier_frequencies(n)
+        else:
+            omegas = [fourier_frequencies(n)[j % n] for j in fourier_idx] + off_grid
+            expected_omegas = omegas
+        est = estimate_grid(x, cfg, T, us, omegas)
+        assert np.array_equal(est.omega, expected_omegas)
+        for vals, u in zip(est.values, us):
+            ref = weight_loop_estimate(x, cfg, T, u, expected_omegas)
+            scale = np.abs(ref).max()
+            assert np.abs(vals - ref).max() <= 1e-12 * scale
+            assert np.abs(vals - np.conj(np.swapaxes(vals, -1, -2))).max() <= 1e-12 * scale
+            assert np.linalg.eigvalsh(vals).min() >= -1e-10 * scale
 
     def test_provenance_labels(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((128, 1))
         cfg = EstimatorConfig(N=32, b_f=0.5)
         assert estimate_grid(x, cfg, 128, [0.5]).provenance == "smoothed"
-        assert estimate_grid(x, cfg, 128, [0.5], raw=True).provenance == "periodogram"
-        with pytest.raises(ValueError, match="Fourier grid only"):
-            estimate_grid(x, cfg, 128, [0.5], omega_grid=[0.3], raw=True)
 
     def test_degenerate_bandwidth_warns_then_fails_off_grid(self):
         rng = np.random.default_rng(19)
@@ -260,7 +295,7 @@ class TestSmoothing:
         off_grid = 0.5 * (fourier_frequencies(32)[3] + fourier_frequencies(32)[4])
         with pytest.warns(UserWarning, match="does not exceed the Fourier"):
             with pytest.raises(ValueError, match="no Fourier frequency"):
-                smooth_estimate(x, 0.5, off_grid, cfg, 128)
+                estimate_grid(x, cfg, 128, [0.5], omega_grid=[off_grid])
 
     def test_smoothed_estimate_is_hermitian_psd(self):
         model = white(dim=3)

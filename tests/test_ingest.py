@@ -173,6 +173,22 @@ class TestSpectralGridFiles:
         with pytest.raises(ParseError, match="unknown provenance"):
             read_spectral_grid(path)
 
+    def test_inconsistent_axis_values_rejected(self, tmp_path):
+        # 2 u x 2 omega x 2 x 2 coefficients, four rows per (u, omega) block;
+        # data row r is file line r + 2
+        grid = truth_grid(white([1.0, 0.5]), [0.25, 0.75], [0.0, 1.0])
+        path = tmp_path / "grid.csv"
+        write_spectral_grid(grid, path)
+        lines = path.read_text().split("\n")
+        for row, field, name in ((4, 0, "u"), (6, 1, "omega"), (13, 1, "omega")):
+            tampered = list(lines)
+            parts = tampered[row + 1].split(",")
+            parts[field] = "0.5"
+            tampered[row + 1] = ",".join(parts)
+            path.write_text("\n".join(tampered))
+            with pytest.raises(ParseError, match=rf":{row + 2}: {name} 0.5 differs"):
+                read_spectral_grid(path)
+
     def test_kernel_layout(self, tmp_path):
         sigma = np.array([1.0, 0.5, 0.25])
         grid = truth_grid(white(sigma), [0.5], [0.7])

@@ -30,8 +30,10 @@ def scalar_ar1_density(omega, b=0.5, sigma=1.0):
 
 class TestClosedForms:
     def test_transfer_at_zero_frequency(self):
-        a = transfer_operator(scalar_ar1(), 0.3, 0.0)
-        assert a[0, 0] == pytest.approx((1.0 / np.sqrt(TWO_PI)) / 0.5, abs=1e-12)
+        a = transfer_operator(scalar_ar1(), 0.3, [0.0, np.pi])
+        assert a.shape == (2, 1, 1)
+        assert a[1, 0, 0] == pytest.approx((1.0 / np.sqrt(TWO_PI)) / 1.5, abs=1e-12)
+        assert a[0, 0, 0] == pytest.approx((1.0 / np.sqrt(TWO_PI)) / 0.5, abs=1e-12)
 
     def test_ar1_spectral_density(self):
         model = scalar_ar1()
@@ -55,6 +57,17 @@ class TestClosedForms:
         unit_root = scalar_ar1(b=1.0)
         with pytest.raises(TransferSingularError):
             transfer_operator(unit_root, 0.5, 0.0)
+
+    def test_near_singular_symbol_raises_on_every_path(self):
+        # B(u, 0) = diag(1e-14, 0.5) has condition number 5e13
+        near_unit = TvFarmaModel(
+            ar=(OperatorCurve.constant(np.diag([1.0 - 1e-14, 0.5])),),
+            innovations=InnovationSpec(np.ones(2)),
+        )
+        with pytest.raises(TransferSingularError, match="omega=0.0000"):
+            true_spectral_density(near_unit, 0.5, 0.0)
+        with pytest.raises(TransferSingularError, match="omega=0.0000"):
+            truth_grid(near_unit, [0.5], [1.0, 0.0])
 
 
 class TestDensitySymmetries:
