@@ -282,6 +282,25 @@ class TestSmoothing:
             assert np.abs(vals - np.conj(np.swapaxes(vals, -1, -2))).max() <= 1e-12 * scale
             assert np.linalg.eigvalsh(vals).min() >= -1e-10 * scale
 
+    def test_explicit_weights_match_convolution_path(self):
+        rng = np.random.default_rng(11)
+        T = 512
+        x = rng.standard_normal((T, 2))
+        cfg = EstimatorConfig(N=128, b_f=0.5)
+        fourier = estimate_grid(x, cfg, T, [0.5]).values[0]
+        explicit = estimate_grid(x, cfg, T, [0.5], omega_grid=cfg.omega_grid()).values[0]
+        assert np.abs(fourier - explicit).max() < 1e-10
+
+    def test_single_point_matches_grid(self):
+        rng = np.random.default_rng(13)
+        T = 256
+        x = rng.standard_normal((T, 2))
+        cfg = EstimatorConfig(N=64, b_f=0.5)
+        omega = cfg.omega_grid()[20]
+        single = estimate_grid(x, cfg, T, [0.5], omega_grid=[omega]).values[0, 0]
+        grid = estimate_grid(x, cfg, T, [0.5]).values[0, 20]
+        assert np.abs(single - grid).max() < 1e-10
+
     def test_provenance_labels(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((128, 1))
