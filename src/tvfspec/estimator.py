@@ -156,27 +156,6 @@ def wrap_frequency(omega):
     return np.mod(np.asarray(omega, dtype=float) + np.pi, TWO_PI) - np.pi
 
 
-def taper_transform(taper, segment_length, omegas, power=1):
-    """H_{k,N}(omega) = sum_{s=0..N-1} h(s/N)^k e^{-i omega s} at arbitrary omegas."""
-    s = np.arange(segment_length)
-    hk = taper.values(s / segment_length) ** power
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    return np.exp(-1j * np.outer(omegas, s)) @ hk
-
-
-def taper_transform_grid(taper, segment_length, power=1):
-    """H_{k,N} on the Fourier grid of ``segment_length``, sorted frequency order."""
-    s = np.arange(segment_length)
-    hk = taper.values(s / segment_length) ** power
-    return np.fft.fftshift(np.fft.fft(hk))
-
-
-def dirichlet_envelope(segment_length, omegas):
-    """Envelope L_N: N at frequencies within 1/N of zero, else 1/|omega| (wrapped)."""
-    lam = np.abs(wrap_frequency(omegas))
-    return np.where(lam <= 1.0 / segment_length, float(segment_length), 1.0 / np.maximum(lam, 1e-300))
-
-
 class BoundaryError(ValueError):
     """Requested segment leaves the observation window."""
 

@@ -16,11 +16,21 @@ so model draws, innovations and per-replication streams are independent and
 reproducible bit for bit.  Keys: (0, j, g) for the g-th knot of the j-th
 random operator curve, (1,) for a simulation's innovations, (2, r) for
 replication r of a Monte Carlo run.
+
+Causal filters.  ``ma_coefficients`` is the one filter recursion: it
+evaluates every curve once over the lag's rescaled times, walks back over
+lags on the top block row of the companion product and composes the
+moving-average part on top; ``simulate_ma`` carries the forward responses of
+all innovation rows at once.  The stability report on the default grid is
+computed once per model (``TvFarmaModel.stability``) and read by the
+simulation gate and the truncation heuristic.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +183,11 @@ class TvFarmaModel:
             return np.eye(self.dim)
         return self.c(u)
 
+    @cached_property
+    def stability(self):
+        """``check_stability`` on its default grid, computed once per model."""
+        return check_stability(self)
+
     def frozen(self, u):
         """Stationary model with every curve fixed at rescaled time ``u``."""
         return TvFarmaModel(
@@ -187,18 +202,19 @@ def build_companion(model, u):
     """State-space companion matrix of the AR part at rescaled time ``u``.
 
     Top block row holds B_{u,1}, ..., B_{u,m}; the identity sits on the block
-    subdiagonal.  For m = 0 returns the K x K zero matrix.
+    subdiagonal.  For m = 0 returns the K x K zero matrix.  An array of
+    rescaled times gives the stack of companions, shape (len(u), mK, mK).
     """
+    us = np.asarray(u, dtype=float)
+    flat = np.atleast_1d(us)
     k = model.dim
-    m = model.ar_order
-    if m == 0:
-        return np.zeros((k, k))
-    comp = np.zeros((m * k, m * k))
+    size = max(model.ar_order, 1) * k
+    comp = np.zeros((flat.size, size, size))
     for j, curve in enumerate(model.ar):
-        comp[:k, j * k:(j + 1) * k] = curve(u)
-    if m > 1:
-        comp[k:, :-k] = np.eye((m - 1) * k)
-    return comp
+        comp[:, :k, j * k:(j + 1) * k] = curve.batch(flat)
+    if model.ar_order > 1:
+        comp[:, k:, :-k] = np.eye(size - k)
+    return comp if us.ndim else comp[0]
 
 
 @dataclass(frozen=True)
@@ -234,17 +250,18 @@ def check_stability(model, u_grid=None, delta=1e-6):
 
     Reports, per u, the sum of operator norms of the AR curves (sufficient
     condition when < 1) and the spectral radius of the companion matrix
-    (authoritative pass criterion: radius < 1 - delta everywhere).
+    (authoritative pass criterion: radius < 1 - delta everywhere).  All
+    companions are built and decomposed as one stack.
     """
     if u_grid is None:
         u_grid = np.linspace(0.0, 1.0, 65)
     u_grid = np.asarray(u_grid, dtype=float)
-    sums = np.empty(u_grid.size)
-    radii = np.empty(u_grid.size)
-    for i, u in enumerate(u_grid):
-        sums[i] = sum(op_norm(cv(u)) for cv in model.ar) if model.ar else 0.0
-        comp = build_companion(model, u)
-        radii[i] = float(np.max(np.abs(np.linalg.eigvals(comp)))) if model.ar else 0.0
+    k = model.dim
+    m = model.ar_order
+    comps = build_companion(model, u_grid)
+    top = comps[:, :k, :m * k].reshape(u_grid.size, k, m, k)
+    sums = np.linalg.norm(top, 2, axis=(1, 3)).sum(axis=1)
+    radii = np.max(np.abs(np.linalg.eigvals(comps)), axis=1)
     return StabilityReport(u=u_grid, norm_sums=sums, radii=radii, delta=delta)
 
 
@@ -253,7 +270,7 @@ class StabilityError(RuntimeError):
 
 
 def _require_stable(model):
-    report = check_stability(model)
+    report = model.stability
     if not report.passed:
         u, radius = report.worst()
         raise StabilityError(
@@ -343,80 +360,82 @@ def simulate_frozen(model, u, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_e
                     t_start=t_start, t_end=t_end)
 
 
+def _shaping(model, us):
+    """Innovation shaping operators C at rescaled times ``us``, identity if unset."""
+    if model.c is None:
+        return np.broadcast_to(np.eye(model.dim), (len(us), model.dim, model.dim))
+    return model.c.batch(us)
+
+
 def ma_coefficients(model, t, T, lags):
     """Causal moving-average filters A_{t,T}(l) for l = 0, ..., lags.
 
-    For a pure AR model these are the top-left blocks of running products of
-    companion matrices at rescaled times t/T, (t-1)/T, ..., composed with the
-    shaping operator at (t-l)/T.  With a moving-average part the filters are
-    built as impulse responses of the full recursion.
+    With u_l = (t - l)/T, the pure-AR filter G(l) is the top-left block of
+    the product of companion matrices at u_0, u_1, ..., u_{l-1}; only its
+    top block row is carried, updated per lag as
+    row_j <- row_1 B_{u_{l-1}, j} + row_{j+1} (row_{m+1} = 0).  The
+    moving-average part and the shaping operator compose on top:
+
+        A_{t,T}(l) = sum_{i <= min(l, n)} G(l - i) Phi_{u_{l-i}, i} C_{u_l}
+
+    with Phi_0 = I.  Every curve is evaluated once, batched over u_l.
 
     Returns
     -------
     coeffs : ndarray, shape (lags + 1, K, K)
     tail : float
-        Geometric bound on the operator-norm l1 tail sum beyond ``lags``.
+        Heuristic estimate of the operator-norm l1 tail sum beyond ``lags``:
+        a geometric envelope with ratio (companion radius + 0.05), not a
+        bound.
     """
     k = model.dim
     m = model.ar_order
-    n = model.ma_order
-    coeffs = np.empty((lags + 1, k, k))
-    if n == 0 and m > 0:
-        prod = np.eye(m * k)
-        coeffs[0] = model.c_at(t / T)
-        for l in range(1, lags + 1):
-            prod = prod @ build_companion(model, (t - l + 1) / T)
-            coeffs[l] = prod[:k, :k] @ model.c_at((t - l) / T)
-    elif m == 0 and n == 0:
-        coeffs[:] = 0.0
-        coeffs[0] = model.c_at(t / T)
-    else:
-        for l in range(lags + 1):
-            coeffs[l] = _impulse_response(model, t - l, t, T)[-1]
-    return coeffs, _ma_tail_bound(model, coeffs, lags)
+    us = (t - np.arange(lags + 1)) / T
+    # ar[l - 1, j - 1] = B_{u_{l-1}, j}, the lag-j operator of step l
+    ar = np.zeros((lags, m, k, k))
+    for j, cv in enumerate(model.ar):
+        ar[:, j] = cv.batch(us[:-1])
+    # blocks 1..m of the top block row, plus a zero block shifted in per lag
+    row = np.zeros((m + 1, k, k))
+    row[0] = np.eye(k)
+    g = np.empty((lags + 1, k, k))
+    g[0] = row[0]
+    for l in range(1, lags + 1):
+        step = row[0] @ ar[l - 1]
+        row[:-1] = row[1:]
+        row[-1] = 0.0
+        row[:m] += step
+        g[l] = row[0]
+    coeffs = g.copy()
+    for i, cv in enumerate(model.ma[:lags], start=1):
+        coeffs[i:] += g[:lags + 1 - i] @ cv.batch(us[:lags + 1 - i])
+    coeffs = coeffs @ _shaping(model, us)
+    return coeffs, _ma_tail_estimate(model, coeffs, lags)
 
 
-def _impulse_response(model, r, t, T):
-    """Responses at times r, ..., t to a unit innovation entering at time r."""
-    k = model.dim
-    m = model.ar_order
-    n = model.ma_order
-    c_r = model.c_at(r / T)
-    steps = t - r
-    ys = np.zeros((steps + 1, k, k))
-    ys[0] = c_r
-    for j in range(1, steps + 1):
-        u_j = (r + j) / T
-        acc = np.zeros((k, k))
-        for i in range(1, min(j, m) + 1):
-            acc += model.ar[i - 1](u_j) @ ys[j - i]
-        if j <= n:
-            acc += model.ma[j - 1](u_j) @ c_r
-        ys[j] = acc
-    return ys
-
-
-def _ma_tail_bound(model, coeffs, lags):
+def _ma_tail_estimate(model, coeffs, lags):
     if model.ar_order == 0:
         return 0.0
-    report = check_stability(model)
-    rho = float(np.max(report.radii))
+    rho = float(np.max(model.stability.radii))
     if rho >= 1.0:
         return np.inf
     # Geometric envelope fit on the last computed filters; the companion
-    # radius gives the asymptotic ratio.
+    # radius plus a 0.05 margin stands in for the asymptotic ratio.  This is
+    # a heuristic estimate, not a bound.
     ratio = min(rho + 0.05, 0.999)
-    last = max(op_norm(coeffs[l]) for l in range(max(0, lags - model.ar_order), lags + 1))
+    last = float(np.max(np.linalg.norm(coeffs[max(0, lags - model.ar_order):], 2, axis=(1, 2))))
     return last * ratio / (1.0 - ratio)
 
 
 def choose_ma_order(model, T, tol=1e-10, t=None, max_lags=100000):
-    """Smallest lag count whose reported tail bound falls below ``tol``.
+    """Smallest lag count whose estimated tail falls below ``tol``.
 
-    The filters depend on the anchor time: products walking into the
-    clamped region below t = 1 can decay with a longer transient than
-    mid-sample ones.  With ``t=None`` the bound is therefore taken as the
-    worst case over anchors spread across [1, T].
+    The tail is the heuristic estimate of ``ma_coefficients`` (a geometric
+    envelope with ratio companion radius + 0.05), not a bound.  The filters
+    depend on the anchor time: products walking into the clamped region
+    below t = 1 can decay with a longer transient than mid-sample ones.
+    With ``t=None`` the estimate is therefore taken as the worst case over
+    anchors spread across [1, T].
     """
     if t is None:
         anchors = sorted({1, T // 4, T // 2, (3 * T) // 4, T} - {0})
@@ -446,40 +465,46 @@ def simulate_ma(model, T, innovations, lags, t_start=1, t_end=None, eps_t_start=
 
     Notes
     -----
-    Accumulates, for each innovation time r, its forward responses through
-    the recursion, which reproduces the filters A_{t,T}(l) without forming
-    them per time point.
+    Carries, for all innovation times r at once, their forward responses
+    through the recursion for L steps, which reproduces the filters
+    A_{t,T}(l) without forming them per time point.  Each curve is evaluated
+    once over the window.
     """
     if t_end is None:
         t_end = T
     count = t_end - t_start + 1
     k = model.dim
+    m = model.ar_order
     if eps_t_start is None:
         eps_t_start = t_end - innovations.shape[0] + 1
     x = np.zeros((count, k))
-    m = model.ar_order
-    n = model.ma_order
-    for row in range(innovations.shape[0]):
-        r = eps_t_start + row
-        horizon = min(t_end, r + lags)
-        if horizon < max(r, t_start):
-            continue
-        c_r = model.c_at(r / T)
-        shock = c_r @ innovations[row]
-        ys = [shock]
-        if r >= t_start:
-            x[r - t_start] += shock
-        for j in range(1, horizon - r + 1):
-            u_j = (r + j) / T
-            acc = np.zeros(k)
+    # only rows whose responses reach [t_start, t_end] within ``lags`` steps
+    lo = max(0, t_start - lags - eps_t_start)
+    hi = min(innovations.shape[0], t_end - eps_t_start + 1)
+    if hi <= lo:
+        return x
+    r0 = eps_t_start + lo
+    us = np.arange(r0, t_end + 1) / T
+    ar = [cv.batch(us) for cv in model.ar]
+    ma = [cv.batch(us) for cv in model.ma]
+    shock = np.einsum("rij,rj->ri", _shaping(model, us[:hi - lo]), innovations[lo:hi])
+    history = deque(maxlen=m)
+    for j in range(lags + 1):
+        # row i sits at time r0 + i + j; rows past t_end are done
+        active = min(hi - lo, t_end - r0 - j + 1)
+        if active <= 0:
+            break
+        if j == 0:
+            y = shock
+        else:
+            y = np.zeros((active, k))
             for i in range(1, min(j, m) + 1):
-                acc = acc + model.ar[i - 1](u_j) @ ys[j - i]
-            if j <= n:
-                acc = acc + model.ma[j - 1](u_j) @ shock
-            ys.append(acc)
-            tt = r + j
-            if tt >= t_start:
-                x[tt - t_start] += acc
+                y = y + np.einsum("rab,rb->ra", ar[i - 1][j:j + active], history[-i][:active])
+            if j <= len(ma):
+                y = y + np.einsum("rab,rb->ra", ma[j - 1][j:j + active], shock[:active])
+        history.append(y)
+        first = max(0, t_start - r0 - j)
+        x[r0 + first + j - t_start:r0 + active + j - t_start] += y[first:active]
     return x
 
 

@@ -9,7 +9,6 @@ from tvfspec.estimator import (
     FreqKernelSpec,
     TaperSpec,
     default_bandwidths,
-    dirichlet_envelope,
     estimate_grid,
     fourier_frequencies,
     induced_time_kernel,
@@ -18,8 +17,6 @@ from tvfspec.estimator import (
     local_fdft_grid,
     local_periodogram,
     local_periodogram_grid,
-    taper_transform,
-    taper_transform_grid,
     wrap_frequency,
 )
 from tvfspec.model import InnovationSpec, TvFarmaModel, simulate
@@ -111,12 +108,6 @@ class TestFrequencyGrids:
         assert wrap_frequency(TWO_PI + 0.3) == pytest.approx(0.3, abs=1e-12)
         assert wrap_frequency(-np.pi - 0.1) == pytest.approx(np.pi - 0.1, abs=1e-12)
 
-    def test_dirichlet_envelope(self):
-        env = dirichlet_envelope(64, np.array([0.0, 0.5, TWO_PI - 0.5]))
-        assert env[0] == 64.0
-        assert env[1] == pytest.approx(2.0)
-        assert env[2] == pytest.approx(2.0)
-
 
 class TestDefaultBandwidths:
     def test_reference_values(self):
@@ -144,26 +135,6 @@ class TestDefaultBandwidths:
         lo, hi = cfg.valid_band(512)
         assert lo == pytest.approx(182.0 / 1024.0)
         assert hi == pytest.approx(1.0 - 182.0 / 1024.0)
-
-
-class TestTaperTransform:
-    def test_grid_matches_direct_evaluation(self):
-        taper = TaperSpec(name="cosine_flat")
-        direct = taper_transform(taper, 32, fourier_frequencies(32), power=2)
-        via_fft = taper_transform_grid(taper, 32, power=2)
-        assert np.abs(direct - via_fft).max() < 1e-10
-
-    def test_convolution_closure_on_fourier_grid(self):
-        # (1/N) sum_j H_1(a + g_j) H_1(b - g_j) telescopes to H_2(a + b)
-        taper = TaperSpec(name="cosine_flat")
-        n = 32
-        grid = fourier_frequencies(n)
-        alpha, beta = 0.37, -1.1
-        lhs = np.mean(
-            taper_transform(taper, n, alpha + grid) * taper_transform(taper, n, beta - grid)
-        )
-        rhs = taper_transform(taper, n, np.array([alpha + beta]), power=2)[0]
-        assert abs(lhs - rhs) < 1e-10 * n
 
 
 class TestLocalFdft:

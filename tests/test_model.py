@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tvfspec import model as model_module
 from tvfspec.funspace import op_norm
 from tvfspec.model import (
     DEFAULT_BURN_IN,
@@ -21,6 +24,7 @@ from tvfspec.model import (
     simulate_ma,
     spawn_rng,
 )
+from tvfspec.spectrum import wigner_ville
 
 
 def scalar_curve(fn, knots=65):
@@ -33,6 +37,77 @@ def scalar_ar1(b=0.5, sigma=1.0):
         ar=(OperatorCurve.constant(np.array([[b]])),),
         innovations=InnovationSpec(np.array([sigma])),
     )
+
+
+def random_curve(rng, dim, scale):
+    """Piecewise-linear curve with 1 to 4 random knots on [0, 1]."""
+    count = int(rng.integers(1, 5))
+    knots = np.linspace(0.0, 1.0, count) if count > 1 else np.array([0.0])
+    return OperatorCurve(knots, scale * rng.standard_normal((count, dim, dim)))
+
+
+def random_model(seed, dim, m, n, with_c):
+    rng = np.random.default_rng(seed)
+    return TvFarmaModel(
+        ar=tuple(random_curve(rng, dim, 0.4 / m) for _ in range(m)),
+        innovations=InnovationSpec(np.ones(dim)),
+        ma=tuple(random_curve(rng, dim, 0.5) for _ in range(n)),
+        c=random_curve(rng, dim, 1.0) if with_c else None,
+    )
+
+
+def impulse_response_filters(model, t, T, lags):
+    """Oracle: A_{t,T}(l) as the response at time t to a unit innovation at t - l.
+
+    Runs the full forward recursion separately for every lag, with one
+    scalar curve evaluation per step.
+    """
+    k = model.dim
+    m = model.ar_order
+    n = model.ma_order
+    out = np.empty((lags + 1, k, k))
+    for lag in range(lags + 1):
+        r = t - lag
+        c_r = model.c_at(r / T)
+        ys = [c_r]
+        for j in range(1, lag + 1):
+            u_j = (r + j) / T
+            acc = np.zeros((k, k))
+            for i in range(1, min(j, m) + 1):
+                acc += model.ar[i - 1](u_j) @ ys[j - i]
+            if j <= n:
+                acc += model.ma[j - 1](u_j) @ c_r
+            ys.append(acc)
+        out[lag] = ys[-1]
+    return out
+
+
+def truncated_ma_rows(model, T, innovations, lags, t_start, t_end, eps_t_start):
+    """Oracle: the truncated MA sum accumulated one innovation row at a time."""
+    k = model.dim
+    m = model.ar_order
+    n = model.ma_order
+    x = np.zeros((t_end - t_start + 1, k))
+    for row in range(innovations.shape[0]):
+        r = eps_t_start + row
+        horizon = min(t_end, r + lags)
+        if horizon < max(r, t_start):
+            continue
+        shock = model.c_at(r / T) @ innovations[row]
+        ys = [shock]
+        if r >= t_start:
+            x[r - t_start] += shock
+        for j in range(1, horizon - r + 1):
+            u_j = (r + j) / T
+            acc = np.zeros(k)
+            for i in range(1, min(j, m) + 1):
+                acc = acc + model.ar[i - 1](u_j) @ ys[j - i]
+            if j <= n:
+                acc = acc + model.ma[j - 1](u_j) @ shock
+            ys.append(acc)
+            if r + j >= t_start:
+                x[r + j - t_start] += acc
+    return x
 
 
 class TestOperatorCurve:
@@ -157,6 +232,46 @@ class TestStability:
         assert worst_u == pytest.approx(1.0)
         assert worst_radius == pytest.approx(1.3)
 
+    @pytest.mark.parametrize("model, grid", [
+        (TvFarmaModel(innovations=InnovationSpec(np.ones(3))), np.linspace(0.0, 1.0, 65)),
+        (TvFarmaModel(
+            ar=(scalar_curve(lambda u: 0.9 - u), scalar_curve(lambda u: -0.45 + 0.3 * u)),
+            innovations=InnovationSpec(np.array([1.0])),
+        ), np.linspace(-0.1, 1.1, 37)),
+        (far2(size=6), far2(size=6).ar[0].knots),
+    ], ids=["white", "scalar_ar2", "far2_knots"])
+    def test_batched_matches_per_u_loop(self, model, grid):
+        report = check_stability(model, u_grid=grid)
+        assert report.radii.shape == report.norm_sums.shape == grid.shape
+        for i, u in enumerate(grid):
+            radius = np.max(np.abs(np.linalg.eigvals(build_companion(model, u))))
+            norm_sum = sum(op_norm(cv(u)) for cv in model.ar)
+            assert abs(report.radii[i] - radius) <= 1e-15
+            assert abs(report.norm_sums[i] - norm_sum) <= 1e-15
+
+    def test_companion_stack_matches_scalar_calls(self):
+        model = far2(size=4)
+        us = np.array([0.0, 0.31, 1.0])
+        stack = build_companion(model, us)
+        assert stack.shape == (3, 8, 8)
+        for i, u in enumerate(us):
+            assert np.array_equal(stack[i], build_companion(model, u))
+
+    def test_report_computed_once_per_model(self, monkeypatch):
+        calls = []
+        real = model_module.check_stability
+
+        def spy(model, *args, **kwargs):
+            calls.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "check_stability", spy)
+        model = far2(size=4)
+        choose_ma_order(model, 128)
+        wigner_ville(model, [0.3, 0.6], np.linspace(-np.pi, np.pi, 8), 128, s_max=4)
+        simulate(model, 128, seed=0)
+        assert len(calls) <= 1
+
 
 class TestPresets:
     def test_far1_operator_norm_is_eta_at_knots(self):
@@ -231,6 +346,43 @@ class TestMovingAverageForm:
         lags = choose_ma_order(model, T, tol=1e-10)
         y = simulate_ma(model, T, eps, lags)
         assert np.abs(x - y).max() < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 3]),
+        m=st.integers(0, 2),
+        n=st.integers(0, 2),
+        with_c=st.booleans(),
+        T=st.integers(8, 64),
+        near_end=st.booleans(),
+        offset=st.integers(0, 3),
+        lags=st.integers(0, 12),
+    )
+    def test_recursion_matches_forward_impulse_responses(
+        self, seed, dim, m, n, with_c, T, near_end, offset, lags
+    ):
+        model = random_model(seed, dim, m, n, with_c)
+        t = T - offset if near_end else 1 + offset
+        coeffs, _ = ma_coefficients(model, t, T, lags)
+        oracle = impulse_response_filters(model, t, T, lags)
+        assert coeffs.shape == oracle.shape
+        for lag in range(lags + 1):
+            scale = np.abs(oracle[lag]).max()
+            assert np.abs(coeffs[lag] - oracle[lag]).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m, n, with_c", [(2, 0, False), (1, 2, True), (0, 1, True)])
+    def test_truncated_ma_window_matches_per_row_loop(self, m, n, with_c):
+        model = random_model(17, 3, m, n, with_c)
+        T = 80
+        innovations = spawn_rng(3, 1).standard_normal((70, 3))
+        eps_t_start = -5
+        for lags, t_start, t_end in [(9, 12, 61), (40, 3, 30), (0, 20, 20)]:
+            got = simulate_ma(model, T, innovations, lags, t_start=t_start, t_end=t_end,
+                              eps_t_start=eps_t_start)
+            want = truncated_ma_rows(model, T, innovations, lags, t_start, t_end, eps_t_start)
+            assert got.shape == want.shape == (t_end - t_start + 1, 3)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_choose_ma_order_tail_below_tol(self):
         model = far1(size=4)
