@@ -79,7 +79,7 @@ def _sha256(path):
 
 def _dump_json(payload, path):
     with open(path, "w") as fh:
-        json.dump(evaluate._jsonify(payload), fh, indent=2, sort_keys=True)
+        json.dump(evaluate._jsonify(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

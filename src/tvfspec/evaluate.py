@@ -14,13 +14,14 @@ independent of worker count; reductions always run in replication order.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimator import estimate_grid, kernel_constants
-from .model import replication_seed, simulate, simulate_frozen
+from .model import replication_seed, simulate
 from .spectrum import SpectralGrid, TWO_PI, true_spectral_density
 
 
@@ -56,19 +57,25 @@ class McReport:
             "notes": self.notes,
             "passed": self.passed,
         }
-        return json.dumps(_jsonify(payload), sort_keys=True, indent=2)
+        return json.dumps(_jsonify(payload), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _jsonify(obj):
-    """Recursively coerce report payloads to plain JSON types."""
+    """Recursively coerce report payloads to plain JSON types.
+
+    Non-finite floats become the strings "NaN", "Infinity" and "-Infinity",
+    which keeps the output valid JSON.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (complex, np.complexfloating)):
-        return _cnum(obj)
+        return _jsonify(_cnum(obj))
     if isinstance(obj, np.generic):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     return obj
 
 
@@ -341,6 +348,8 @@ def local_stationarity_check(model, u, T_list, R, seed=0, burn_in=500,
     within ``slope_tol`` of zero (the second moment is bounded in T).
     """
     T_list = [int(t) for t in T_list]
+    # one frozen model, so its stability report is computed once
+    frozen = model.frozen(u)
     means = []
     maxima = []
     for ti, T in enumerate(T_list):
@@ -348,7 +357,7 @@ def local_stationarity_check(model, u, T_list, R, seed=0, burn_in=500,
         for r in range(R):
             rep = replication_seed(seed, ti, r)
             x = simulate(model, T, seed=rep, burn_in=burn_in, check=False)
-            y = simulate_frozen(model, u, T, seed=rep, burn_in=burn_in)
+            y = simulate(frozen, T, seed=rep, burn_in=burn_in)
             t_axis = np.arange(1, T + 1)
             denom = np.abs(t_axis / T - u) + 1.0 / T
             ratio = np.linalg.norm(x - y, axis=1) / denom

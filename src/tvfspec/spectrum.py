@@ -22,7 +22,7 @@ import numpy as np
 from .funspace import adjoint
 from .model import choose_ma_order, ma_coefficients
 
-PROVENANCES = ("truth", "wigner_ville", "periodogram", "smoothed")
+PROVENANCES = ("truth", "wigner_ville", "smoothed")
 
 TWO_PI = 2.0 * np.pi
 

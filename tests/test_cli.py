@@ -32,6 +32,17 @@ def unstable_document():
     return model_document(model)
 
 
+def test_json_outputs_reject_bare_non_finite_tokens(tmp_path):
+    path = tmp_path / "out.json"
+    cli._dump_json({"a": [1.0, float("nan")], "b": {"c": -np.inf}}, path)
+
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc == {"a": [1.0, "NaN"], "b": {"c": "-Infinity"}}
+
+
 def test_import_needs_numpy_only():
     # numpy is the only runtime dependency: no other installed distribution
     # provides a module that the import adds to a fresh interpreter

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tvfspec import model as model_module
 from tvfspec.estimator import EstimatorConfig
 from tvfspec.evaluate import (
     McReport,
@@ -15,7 +16,15 @@ from tvfspec.evaluate import (
     mc_normality,
     predicted_covariance,
 )
-from tvfspec.model import InnovationSpec, OperatorCurve, TvFarmaModel, far1
+from tvfspec.model import (
+    InnovationSpec,
+    OperatorCurve,
+    TvFarmaModel,
+    far1,
+    replication_seed,
+    simulate,
+    simulate_frozen,
+)
 from tvfspec.spectrum import SpectralGrid, truth_grid
 
 
@@ -164,6 +173,22 @@ class TestMcReport:
         assert decoded["quantities"]["z"] == {"re": 1.0, "im": 2.0}
         assert decoded["quantities"]["arr"] == [0, 1, 2]
 
+    def test_non_finite_quantities_stay_valid_json(self):
+        rep = McReport(name="x", seed=0, replications=1)
+        rep.quantities = {
+            "nan": float("nan"), "scalar": np.float64(-np.inf),
+            "arr": np.array([np.inf, 1.5]), "z": np.complex128(complex(np.nan, -np.inf)),
+        }
+
+        def reject(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        decoded = json.loads(rep.to_json(), parse_constant=reject)
+        assert decoded["quantities"] == {
+            "nan": "NaN", "scalar": "-Infinity", "arr": ["Infinity", 1.5],
+            "z": {"re": "NaN", "im": "-Infinity"},
+        }
+
 
 class TestLocalStationarity:
     def test_report_structure_and_determinism(self):
@@ -176,3 +201,30 @@ class TestLocalStationarity:
         assert set(rep.passes) == {"bounded_second_moment"}
         again = local_stationarity_check(model, u=0.25, T_list=(64, 128), R=4, seed=11)
         assert rep.to_json() == again.to_json()
+
+    def test_one_stability_check_per_model(self, monkeypatch):
+        calls = []
+        real = model_module.check_stability
+
+        def spy(model, *args, **kwargs):
+            calls.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "check_stability", spy)
+        model = far1(size=3)
+        rep = local_stationarity_check(model, u=0.4, T_list=(64, 128), R=10, seed=5)
+        # the model itself is simulated unchecked; its frozen copy is checked once
+        assert len(calls) <= 2
+        assert len({id(m) for m in calls}) == len(calls)
+        # same numbers as freezing the model again for every replication
+        means = []
+        for ti, T in enumerate((64, 128)):
+            acc = np.zeros(T)
+            for r in range(10):
+                rep_seed = replication_seed(5, ti, r)
+                x = simulate(model, T, seed=rep_seed, burn_in=500, check=False)
+                y = simulate_frozen(model, 0.4, T, seed=rep_seed, burn_in=500)
+                denom = np.abs(np.arange(1, T + 1) / T - 0.4) + 1.0 / T
+                acc += (np.linalg.norm(x - y, axis=1) / denom) ** 2
+            means.append(float((acc / 10).mean()))
+        assert rep.quantities["mean_p2"] == means

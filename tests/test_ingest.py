@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvfspec.evaluate import McReport
-from tvfspec.funspace import BasisSpec
+from tvfspec.funspace import BasisSpec, kernel_grid
 from tvfspec.ingest import (
     ParseError,
     RawSeries,
@@ -25,12 +26,33 @@ from tvfspec.ingest import (
     write_series,
     write_spectral_grid,
 )
-from tvfspec.model import InnovationSpec, TvFarmaModel, far1
-from tvfspec.spectrum import TWO_PI, truth_grid
+from tvfspec.model import InnovationSpec, TvFarmaModel, far1, far2
+from tvfspec.spectrum import TWO_PI, SpectralGrid, truth_grid
 
 
 def white(sigma):
     return TvFarmaModel(innovations=InnovationSpec(np.asarray(sigma, dtype=float)))
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def bits(values):
+    """Bit patterns of a float or complex array: tells -0.0 from 0.0."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+# Finite float64 values that stress formatting and parsing: signed zeros,
+# subnormals, the extremes of the exponent range, and ordinary values.
+edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+        2.2250738585072014e-308, -1.7976931348623157e308, 1e-300, 1e300,
+        0.1, 1.0 / 3.0,
+    ]),
+)
 
 
 class TestRawSeries:
@@ -102,6 +124,19 @@ class TestSeriesFiles:
             path = os.path.join(tmp, "series.csv")
             write_series(raw, path)
             assert np.array_equal(read_series(path).data, raw.data)
+
+    @pytest.mark.parametrize("T", [1, 1023, 1024, 1025, 2500])
+    def test_matches_row_at_a_time_formatting(self, tmp_path, T):
+        # rows are written in blocks; the bytes must be those of one
+        # "%.17g" row per line, whatever the block boundaries
+        rng = np.random.default_rng(T)
+        data = rng.standard_normal((T, 3)) * 10.0 ** rng.integers(-300, 300, (T, 3))
+        data[0, :2] = [-0.0, 5e-324]
+        raw = RawSeries(grid=[0.0, 0.25, 1.0], data=data)
+        path = tmp_path / "series.csv"
+        write_series(raw, path)
+        rows = [",".join("%.17g" % v for v in row) for row in [raw.grid, *raw.data]]
+        assert path.read_text() == "# tvfspec series v1\n" + "".join(r + "\n" for r in rows)
 
 
 class TestProjection:
@@ -216,6 +251,114 @@ class TestSpectralGridFiles:
             read_kernel_table(coeff_path)
         with pytest.raises(ValueError, match="unknown grid mode"):
             write_spectral_grid(grid, tmp_path / "x.csv", mode="surface")
+
+    def test_retired_periodogram_provenance_rejected(self, tmp_path):
+        grid = truth_grid(white([1.0]), [0.5], [0.0])
+        path = tmp_path / "grid.csv"
+        write_spectral_grid(grid, path)
+        lines = path.read_text().split("\n")
+        lines[1] = lines[1].replace("truth", "periodogram")
+        path.write_text("\n".join(lines))
+        with pytest.raises(ParseError, match=r"grid\.csv:2: unknown provenance 'periodogram'"):
+            read_spectral_grid(path)
+
+    @given(data=st.data(), dim=st.sampled_from([1, 2, 4]),
+           nu=st.integers(1, 3), nw=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_coeff_round_trip_exact_for_any_finite_values(self, data, dim, nu, nw):
+        grid = random_grid(data, dim, nu, nw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.csv")
+            write_spectral_grid(grid, path)
+            back = read_spectral_grid(path)
+        assert np.array_equal(bits(back.u), bits(grid.u))
+        assert np.array_equal(bits(back.omega), bits(grid.omega))
+        assert np.array_equal(bits(back.values), bits(grid.values))
+        assert back.provenance == grid.provenance
+
+    @given(data=st.data(), dim=st.sampled_from([1, 2, 4]),
+           nu=st.integers(1, 3), nw=st.integers(1, 4), render=st.integers(2, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_block_writer_matches_row_at_a_time_formatting(self, data, dim, nu, nw, render):
+        grid = random_grid(data, dim, nu, nw)
+        basis = BasisSpec(size=dim)
+        taus = render_grid(render)
+        # render 9 gives 81 rows per block, past one write block; extreme
+        # entries overflow the rendered kernel, and both sides must agree
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore", invalid="ignore"):
+            path = os.path.join(tmp, "grid.csv")
+            write_spectral_grid(grid, path)
+            with open(path) as fh:
+                assert fh.read() == reference_grid_text(grid, "coeff")
+            write_spectral_grid(grid, path, mode="kernel", basis=basis, taus=taus)
+            with open(path) as fh:
+                assert fh.read() == reference_grid_text(grid, "kernel", basis, taus)
+
+
+def random_grid(data, dim, nu, nw):
+    floats = lambda n: np.array(data.draw(st.lists(edge_floats, min_size=n, max_size=n)))
+    # set real and imaginary parts apart: re + 1j * im would lose signed zeros
+    values = np.empty((nu, nw, dim, dim), dtype=complex)
+    values.real = floats(values.size).reshape(values.shape)
+    values.imag = floats(values.size).reshape(values.shape)
+    return SpectralGrid(u=floats(nu), omega=floats(nw), values=values,
+                        provenance=data.draw(st.sampled_from(["truth", "smoothed"])))
+
+
+def reference_grid_text(grid, mode, basis=None, taus=None):
+    """One "%.17g" row per line, scalar abs(): the layout the writer must keep."""
+    dim = grid.values.shape[-1]
+    lines = [
+        f"# tvfspec spectral-grid {mode} v1",
+        f"# u {grid.u.size} omega {grid.omega.size} dim {dim} provenance {grid.provenance}",
+    ]
+    for iu, u in enumerate(grid.u):
+        for iw, omega in enumerate(grid.omega):
+            mat = grid.values[iu, iw]
+            if mode == "coeff":
+                for i in range(dim):
+                    for j in range(dim):
+                        z = mat[i, j]
+                        lines.append("%.17g,%.17g,%d,%d,%.17g,%.17g"
+                                     % (u, omega, i, j, z.real, z.imag))
+            else:
+                ker = kernel_grid(mat, basis, taus, taus)
+                for i, tau in enumerate(taus):
+                    for j, sigma in enumerate(taus):
+                        z = ker[i, j]
+                        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+                                     % (u, omega, tau, sigma, z.real, z.imag, abs(z)))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestGoldenBytes:
+    """SHA-256 of files written before the block writers replaced the row loops.
+
+    A changed hash means a changed on-disk format: that needs a new version
+    header, not a new hash.
+    """
+
+    def test_kernel_layout(self, tmp_path):
+        model = far2()
+        grid = truth_grid(model, [0.25, 0.75], [0.0, 1.0, 2.5])
+        path = tmp_path / "kernel.csv"
+        write_spectral_grid(grid, path, mode="kernel", basis=model.basis)
+        assert sha256(path) == "4b9ba1b25ad3f1ed5646c1b86f26780b5124fa17e2370d53cfcff49d862efab4"
+
+    def test_coeff_layout(self, tmp_path):
+        path = tmp_path / "coeff.csv"
+        grid = truth_grid(far1(size=3), [0.25, 0.5, 0.75], np.linspace(-np.pi, np.pi, 4))
+        write_spectral_grid(grid, path)
+        assert sha256(path) == "73585541fe7b7cf6289cb20948101280b0033d95456f0a1b81ffc83c9ab978e0"
+        write_spectral_grid(truth_grid(far2(), [0.25, 0.75], [0.0, 1.0, 2.5]), path)
+        assert sha256(path) == "a6e12668479968d4b1c86eacbc93ed8237f7871080cda92710fb2df44b598679"
+
+    def test_series(self, tmp_path):
+        rng = np.random.default_rng(4)
+        raw = RawSeries(grid=np.linspace(0, 1, 17), data=rng.standard_normal((50, 17)))
+        path = tmp_path / "series.csv"
+        write_series(raw, path)
+        assert sha256(path) == "b1a7000c62a69f69a06eefc45b6ba7f2bcedf97adc327aae36468e73c7efab40"
 
 
 class TestModelDocuments:
