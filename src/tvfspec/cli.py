@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -104,7 +104,9 @@ class Run:
         elif require_config:
             raise ConfigError(f"{command} requires --config")
         self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
-        self.threads = max(1, args.threads)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        self.threads = args.threads
         out = args.out or self.config.get("out") or f"tvfspec-{command}"
         os.makedirs(out, exist_ok=True)
         self.out = out
@@ -361,11 +363,9 @@ def cmd_estimate(args):
     return EXIT_OK
 
 
-def _imse_rep(job):
-    model, cfg, T, us, omegas, truth, rep_seed = job
-    x = simulate(model, T, seed=rep_seed, check=False)
-    est = estimate_grid(x, cfg, T, us, omegas)
-    return evaluate.imse(est, truth).value
+def _imse_task(cfg, T, us, omegas, truth, x, seed):
+    """Replication task: one IMSE value, so the parent never holds R estimate grids."""
+    return evaluate.imse(estimate_grid(x, cfg, T, us, omegas), truth).value
 
 
 def _imse_report(run, model):
@@ -383,18 +383,12 @@ def _imse_report(run, model):
     us = _axis(spec.get("u"), 3, (lo, hi))
     omegas = _omega_axis(spec if "omega" in spec else run.config)
     truth = truth_grid(model, us, omegas)
-    values = {}
-    for T in t_list:
-        jobs = [
-            (model, cfgs[T], T, us, omegas, truth, replication_seed(run.seed, r))
-            for r in range(R)
-        ]
-        if run.threads > 1:
-            with ProcessPoolExecutor(max_workers=run.threads) as pool:
-                per_rep = list(pool.map(_imse_rep, jobs))
-        else:
-            per_rep = [_imse_rep(job) for job in jobs]
-        values[T] = np.asarray(per_rep)
+    seeds = [replication_seed(run.seed, r) for r in range(R)]
+    values = {
+        T: evaluate.replicate(model, T, seeds, partial(_imse_task, cfgs[T], T, us, omegas, truth),
+                              workers=run.threads)
+        for T in t_list
+    }
     t_lo, t_hi = t_list[0], t_list[-1]
     wins = int(np.sum(values[t_hi] < values[t_lo]))
     need = int(np.ceil(0.9 * R))
@@ -476,16 +470,6 @@ def cmd_evaluate(args):
     return EXIT_OK if overall else 1
 
 
-def _reproduce_rep(job):
-    model, cfg, T, slices, rep_seed, t0, t_end = job
-    x = simulate(model, T, seed=rep_seed, t_start=t0, t_end=t_end, check=False)
-    out = []
-    for u, omega in slices:
-        grid = estimate_grid(x, cfg, T, [u], [omega], t0=t0)
-        out.append(grid.values[0, 0])
-    return np.stack(out)
-
-
 def cmd_reproduce(args):
     run = Run("reproduce", args)
     T = args.T if args.T is not None else int(run.config.get("T", 2**9))
@@ -525,15 +509,10 @@ def cmd_reproduce(args):
             ),
         )
     R = REPRODUCE_REPLICATIONS
-    jobs = [
-        (model, cfg, T, slices, replication_seed(run.seed, r), t0, t_end)
-        for r in range(R)
-    ]
-    if run.threads > 1:
-        with ProcessPoolExecutor(max_workers=run.threads) as pool:
-            estimates = list(pool.map(_reproduce_rep, jobs))
-    else:
-        estimates = [_reproduce_rep(job) for job in jobs]
+    estimates = evaluate.replicate(
+        model, T, [replication_seed(run.seed, r) for r in range(R)],
+        partial(evaluate._estimate_points, cfg, T, slices, t0=t0),
+        workers=run.threads, t_start=t0, t_end=t_end)
     amplitudes = np.empty((len(slices), R, render.size, render.size))
     for r, mats in enumerate(estimates):
         for i, (u, omega) in enumerate(slices):
@@ -601,7 +580,9 @@ def build_parser():
     def common(p):
         p.add_argument("--config", metavar="PATH", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="master seed (default: config, then 0)")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for replications")
+        p.add_argument("--threads", type=int, default=1, help="number of worker processes for "
+                       "Monte Carlo replications (evaluate, reproduce, check); outputs are "
+                       "byte-identical for every value")
         p.add_argument("--out", metavar="DIR", help="output directory")
         p.add_argument("--T", type=int, help="sample size override")
 

@@ -9,6 +9,7 @@ projections, integrated squared error decay, and the coupled bound defining
 local stationarity.  Replication r of a run with master seed s draws its
 innovations from the sub-stream (2, r) of s, so reports are reproducible and
 independent of worker count; reductions always run in replication order.
+``replicate`` is the one function that simulates and reduces replications.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .estimator import estimate_grid, kernel_constants
-from .model import replication_seed, simulate
+from .model import DEFAULT_BURN_IN, replication_seed, simulate
 from .spectrum import SpectralGrid, TWO_PI, true_spectral_density
 
 
@@ -84,8 +86,32 @@ def _cnum(z):
     return {"re": z.real, "im": z.imag}
 
 
-def _estimate_points(x, cfg, T, points, t0=1):
-    """Smoothed estimates at a list of (u, omega) points, one matrix each."""
+def replicate(model, T, seeds, task, workers=1, burn_in=DEFAULT_BURN_IN,
+              t_start=1, t_end=None):
+    """``np.stack`` of ``task(simulate(model, T, seed=s, ..., check=False), s)`` in seed order.
+
+    With ``workers > 1`` runs in at most ``min(workers, len(seeds))`` processes,
+    in chunks of ``len(seeds) // (4 * workers)``; ``task`` must then pickle (a
+    module-level function or a ``functools.partial`` of one).  The stack is the
+    same for every ``workers``.
+    """
+    one = partial(_simulate_then, model, T, task, burn_in, t_start, t_end)
+    workers = min(workers, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, seeds, chunksize=max(1, len(seeds) // (4 * workers))))
+    else:
+        results = [one(s) for s in seeds]
+    return np.stack(results)
+
+
+def _simulate_then(model, T, task, burn_in, t_start, t_end, seed):
+    x = simulate(model, T, seed=seed, burn_in=burn_in, t_start=t_start, t_end=t_end, check=False)
+    return task(x, seed)
+
+
+def _estimate_points(cfg, T, points, x, seed, t0=1):
+    """Replication task: estimates at (u, omega) points, one ``estimate_grid`` per u."""
     order = {}
     for idx, (u, _) in enumerate(points):
         order.setdefault(float(u), []).append(idx)
@@ -95,23 +121,6 @@ def _estimate_points(x, cfg, T, points, t0=1):
         omegas = [points[idx][1] for idx in idxs]
         out[idxs] = estimate_grid(x, cfg, T, [u], omegas, t0=t0).values[0]
     return out
-
-
-def _one_replication(args):
-    model, cfg, T, points, rep_seed, burn_in = args
-    x = simulate(model, T, seed=rep_seed, burn_in=burn_in, check=False)
-    return _estimate_points(x, cfg, T, points)
-
-
-def _replicate(model, cfg, T, points, R, seed, workers=1, burn_in=500):
-    """Estimates for R replications, shape (R, len(points), K, K)."""
-    jobs = [(model, cfg, T, points, replication_seed(seed, r), burn_in) for r in range(R)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_replication, jobs, chunksize=max(1, R // (4 * workers))))
-    else:
-        results = [_one_replication(j) for j in jobs]
-    return np.stack(results)
 
 
 def _second_derivative(fn, x0, step):
@@ -139,7 +148,8 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0),
     itself.
     """
     m, n = projection
-    ests = _replicate(model, cfg, T, [(u, omega)], R, seed, workers=workers, burn_in=burn_in)
+    ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
+                     partial(_estimate_points, cfg, T, [(u, omega)]), workers, burn_in)
     vals = ests[:, 0, m, n]
     mc_mean = complex(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(R))
@@ -204,7 +214,8 @@ def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0,
     relative agreement within ``rtol``.
     """
     points = [(u, omega1), (u, omega2)]
-    ests = _replicate(model, cfg, T, points, R, seed, workers=workers, burn_in=burn_in)
+    ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
+                     partial(_estimate_points, cfg, T, points), workers, burn_in)
     scale = cfg.b_t(T) * cfg.b_f * T
     report = McReport(name="covariance", seed=seed, replications=R)
     report.quantities = {
@@ -265,7 +276,8 @@ def mc_normality(model, cfg, T, u, omega, R, seed=0,
     of freedom.  When those degrees of freedom fall below ``min_dof`` the
     outcome is recorded as informational rather than pass/fail.
     """
-    ests = _replicate(model, cfg, T, [(u, omega)], R, seed, workers=workers, burn_in=burn_in)
+    ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
+                     partial(_estimate_points, cfg, T, [(u, omega)]), workers, burn_in)
     scale = np.sqrt(cfg.b_t(T) * cfg.b_f * T)
     dof = effective_dof(cfg)
     informational = dof < min_dof
@@ -336,6 +348,13 @@ def imse(estimates, truth):
     return ImseResult(value=float(per_u.mean()), per_u=per_u, mse=diffsq)
 
 
+def _coupling_ratio_sq(frozen, T, u, burn_in, x, seed):
+    """Replication task: P_t^2 against the frozen process on the same seed."""
+    y = simulate(frozen, T, seed=seed, burn_in=burn_in)
+    denom = np.abs(np.arange(1, T + 1) / T - u) + 1.0 / T
+    return (np.linalg.norm(x - y, axis=1) / denom) ** 2
+
+
 def local_stationarity_check(model, u, T_list, R, seed=0, burn_in=500,
                              slope_tol=0.15, workers=1):
     """Coupled-process bound behind the locally stationary approximation.
@@ -348,21 +367,14 @@ def local_stationarity_check(model, u, T_list, R, seed=0, burn_in=500,
     within ``slope_tol`` of zero (the second moment is bounded in T).
     """
     T_list = [int(t) for t in T_list]
-    # one frozen model, so its stability report is computed once
     frozen = model.frozen(u)
+    frozen.stability  # checked once, here; the cached report travels with the model
     means = []
     maxima = []
     for ti, T in enumerate(T_list):
-        acc = np.zeros(T)
-        for r in range(R):
-            rep = replication_seed(seed, ti, r)
-            x = simulate(model, T, seed=rep, burn_in=burn_in, check=False)
-            y = simulate(frozen, T, seed=rep, burn_in=burn_in)
-            t_axis = np.arange(1, T + 1)
-            denom = np.abs(t_axis / T - u) + 1.0 / T
-            ratio = np.linalg.norm(x - y, axis=1) / denom
-            acc += ratio**2
-        acc /= R
+        task = partial(_coupling_ratio_sq, frozen, T, u, burn_in)
+        acc = replicate(model, T, [replication_seed(seed, ti, r) for r in range(R)], task,
+                        workers, burn_in).mean(axis=0)
         means.append(float(acc.mean()))
         maxima.append(float(acc.max()))
     slope = float(np.polyfit(np.log(T_list), np.log(means), 1)[0])

@@ -61,6 +61,20 @@ def test_import_needs_numpy_only():
     assert out.stdout.strip() == "[]"
 
 
+def manifest_for_threads(tmp_path, argv, threads):
+    out = tmp_path / f"threads{threads}"
+    code = cli.main([*argv, "--threads", str(threads), "--out", str(out)])
+    return code, (out / "manifest.json").read_bytes()
+
+
+def test_threads_below_one_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, "check.json", {"model": {"preset": "far1", "size": 3}})
+    out = tmp_path / "x"
+    assert cli.main(["check", "--config", config, "--threads", "0", "--out", str(out)]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_writes_series_and_manifest(self, tmp_path):
         config = write_config(
@@ -213,6 +227,16 @@ class TestEvaluate:
         large = report["quantities"]["imse_mean_T4096"]
         assert large < small
 
+    def test_outputs_do_not_depend_on_threads(self, tmp_path):
+        config = write_config(
+            tmp_path, "eval.json",
+            {"model": {"preset": "far1", "size": 3},
+             "imse": {"T_list": [256, 512], "replications": 4}},
+        )
+        argv = ["evaluate", "--config", config]
+        serial = manifest_for_threads(tmp_path, argv, 1)
+        assert manifest_for_threads(tmp_path, argv, 2) == serial
+
     def test_unknown_check_exits_2(self, tmp_path):
         config = write_config(
             tmp_path, "eval.json",
@@ -253,6 +277,13 @@ class TestReproduce:
         assert len(slices) == 7
         for entry in slices:
             assert entry["omega"] == pytest.approx(1.5 - np.cos(np.pi * entry["u"]))
+
+    def test_outputs_do_not_depend_on_threads(self, tmp_path):
+        config = write_config(tmp_path, "rep.json", {"render": 8})
+        argv = ["reproduce", "far1", "--config", config, "--T", "512"]
+        serial = manifest_for_threads(tmp_path, argv, 1)
+        assert serial[0] == 0
+        assert manifest_for_threads(tmp_path, argv, 2) == serial
 
     def test_unsupported_length_exits_2(self, tmp_path):
         assert cli.main(["reproduce", "far1", "--T", "100",

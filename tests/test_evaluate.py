@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tvfspec import evaluate as evaluate_module
 from tvfspec import model as model_module
 from tvfspec.estimator import EstimatorConfig
 from tvfspec.evaluate import (
@@ -15,6 +16,7 @@ from tvfspec.evaluate import (
     mc_mean_bias,
     mc_normality,
     predicted_covariance,
+    replicate,
 )
 from tvfspec.model import (
     InnovationSpec,
@@ -36,6 +38,47 @@ def ramp_ar1():
     # scalar AR coefficient rising linearly from 0.2 to 0.6
     curve = OperatorCurve(np.array([0.0, 1.0]), np.array([[[0.2]], [[0.6]]]))
     return TvFarmaModel(ar=(curve,), innovations=InnovationSpec(np.array([1.0])))
+
+
+def seed_and_first_value(x, seed):
+    return np.array([seed, x[0, 0]])
+
+
+class TestReplicate:
+    def test_rows_follow_seed_order_for_any_worker_count(self):
+        model = far1(size=3)
+        seeds = list(range(100, 107))
+        stacks = [replicate(model, 32, seeds, seed_and_first_value, workers=w) for w in (1, 2, 3)]
+        assert stacks[0][:, 0].tolist() == seeds
+        firsts = [simulate(model, 32, seed=s, check=False)[0, 0] for s in seeds]
+        assert stacks[0][:, 1].tolist() == firsts
+        for other in stacks[1:]:
+            assert np.array_equal(other, stacks[0])
+
+    def test_never_more_workers_than_replications(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            # records the pool size and runs the work in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(evaluate_module, "ProcessPoolExecutor", SerialPool)
+        out = replicate(white(), 16, [4, 5, 6], seed_and_first_value, workers=64)
+        assert started == [3]
+        assert out[:, 0].tolist() == [4, 5, 6]
+        # a single replication needs no pool at all
+        replicate(white(), 16, [4], seed_and_first_value, workers=64)
+        assert started == [3]
 
 
 class TestImse:
@@ -201,6 +244,12 @@ class TestLocalStationarity:
         assert set(rep.passes) == {"bounded_second_moment"}
         again = local_stationarity_check(model, u=0.25, T_list=(64, 128), R=4, seed=11)
         assert rep.to_json() == again.to_json()
+
+    def test_worker_count_does_not_change_report(self):
+        kwargs = dict(u=0.25, T_list=(64, 128), R=4, seed=11)
+        serial = local_stationarity_check(far1(size=3), workers=1, **kwargs)
+        pooled = local_stationarity_check(far1(size=3), workers=2, **kwargs)
+        assert serial.to_json() == pooled.to_json()
 
     def test_one_stability_check_per_model(self, monkeypatch):
         calls = []
