@@ -5,7 +5,7 @@ functions are coefficient vectors and operators are complex matrices acting on
 those coefficients.  Submodules:
 
 ``funspace``
-    Basis handling and operator algebra (norms, tensor products, kernels).
+    Basis handling and operator algebra (adjoint, operator norm, kernels).
 ``model``
     Time-varying functional ARMA models, stability checks, simulation.
 ``spectrum``

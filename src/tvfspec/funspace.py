@@ -67,52 +67,9 @@ def adjoint(mat):
     return np.conj(np.swapaxes(mat, -1, -2))
 
 
-def hs_norm(mat):
-    """Hilbert-Schmidt norm, equal to the L2 norm of the integral kernel."""
-    return float(np.linalg.norm(mat))
-
-
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product trace(a b*)."""
-    return complex(np.sum(a * np.conj(b)))
-
-
 def op_norm(mat):
     """Operator (spectral) norm: the largest singular value."""
     return float(np.linalg.norm(mat, 2))
-
-
-def trace_norm(mat):
-    """Trace (nuclear) norm: the sum of singular values."""
-    return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
-
-
-def rank_one(f, g):
-    """Rank-one operator f (x) g with kernel f(tau) conj(g(sigma))."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    return np.outer(f, np.conj(g))
-
-
-def tensor_apply(a, b, c):
-    """Apply the tensor-product operator a (x) b to the operator c.
-
-    Uses the identity (a (x) b) c = a c b*, the matrix form of composing the
-    kernels a(tau, mu1) conj(b(sigma, mu2)) c(mu1, mu2) by double
-    integration over (mu1, mu2).
-    """
-    return a @ c @ adjoint(b)
-
-
-def kernel_eval(mat, basis, tau, sigma):
-    """Evaluate the integral kernel of ``mat`` at a single point (tau, sigma)."""
-    tau = float(tau)
-    sigma = float(sigma)
-    _check_unit_interval(np.array([tau]), "tau")
-    _check_unit_interval(np.array([sigma]), "sigma")
-    pt = basis.evaluate([tau])[0]
-    ps = basis.evaluate([sigma])[0]
-    return complex(pt @ mat @ np.conj(ps))
 
 
 def kernel_grid(mat, basis, taus, sigmas):

@@ -115,15 +115,14 @@ class ProjectionResult:
     residuals: np.ndarray
 
 
-def project_to_basis(raw, basis, method="lstsq"):
+def project_to_basis(raw, basis):
     """Project each observed row onto the span of the basis on the grid.
 
-    ``lstsq`` (default) solves the per-row least-squares problem against the
-    basis evaluated on the grid and is exact for data in the span; the
-    ``quadrature`` alternative takes trapezoid inner products, which is only
-    as good as the grid is dense and uniform.  Returns a ``ProjectionResult``
-    whose residuals are L2 norms of data minus fit (trapezoid rule on the
-    grid), so in-span data shows residuals at rounding level.
+    Solves the per-row least-squares problem against the basis evaluated on
+    the grid, which is exact for data in the span.  Returns a
+    ``ProjectionResult`` whose residuals are L2 norms of data minus fit
+    (trapezoid rule on the grid), so in-span data shows residuals at
+    rounding level.
     """
     design = basis.evaluate(raw.grid)
     m, k = design.shape
@@ -131,14 +130,7 @@ def project_to_basis(raw, basis, method="lstsq"):
         raise ValueError(
             f"under-determined projection: {m} grid points for {k} basis functions"
         )
-    if method == "lstsq":
-        coeffs = np.linalg.lstsq(design, raw.data.T, rcond=None)[0].T
-    elif method == "quadrature":
-        coeffs = np.trapezoid(
-            raw.data[:, :, None] * design[None, :, :], raw.grid, axis=1
-        )
-    else:
-        raise ValueError(f"unknown projection method {method!r}")
+    coeffs = np.linalg.lstsq(design, raw.data.T, rcond=None)[0].T
     resid = raw.data - coeffs @ design.T
     residuals = np.sqrt(np.trapezoid(resid**2, raw.grid, axis=1))
     return ProjectionResult(coefficients=coeffs, residuals=residuals)
@@ -191,13 +183,13 @@ def render_grid(count=64):
     return np.linspace(0.0, 1.0, count)
 
 
-def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None, sigmas=None):
+def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None):
     """Write a spectral grid as long-format delimited text.
 
     ``coeff`` rows are (u, omega, i, j, Re, Im) over the stored basis
     coefficients, zero-based indices.  ``kernel`` rows are
     (u, omega, tau, sigma, Re, Im, abs) with the operator rendered as a
-    kernel on a tau x sigma grid (default 64 x 64 uniform); the abs column
+    kernel on the taus x taus grid (default 64 uniform points); the abs column
     is the amplitude surface contour plots display.  Rows are emitted in
     nested (u, omega, first index, second index) order, one u at a time.
     """
@@ -207,12 +199,11 @@ def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None, sigmas=
         if basis is None:
             basis = BasisSpec(size=grid.values.shape[-1])
         taus = render_grid() if taus is None else np.asarray(taus, dtype=float)
-        sigmas = taus if sigmas is None else np.asarray(sigmas, dtype=float)
     dim = grid.values.shape[-1]
     if mode == "coeff":
         rows = _grid_rows(tuple(range(dim)), tuple(range(dim)), 2)
     else:
-        rows = _grid_rows(tuple(taus.tolist()), tuple(sigmas.tolist()), 3)
+        rows = _grid_rows(tuple(taus.tolist()), tuple(taus.tolist()), 3)
     with open(path, "w") as fh:
         fh.write(GRID_HEADERS[mode] + "\n")
         fh.write(
@@ -225,7 +216,7 @@ def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None, sigmas=
                 if mode == "coeff":
                     columns = [mat.real, mat.imag]
                 else:
-                    ker = kernel_grid(mat, basis, taus, sigmas)
+                    ker = kernel_grid(mat, basis, taus, taus)
                     # np.hypot, not np.abs: the vectorised complex abs can
                     # differ from the scalar abs() in the last digit
                     columns = [ker.real, ker.imag, np.hypot(ker.real, ker.imag)]

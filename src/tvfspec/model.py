@@ -17,13 +17,14 @@ reproducible bit for bit.  Keys: (0, j, g) for the g-th knot of the j-th
 random operator curve, (1,) for a simulation's innovations, (2, r) for
 replication r of a Monte Carlo run.
 
-Causal filters.  ``ma_coefficients`` is the one filter recursion: it
-evaluates every curve once over the lag's rescaled times, walks back over
-lags on the top block row of the companion product and composes the
-moving-average part on top; ``simulate_ma`` carries the forward responses of
-all innovation rows at once.  The stability report on the default grid is
-computed once per model (``TvFarmaModel.stability``) and read by the
-simulation gate and the truncation heuristic.
+Causal filters.  ``ma_coefficients`` is the one filter recursion: for an
+array of anchor times it evaluates every curve once over the union of their
+rescaled times, walks back over lags on the top block row of the companion
+product for all anchors at once and composes the moving-average part on top;
+``simulate_ma`` carries the forward responses of all innovation rows at once.
+The stability report on the default grid is computed once per model
+(``TvFarmaModel.stability``) and read by the simulation gate and the
+truncation heuristic.
 """
 
 from __future__ import annotations
@@ -349,17 +350,6 @@ def simulate(model, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None,
     return out
 
 
-def simulate_frozen(model, u, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None):
-    """Simulate the stationary process frozen at ``u`` on the same innovations.
-
-    Shares the innovation stream of ``simulate`` with the same seed and
-    window, which is what couples the two processes in the local
-    stationarity diagnostic.
-    """
-    return simulate(model.frozen(u), T, seed=seed, burn_in=burn_in,
-                    t_start=t_start, t_end=t_end)
-
-
 def _shaping(model, us):
     """Innovation shaping operators C at rescaled times ``us``, identity if unset."""
     if model.c is None:
@@ -378,73 +368,81 @@ def ma_coefficients(model, t, T, lags):
 
         A_{t,T}(l) = sum_{i <= min(l, n)} G(l - i) Phi_{u_{l-i}, i} C_{u_l}
 
-    with Phi_0 = I.  Every curve is evaluated once, batched over u_l.
+    with Phi_0 = I.  An array of anchor times ``t`` runs the recursion once
+    for all anchors; every curve is evaluated once over the union of their
+    rescaled times, and each lag step gathers its operators from there.
 
     Returns
     -------
-    coeffs : ndarray, shape (lags + 1, K, K)
-    tail : float
+    coeffs : ndarray, shape (lags + 1, K, K), or (len(t), lags + 1, K, K)
+    tail : float, or ndarray of shape (len(t),)
         Heuristic estimate of the operator-norm l1 tail sum beyond ``lags``:
         a geometric envelope with ratio (companion radius + 0.05), not a
         bound.
     """
+    ts = np.asarray(t)
     k = model.dim
     m = model.ar_order
-    us = (t - np.arange(lags + 1)) / T
-    # ar[l - 1, j - 1] = B_{u_{l-1}, j}, the lag-j operator of step l
-    ar = np.zeros((lags, m, k, k))
+    times = np.atleast_1d(ts)[:, None] - np.arange(lags + 1)
+    times, idx = np.unique(times, return_inverse=True)
+    idx = idx.reshape(-1, lags + 1)
+    us = times / T
+    count = idx.shape[0]
+    # ar[i, j - 1] = B_{us[i], j}; step l gathers the rows at u_{l-1}
+    ar = np.zeros((us.size, m, k, k))
     for j, cv in enumerate(model.ar):
-        ar[:, j] = cv.batch(us[:-1])
+        ar[:, j] = cv.batch(us)
     # blocks 1..m of the top block row, plus a zero block shifted in per lag
-    row = np.zeros((m + 1, k, k))
-    row[0] = np.eye(k)
-    g = np.empty((lags + 1, k, k))
-    g[0] = row[0]
+    row = np.zeros((count, m + 1, k, k))
+    row[:, 0] = np.eye(k)
+    g = np.empty((count, lags + 1, k, k))
+    g[:, 0] = row[:, 0]
     for l in range(1, lags + 1):
-        step = row[0] @ ar[l - 1]
-        row[:-1] = row[1:]
-        row[-1] = 0.0
-        row[:m] += step
-        g[l] = row[0]
-    coeffs = g.copy()
+        step = row[:, :1] @ ar[idx[:, l - 1]]
+        row[:, :-1] = row[:, 1:]
+        row[:, -1] = 0.0
+        row[:, :m] += step
+        g[:, l] = row[:, 0]
+    coeffs = g.copy() if model.ma else g
     for i, cv in enumerate(model.ma[:lags], start=1):
-        coeffs[i:] += g[:lags + 1 - i] @ cv.batch(us[:lags + 1 - i])
-    coeffs = coeffs @ _shaping(model, us)
-    return coeffs, _ma_tail_estimate(model, coeffs, lags)
+        coeffs[:, i:] += g[:, :lags + 1 - i] @ cv.batch(us)[idx[:, :lags + 1 - i]]
+    if model.c is not None:
+        coeffs = coeffs @ model.c.batch(us)[idx]
+    tail = _ma_tail_estimate(model, coeffs, lags)
+    if ts.ndim:
+        return coeffs, tail
+    return coeffs[0], float(tail[0])
 
 
 def _ma_tail_estimate(model, coeffs, lags):
+    """Tail estimates for a stack of filters, shape (anchors, lags + 1, K, K)."""
     if model.ar_order == 0:
-        return 0.0
+        return np.zeros(len(coeffs))
     rho = float(np.max(model.stability.radii))
     if rho >= 1.0:
-        return np.inf
+        return np.full(len(coeffs), np.inf)
     # Geometric envelope fit on the last computed filters; the companion
     # radius plus a 0.05 margin stands in for the asymptotic ratio.  This is
     # a heuristic estimate, not a bound.
     ratio = min(rho + 0.05, 0.999)
-    last = float(np.max(np.linalg.norm(coeffs[max(0, lags - model.ar_order):], 2, axis=(1, 2))))
+    last = np.linalg.norm(coeffs[:, max(0, lags - model.ar_order):], 2, axis=(2, 3)).max(axis=1)
     return last * ratio / (1.0 - ratio)
 
 
-def choose_ma_order(model, T, tol=1e-10, t=None, max_lags=100000):
+def choose_ma_order(model, T, tol=1e-10, max_lags=100000):
     """Smallest lag count whose estimated tail falls below ``tol``.
 
     The tail is the heuristic estimate of ``ma_coefficients`` (a geometric
     envelope with ratio companion radius + 0.05), not a bound.  The filters
     depend on the anchor time: products walking into the clamped region
     below t = 1 can decay with a longer transient than mid-sample ones.
-    With ``t=None`` the estimate is therefore taken as the worst case over
-    anchors spread across [1, T].
+    The estimate is therefore taken as the worst case over anchors spread
+    across [1, T], all filtered in one call per doubling of the lag count.
     """
-    if t is None:
-        anchors = sorted({1, T // 4, T // 2, (3 * T) // 4, T} - {0})
-    else:
-        anchors = [t]
+    anchors = np.array(sorted({1, T // 4, T // 2, (3 * T) // 4, T} - {0}))
     lags = max(4 * model.ar_order + model.ma_order, 8)
     while lags <= max_lags:
-        tail = max(ma_coefficients(model, a, T, lags)[1] for a in anchors)
-        if tail < tol:
+        if ma_coefficients(model, anchors, T, lags)[1].max() < tol:
             return lags
         lags *= 2
     raise RuntimeError(f"no truncation below tol={tol} within {max_lags} lags")

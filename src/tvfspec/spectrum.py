@@ -10,7 +10,9 @@ so the time-varying spectral density operator is F(u, omega) =
 A(u, omega) C_eps A(u, omega)* with C_eps the innovation covariance; the
 factor 1/(2 pi) lives entirely in the transfer operator.  Local
 autocovariances pair the filters of the two time points straddling uT, and
-their truncated Fourier sum is the finite-T spectral density operator.
+their truncated Fourier sum is the finite-T spectral density operator.  One
+private pass computes them: the causal filters of every time point it needs
+come from a single call of ``ma_coefficients`` batched over anchor times.
 """
 
 from __future__ import annotations
@@ -126,85 +128,72 @@ def truth_grid(model, u_grid, omega_grid):
     return SpectralGrid(u=u_grid, omega=omega_grid, values=values, provenance="truth")
 
 
-def _straddle_times(u, s, T):
-    t1 = int(np.floor(u * T - s / 2.0))
-    t2 = int(np.floor(u * T + s / 2.0))
-    return t1, t2
-
-
 def local_autocov(model, u, s, T, lags=None, tol=1e-10):
     """Local autocovariance operator pairing the times straddling uT.
 
     cov(X_{t2,T}, X_{t1,T}) with t1 = floor(uT - s/2), t2 = floor(uT + s/2);
     the later time comes first, so in the stationary limit this is C_s with
-    C_s = B^s C_0 for an AR(1).  Computed from the causal filters of both
-    time points: sum_l A_{t2,T}(l) C_eps A_{t1,T}(l + t1 - t2)'.
+    C_s = B^s C_0 for an AR(1).  Negative s gives the transpose of lag -s.
 
     Parameters
     ----------
     lags : int, optional
-        Filter truncation order; chosen from ``tol`` when omitted.
+        Filter truncation order L; chosen from ``tol`` when omitted.
     """
-    if lags is None:
-        lags = choose_ma_order(model, T, tol=tol)
-    t1, t2 = _straddle_times(u, s, T)
-    return _autocov_from_filters(model, t2, t1, T, lags)
-
-
-def _autocov_from_filters(model, t1, t2, T, lags, cache=None):
-    shift = t2 - t1
-    c1 = _cached_filters(model, t1, T, lags, cache)
-    c2 = _cached_filters(model, t2, T, lags + max(0, shift), cache)
-    cov = model.innovations.covariance
-    out = np.zeros((model.dim, model.dim))
-    for l in range(lags + 1):
-        l2 = l + shift
-        if l2 < 0 or l2 >= c2.shape[0]:
-            continue
-        out += c1[l] @ cov @ c2[l2].T
-    return out
-
-
-def _cached_filters(model, t, T, lags, cache):
-    if cache is None:
-        return ma_coefficients(model, t, T, lags)[0]
-    have = cache.get(t)
-    if have is None or have.shape[0] < lags + 1:
-        cache[t] = ma_coefficients(model, t, T, lags)[0]
-    return cache[t]
+    return _local_autocovs(model, u, np.array([s]), T, lags, tol)[0]
 
 
 def autocov_sequence(model, u, T, s_max, lags=None, tol=1e-10):
-    """Local autocovariances for s = 0, ..., s_max with shared filter cache."""
+    """Local autocovariances for s = 0, ..., s_max, shape (s_max + 1, K, K)."""
+    return _local_autocovs(model, u, np.arange(s_max + 1), T, lags, tol)
+
+
+def _local_autocovs(model, u, s, T, lags, tol):
+    """The one autocovariance pass: local autocovariances at lags ``s`` around uT.
+
+    Each lag pairs a later time t2 = floor(uT + s/2) with an earlier time
+    t1 = floor(uT - s/2), d = t2 - t1, through the filters truncated at L:
+
+        sum_l A_{t2,T}(l) C_eps A_{t1,T}(l - d)',  0 <= l, l - d <= L,
+
+    which is exactly zero for |d| > L.  The filters of all distinct times
+    come from one batched ``ma_coefficients`` call, and each lag is one
+    matrix product over the stacked filter pairs.
+    """
     if lags is None:
         lags = choose_ma_order(model, T, tol=tol)
-    cache = {}
-    full = lags + s_max
-    out = np.empty((s_max + 1, model.dim, model.dim))
-    for s in range(s_max + 1):
-        t1, t2 = _straddle_times(u, s, T)
-        _cached_filters(model, t1, T, full, cache)
-        _cached_filters(model, t2, T, full, cache)
-        out[s] = _autocov_from_filters(model, t2, t1, T, lags, cache)
+    earlier = np.floor(u * T - s / 2.0).astype(int)
+    later = np.floor(u * T + s / 2.0).astype(int)
+    anchors, idx = np.unique(np.concatenate([later, earlier]), return_inverse=True)
+    filters = ma_coefficients(model, anchors, T, lags)[0]
+    cov = model.innovations.covariance
+    out = np.zeros((s.size, model.dim, model.dim))
+    for p, (a, b) in enumerate(zip(idx[:s.size], idx[s.size:])):
+        d = int(later[p] - earlier[p])
+        n = lags + 1 - abs(d)
+        if n > 0:
+            la, lb = max(d, 0), max(-d, 0)
+            out[p] = np.tensordot(filters[a, la:la + n] @ cov, filters[b, lb:lb + n],
+                                  axes=([0, 2], [0, 2]))
     return out
 
 
 def wigner_ville(model, u_grid, omega_grid, T, s_max, lags=None, tol=1e-10):
     """Finite-T spectral density operator from truncated autocovariances.
 
-    (2 pi)^{-1} sum_{|s| <= s_max} C_{u,s} e^{-i omega s}; the negative lags
-    enter through C_{u,-s} = C_{u,s}', so the result is Hermitian by
-    construction.
+    (2 pi)^{-1} sum_{|s| <= s_max} C_{u,s} e^{-i omega s}, one phase-matrix
+    product per u; the negative lags enter through C_{u,-s} = C_{u,s}'.  The
+    truncation L is chosen once for all u.
     """
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    if lags is None:
+        lags = choose_ma_order(model, T, tol=tol)
     k = model.dim
+    phase = np.exp(-1j * np.outer(omega_grid, np.arange(-s_max, s_max + 1)))
     values = np.empty((u_grid.size, omega_grid.size, k, k), dtype=complex)
     for a, u in enumerate(u_grid):
-        covs = autocov_sequence(model, u, T, s_max, lags=lags, tol=tol)
-        acc = np.broadcast_to(covs[0].astype(complex), (omega_grid.size, k, k)).copy()
-        for s in range(1, s_max + 1):
-            phase = np.exp(-1j * omega_grid * s)[:, None, None]
-            acc += phase * covs[s] + np.conj(phase) * covs[s].T
-        values[a] = acc / TWO_PI
+        covs = autocov_sequence(model, u, T, s_max, lags=lags)
+        both = np.concatenate([np.swapaxes(covs[:0:-1], 1, 2), covs])
+        values[a] = (phase @ both.reshape(2 * s_max + 1, k * k)).reshape(-1, k, k) / TWO_PI
     return SpectralGrid(u=u_grid, omega=omega_grid, values=values, provenance="wigner_ville")

@@ -25,7 +25,6 @@ from tvfspec.model import (
     far1,
     replication_seed,
     simulate,
-    simulate_frozen,
 )
 from tvfspec.spectrum import SpectralGrid, truth_grid
 
@@ -272,7 +271,7 @@ class TestLocalStationarity:
             for r in range(10):
                 rep_seed = replication_seed(5, ti, r)
                 x = simulate(model, T, seed=rep_seed, burn_in=500, check=False)
-                y = simulate_frozen(model, 0.4, T, seed=rep_seed, burn_in=500)
+                y = simulate(model.frozen(0.4), T, seed=rep_seed, burn_in=500)
                 denom = np.abs(np.arange(1, T + 1) / T - 0.4) + 1.0 / T
                 acc += (np.linalg.norm(x - y, axis=1) / denom) ** 2
             means.append(float((acc / 10).mean()))

@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from tvfspec.funspace import (
-    BasisSpec,
-    adjoint,
-    hs_inner,
-    hs_norm,
-    kernel_eval,
-    kernel_grid,
-    op_norm,
-    rank_one,
-    tensor_apply,
-    trace_norm,
-)
+from tvfspec.funspace import BasisSpec, adjoint, kernel_grid, op_norm
 
 
 def trap_grid(n):
@@ -44,13 +33,13 @@ def test_basis_size_validation():
         BasisSpec(size=0)
 
 
-def test_kernel_eval_rejects_points_outside_unit_interval():
+def test_kernel_grid_rejects_points_outside_unit_interval():
     basis = BasisSpec(size=3)
     mat = np.eye(3)
     with pytest.raises(ValueError):
-        kernel_eval(mat, basis, 1.2, 0.5)
+        kernel_grid(mat, basis, [1.2], [0.5])
     with pytest.raises(ValueError):
-        kernel_eval(mat, basis, 0.5, -0.1)
+        kernel_grid(mat, basis, [0.5], [-0.1])
 
 
 def test_adjoint_involution_and_inner_symmetry():
@@ -58,31 +47,21 @@ def test_adjoint_involution_and_inner_symmetry():
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     assert np.array_equal(adjoint(adjoint(a)), a)
-    assert np.isclose(hs_inner(a, b), np.conj(hs_inner(b, a)))
-    assert np.isclose(hs_norm(a) ** 2, hs_inner(a, a).real)
+    # Hilbert-Schmidt inner product trace(a b*) is conjugate symmetric
+    assert np.isclose(np.trace(a @ adjoint(b)), np.conj(np.trace(b @ adjoint(a))))
+    assert np.isclose(np.linalg.norm(a) ** 2, np.trace(a @ adjoint(a)).real)
 
 
 def test_schatten_norm_ordering():
     rng = np.random.default_rng(11)
     for _ in range(5):
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        assert op_norm(a) <= hs_norm(a) + 1e-12
-        assert hs_norm(a) <= trace_norm(a) + 1e-12
+        assert op_norm(a) <= np.linalg.norm(a) + 1e-12
+        assert np.linalg.norm(a) <= np.linalg.norm(a, "nuc") + 1e-12
 
 
-def test_rank_one_action_and_norm():
-    rng = np.random.default_rng(3)
-    f = rng.normal(size=4) + 1j * rng.normal(size=4)
-    g = rng.normal(size=4) + 1j * rng.normal(size=4)
-    h = rng.normal(size=4) + 1j * rng.normal(size=4)
-    r = rank_one(f, g)
-    # (f (x) g) h = <h, g> f
-    assert np.allclose(r @ h, np.vdot(g, h) * f)
-    assert np.isclose(hs_norm(r), np.linalg.norm(f) * np.linalg.norm(g))
-
-
-def test_tensor_apply_matches_kernel_composition():
-    # (A (x) B) C has kernel int int a(tau, x) c(x, y) conj(b(sigma, y)) dx dy;
+def test_operator_composition_matches_kernel_composition():
+    # a c b* has kernel int int a(tau, x) c(x, y) conj(b(sigma, y)) dx dy;
     # basis size 3 keeps the integrands band-limited, so trapezoid on a
     # moderate grid is exact to rounding.
     basis = BasisSpec(size=3)
@@ -96,17 +75,30 @@ def test_tensor_apply_matches_kernel_composition():
     kc = kernel_grid(c, basis, grid, grid)
     inner = np.trapezoid(kc[None, :, :] * np.conj(kb)[:, None, :], grid, axis=2)
     expected = np.trapezoid(ka[:, None, :] * inner[None, :, :], grid, axis=2)
-    direct = kernel_grid(tensor_apply(a, b, c), basis, taus, sigmas)
+    direct = kernel_grid(a @ c @ adjoint(b), basis, taus, sigmas)
     assert np.abs(direct - expected).max() < 1e-8
+
+
+def kernel_at(mat, tau, sigma):
+    """Oracle: sum_ij M_ij psi_i(tau) psi_j(sigma) with the basis written out."""
+
+    def psi(i, x):
+        if i == 0:
+            return 1.0
+        phase = 2.0 * np.pi * ((i + 1) // 2) * x
+        return np.sqrt(2.0) * (np.cos(phase) if i % 2 == 1 else np.sin(phase))
+
+    k = mat.shape[0]
+    return sum(mat[i, j] * psi(i, tau) * psi(j, sigma) for i in range(k) for j in range(k))
 
 
 def test_kernel_grid_matches_pointwise_eval():
     basis = BasisSpec(size=4)
     rng = np.random.default_rng(23)
-    mat = rng.normal(size=(4, 4))
+    mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     taus = np.array([0.1, 0.6])
     sigmas = np.array([0.3, 0.9])
     grid = kernel_grid(mat, basis, taus, sigmas)
     for i, tau in enumerate(taus):
         for j, sigma in enumerate(sigmas):
-            assert np.isclose(grid[i, j], kernel_eval(mat, basis, tau, sigma))
+            assert np.isclose(grid[i, j], kernel_at(mat, tau, sigma))

@@ -20,7 +20,6 @@ from tvfspec.model import (
     ma_coefficients,
     replication_seed,
     simulate,
-    simulate_frozen,
     simulate_ma,
     spawn_rng,
 )
@@ -194,7 +193,7 @@ class TestSimulate:
 
     def test_frozen_model_is_stationary_in_mean(self):
         model = far1(size=6)
-        x = simulate_frozen(model, 0.4, 50000, seed=2)[:, 0]
+        x = simulate(model.frozen(0.4), 50000, seed=2)[:, 0]
         blocks = x.reshape(100, 500).mean(axis=1)
         se = blocks.std(ddof=1) / np.sqrt(blocks.size)
         assert abs(x.mean()) < 3 * se
@@ -370,6 +369,29 @@ class TestMovingAverageForm:
         for lag in range(lags + 1):
             scale = np.abs(oracle[lag]).max()
             assert np.abs(coeffs[lag] - oracle[lag]).max() <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 3]),
+        m=st.integers(0, 2),
+        n=st.integers(0, 2),
+        with_c=st.booleans(),
+        T=st.integers(8, 64),
+        anchors=st.lists(st.integers(-4, 72), min_size=1, max_size=6),
+        lags=st.integers(0, 12),
+    )
+    def test_anchor_batch_matches_per_anchor_calls(
+        self, seed, dim, m, n, with_c, T, anchors, lags
+    ):
+        model = random_model(seed, dim, m, n, with_c)
+        coeffs, tails = ma_coefficients(model, np.array(anchors), T, lags)
+        assert coeffs.shape == (len(anchors), lags + 1, dim, dim)
+        assert tails.shape == (len(anchors),)
+        for i, t in enumerate(anchors):
+            one, tail = ma_coefficients(model, t, T, lags)
+            assert np.array_equal(coeffs[i], one)
+            assert tails[i] == tail
 
     @pytest.mark.parametrize("m, n, with_c", [(2, 0, False), (1, 2, True), (0, 1, True)])
     def test_truncated_ma_window_matches_per_row_loop(self, m, n, with_c):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_model import random_model
 
-from tvfspec.funspace import hs_norm, op_norm
-from tvfspec.model import InnovationSpec, OperatorCurve, TvFarmaModel, far1
+from tvfspec import spectrum
+from tvfspec.funspace import op_norm
+from tvfspec.model import InnovationSpec, OperatorCurve, TvFarmaModel, far1, ma_coefficients
 from tvfspec.spectrum import (
     TWO_PI,
     TransferSingularError,
@@ -26,6 +30,24 @@ def scalar_ar1(b=0.5, sigma=1.0):
 
 def scalar_ar1_density(omega, b=0.5, sigma=1.0):
     return sigma**2 / (TWO_PI * np.abs(1.0 - b * np.exp(-1j * omega)) ** 2)
+
+
+def per_lag_autocov(model, t1, t2, T, lags):
+    """Oracle: sum_l A_{t1}(l) C_eps A_{t2}(l + t2 - t1)' one lag at a time.
+
+    Both filters come from separate per-anchor calls truncated at ``lags``.
+    """
+    shift = t2 - t1
+    c1 = ma_coefficients(model, t1, T, lags)[0]
+    c2 = ma_coefficients(model, t2, T, lags)[0]
+    cov = model.innovations.covariance
+    out = np.zeros((model.dim, model.dim))
+    for l in range(lags + 1):
+        l2 = l + shift
+        if l2 < 0 or l2 >= c2.shape[0]:
+            continue
+        out += c1[l] @ cov @ c2[l2].T
+    return out
 
 
 class TestClosedForms:
@@ -120,13 +142,70 @@ class TestLocalAutocovariance:
         grid_size = 128
         omegas = TWO_PI * np.arange(grid_size) / grid_size
         wv = wigner_ville(model, [0.5], omegas, T, s_max)
-        total = sum(hs_norm(covs[s]) ** 2 for s in range(1, s_max + 1)) * 2
-        total += hs_norm(covs[0]) ** 2
-        quad = TWO_PI * np.mean([hs_norm(wv.values[0, j]) ** 2 for j in range(grid_size)])
+        total = sum(np.linalg.norm(covs[s]) ** 2 for s in range(1, s_max + 1)) * 2
+        total += np.linalg.norm(covs[0]) ** 2
+        quad = TWO_PI * np.mean([np.linalg.norm(wv.values[0, j]) ** 2 for j in range(grid_size)])
         assert quad * TWO_PI == pytest.approx(total, rel=1e-10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 3]),
+        m=st.integers(0, 2),
+        n=st.integers(0, 2),
+        with_c=st.booleans(),
+        T=st.integers(16, 64),
+        u=st.floats(0.0, 1.0),
+        s=st.integers(-12, 12),
+        lags=st.integers(0, 8),
+    )
+    def test_matches_per_lag_oracle(self, seed, dim, m, n, with_c, T, u, s, lags):
+        # negative s and lags |d| > L (exact zeros) are both in range
+        model = random_model(seed, dim, m, n, with_c)
+        t1 = int(np.floor(u * T - s / 2.0))
+        t2 = int(np.floor(u * T + s / 2.0))
+        want = per_lag_autocov(model, t2, t1, T, lags)
+        got = local_autocov(model, u, s, T, lags=lags)
+        seq = autocov_sequence(model, u, T, abs(s), lags=lags)[abs(s)]
+        bound = 1e-12 * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound
+        assert np.abs((seq if s >= 0 else seq.T) - want).max() <= bound
+        if abs(t2 - t1) > lags:
+            assert not got.any()
 
 
 class TestWignerVille:
+    def test_matches_per_lag_phase_sum(self):
+        model = far1(size=4)
+        T, s_max = 128, 12
+        us = [0.3, 0.55]
+        wv = wigner_ville(model, us, OMEGAS, T, s_max)
+        for a, u in enumerate(us):
+            covs = autocov_sequence(model, u, T, s_max)
+            acc = np.zeros((OMEGAS.size, 4, 4), dtype=complex)
+            for s in range(-s_max, s_max + 1):
+                cov = covs[s] if s >= 0 else covs[-s].T
+                acc += np.exp(-1j * OMEGAS * s)[:, None, None] * cov
+            want = acc / TWO_PI
+            assert np.abs(wv.values[a] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_one_truncation_and_one_filter_call_per_u(self, monkeypatch):
+        calls = {"choose_ma_order": 0, "ma_coefficients": 0}
+
+        def spy(name):
+            real = getattr(spectrum, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(spectrum, name, spy(name))
+        wigner_ville(far1(size=3), [0.3, 0.5, 0.7], OMEGAS, T=128, s_max=8)
+        assert calls == {"choose_ma_order": 1, "ma_coefficients": 3}
+
     def test_hermitian_by_construction(self):
         model = far1(size=4)
         wv = wigner_ville(model, [0.4], OMEGAS, T=128, s_max=16)
