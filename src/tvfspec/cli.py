@@ -363,11 +363,6 @@ def cmd_estimate(args):
     return EXIT_OK
 
 
-def _imse_task(cfg, T, us, omegas, truth, x, seed):
-    """Replication task: one IMSE value, so the parent never holds R estimate grids."""
-    return evaluate.imse(estimate_grid(x, cfg, T, us, omegas), truth).value
-
-
 def _imse_report(run, model):
     """Paired-seed integrated-squared-error comparison across sample sizes."""
     spec = run.config.get("imse", {})
@@ -385,7 +380,7 @@ def _imse_report(run, model):
     truth = truth_grid(model, us, omegas)
     seeds = [replication_seed(run.seed, r) for r in range(R)]
     values = {
-        T: evaluate.replicate(model, T, seeds, partial(_imse_task, cfgs[T], T, us, omegas, truth),
+        T: evaluate.replicate(model, T, seeds, partial(evaluate._imse_task, cfgs[T], T, truth),
                               workers=run.threads)
         for T in t_list
     }
@@ -515,6 +510,9 @@ def cmd_reproduce(args):
         workers=run.threads, t_start=t0, t_end=t_end)
     amplitudes = np.empty((len(slices), R, render.size, render.size))
     for r, mats in enumerate(estimates):
+        # one render of the replication's slices serves its files and amplitudes
+        kernels = kernel_grid(mats, basis, render, render)
+        amplitudes[:, r] = np.abs(kernels)
         for i, (u, omega) in enumerate(slices):
             grid = SpectralGrid(
                 u=np.array([u]),
@@ -524,11 +522,10 @@ def cmd_reproduce(args):
             )
             run.emit(
                 f"slice{i}_rep{r}.csv",
-                lambda p, g=grid: ingest.write_spectral_grid(
-                    g, p, mode="kernel", basis=basis, taus=render
+                lambda p, g=grid, ker=kernels[i]: ingest.write_spectral_grid(
+                    g, p, mode="kernel", taus=render, kernels=ker[None, None]
                 ),
             )
-            amplitudes[i, r] = np.abs(kernel_grid(mats[i], basis, render, render))
     iqr = np.percentile(amplitudes, 75, axis=1) - np.percentile(amplitudes, 25, axis=1)
     dispersion = {
         f"slice{i}": float(np.median(iqr[i])) for i in range(len(slices))

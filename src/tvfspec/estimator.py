@@ -13,7 +13,12 @@ Fourier frequencies omega_n,
     Fhat(u, omega_b) = sum_n W[b, n] I_N(u, omega_n),
     W[b, n] = K_f(wrap(omega_b - omega_n) / b_f) / sum_m K_f(wrap(omega_b - omega_m) / b_f),
 
-with frequency distances wrapped into [-pi, pi).  The taper implicitly
+with frequency distances wrapped into [-pi, pi).  W[b, .] is zero outside
+the kernel support, so the sum runs only over the ~b_f N / 2 pi Fourier
+frequencies inside it, taken straight from the DFTs as
+sum_n W[b, n] D_n D_n^H / (2 pi H_2): the N periodogram operators are
+never formed.  One private smoother does this for a stack of R series at
+once; ``estimate_grid`` is its single-series case.  The taper implicitly
 smooths over time with kernel K_t(x) = h(x + 1/2)^2 / int h^2 and bandwidth
 b_t = N / T; the frequency bandwidth b_f scales the frequency kernel's own
 axis.
@@ -207,12 +212,8 @@ def default_bandwidths(T):
     return b_t, b_f, n
 
 
-def _segment(x, u, cfg, T, t0):
-    """Tapered segment rows for rescaled time u, plus the absolute start time."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError("series must be a 2-d array (time, coefficient)")
-    length = x.shape[0]
+def _segment_start(length, u, cfg, T, t0):
+    """Index of the first segment row for rescaled time u in a window from ``t0``."""
     n = cfg.N
     anchor = int(np.floor(u * T))
     start = anchor - n // 2 + 1
@@ -224,26 +225,37 @@ def _segment(x, u, cfg, T, t0):
             f"[{t0}, {t0 + length - 1}]; with N={n} and T={T} the valid band is "
             f"u in [{lo:.6f}, {hi:.6f}]"
         )
-    rows = x[start - t0:stop - t0 + 1]
-    h = cfg.taper.values(np.arange(n) / n)
-    return h[:, None] * rows, start
+    return start - t0
+
+
+def _taper_values(cfg):
+    return cfg.taper.values(np.arange(cfg.N) / cfg.N)
+
+
+def _segment(x, u, cfg, T, t0):
+    """Tapered segment rows for rescaled time u."""
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise ValueError("series must be a 2-d array (time, coefficient)")
+    first = _segment_start(x.shape[0], u, cfg, T, t0)
+    return _taper_values(cfg)[:, None] * x[first:first + cfg.N]
 
 
 def local_fdft(x, u, omega, cfg, T, t0=1):
     """Local functional DFT at one (u, omega), as a coefficient vector."""
-    seg, _ = _segment(x, u, cfg, T, t0)
+    seg = _segment(x, u, cfg, T, t0)
     s = np.arange(cfg.N)
     return np.exp(-1j * float(omega) * s) @ seg
 
 
 def local_fdft_grid(x, u, cfg, T, t0=1):
     """Local functional DFTs at all N Fourier frequencies (sorted order)."""
-    seg, _ = _segment(x, u, cfg, T, t0)
+    seg = _segment(x, u, cfg, T, t0)
     return np.fft.fftshift(np.fft.fft(seg, axis=0), axes=0)
 
 
 def _periodogram_norm(cfg):
-    h = cfg.taper.values(np.arange(cfg.N) / cfg.N)
+    h = _taper_values(cfg)
     return TWO_PI * float(np.sum(h * h))
 
 
@@ -254,21 +266,39 @@ def local_periodogram(x, u, omega, cfg, T, t0=1):
 
 
 def local_periodogram_grid(x, u, cfg, T, t0=1):
-    """Periodogram operators at all N Fourier frequencies, shape (N, K, K)."""
+    """Periodogram operators at all N Fourier frequencies, shape (N, K, K).
+
+    The smoother never forms them (it works on the DFTs directly); this is
+    their definition, and the dense reference the smoother is tested against.
+    """
     d = local_fdft_grid(x, u, cfg, T, t0=t0)
     return d[:, :, None] * np.conj(d[:, None, :]) / _periodogram_norm(cfg)
 
 
-def _smoothing_weights(cfg, omegas):
-    """Row-normalized weights W[b, n] of the N Fourier frequencies at each omega_b."""
-    spacing = TWO_PI / cfg.N
+def _smoothing_band(cfg, omegas):
+    """Support and weights of the frequency smoother at each omega_b.
+
+    Returns ``(index, weights)``, both (len(omegas), S): the unshifted DFT
+    bins n (Fourier frequency 2 pi n / N) of a window of S consecutive
+    Fourier frequencies that contains the kernel support of every omega_b,
+    and the row-normalized weights W[b, n] on them, zero outside the
+    support.  S is about b_f N / 2 pi, capped at N; windows wrap across
+    +-pi.
+    """
+    n = cfg.N
+    spacing = TWO_PI / n
     if cfg.b_f <= spacing:
         warnings.warn(
             f"frequency bandwidth {cfg.b_f:.4g} does not exceed the Fourier "
             f"spacing {spacing:.4g}; the weight sum degenerates",
             stacklevel=3,
         )
-    w = cfg.fkernel.values(wrap_frequency(omegas[:, None] - cfg.omega_grid()) / cfg.b_f)
+    reach = cfg.fkernel.half_width * cfg.b_f / spacing
+    width = min(n, 2 * int(np.ceil(reach)) + 3)
+    first = np.floor(omegas / spacing - reach).astype(int) - 1
+    index = np.mod(first[:, None] + np.arange(width), n)
+    freqs = TWO_PI * (index - n * (index >= n - n // 2)) / n
+    w = cfg.fkernel.values(wrap_frequency(omegas[:, None] - freqs) / cfg.b_f)
     totals = w.sum(axis=1)
     empty = np.flatnonzero(totals <= 0)
     if empty.size:
@@ -276,11 +306,38 @@ def _smoothing_weights(cfg, omegas):
             "no Fourier frequency falls inside the kernel support "
             f"at omega={omegas[empty[0]]:.6g}"
         )
-    return w / totals[:, None]
+    return index, w / totals[:, None]
+
+
+def _smoothed_rows(xs, cfg, T, u, band, t0=1):
+    """Smoothed estimates of every series in ``xs`` at rescaled time u.
+
+    ``xs`` is (R, length, K), its first row at absolute time ``t0``, and
+    ``band`` is ``_smoothing_band(cfg, omegas)``.  One FFT over the (R, N, K)
+    tapered segments gives the DFTs D_n; each estimate is one weighted
+    bilinear form over its band,
+
+        Fhat(u, omega_b) = sum_{n in band b} W[b, n] D_n D_n^H / (2 pi H_2),
+
+    taken as a batched (K x S) @ (S x K) product per row and frequency.
+    Returns (R, len(omegas), K, K).
+    """
+    index, weights = band
+    first = _segment_start(xs.shape[1], u, cfg, T, t0)
+    seg = _taper_values(cfg)[:, None] * xs[:, first:first + cfg.N]
+    # np.take keeps the gathered DFTs C-contiguous for every R, so each
+    # (r, b) product sees the same memory layout
+    d = np.take(np.fft.fft(seg, axis=1), index, axis=1)
+    scaled = d * (weights / _periodogram_norm(cfg))[..., None]
+    return np.swapaxes(scaled, -1, -2) @ np.conjugate(d, out=d)
 
 
 def estimate_grid(x, cfg, T, u_grid, omega_grid=None, t0=1):
     """Smoothed spectral estimates on a (u, omega) product grid.
+
+    The single-series case of the replication-batched smoother that the
+    Monte Carlo checks drive: one FFT per u, and each frequency's weights
+    applied only over the Fourier frequencies inside its kernel support.
 
     Parameters
     ----------
@@ -292,15 +349,16 @@ def estimate_grid(x, cfg, T, u_grid, omega_grid=None, t0=1):
     -------
     SpectralGrid with provenance ``smoothed``.
     """
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise ValueError("series must be a 2-d array (time, coefficient)")
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    k = np.asarray(x).shape[1]
     if omega_grid is None:
         omegas = cfg.omega_grid()
     else:
         omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    weights = _smoothing_weights(cfg, omegas)
-    values = np.empty((u_grid.size, omegas.size, k, k), dtype=complex)
+    band = _smoothing_band(cfg, omegas)
+    values = np.empty((u_grid.size, omegas.size, x.shape[1], x.shape[1]), dtype=complex)
     for a, u in enumerate(u_grid):
-        per = local_periodogram_grid(x, u, cfg, T, t0=t0)
-        values[a] = (weights @ per.reshape(cfg.N, k * k)).reshape(omegas.size, k, k)
+        values[a] = _smoothed_rows(x[None], cfg, T, u, band, t0)[0]
     return SpectralGrid(u=u_grid, omega=omegas, values=values, provenance="smoothed")

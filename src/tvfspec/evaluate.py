@@ -9,7 +9,9 @@ projections, integrated squared error decay, and the coupled bound defining
 local stationarity.  Replication r of a run with master seed s draws its
 innovations from the sub-stream (2, r) of s, so reports are reproducible and
 independent of worker count; reductions always run in replication order.
-``replicate`` is the one function that simulates and reduces replications.
+``replicate`` is the one function that simulates replications: it hands its
+tasks chunks of them, simulated as one stack, and the tasks estimate and
+reduce a whole chunk at once.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from .estimator import estimate_grid, kernel_constants
-from .model import DEFAULT_BURN_IN, replication_seed, simulate
+from .estimator import _smoothed_rows, _smoothing_band, kernel_constants
+from .model import DEFAULT_BURN_IN, _require_stable, _simulate_rows, replication_seed
 from .spectrum import SpectralGrid, TWO_PI, true_spectral_density
 
 
@@ -86,40 +88,61 @@ def _cnum(z):
     return {"re": z.real, "im": z.imag}
 
 
+# Simulated elements c * (burn_in + n) * K per replication chunk: about 8
+# replications of far1 at T = 4096, with one chunk's buffer at 4.8 MB.
+CHUNK_ELEMENTS = 600_000
+
+
 def replicate(model, T, seeds, task, workers=1, burn_in=DEFAULT_BURN_IN,
               t_start=1, t_end=None):
-    """``np.stack`` of ``task(simulate(model, T, seed=s, ..., check=False), s)`` in seed order.
+    """Concatenated ``task(xs, chunk)`` over consecutive chunks of ``seeds``.
 
-    With ``workers > 1`` runs in at most ``min(workers, len(seeds))`` processes,
-    in chunks of ``len(seeds) // (4 * workers)``; ``task`` must then pickle (a
-    module-level function or a ``functools.partial`` of one).  The stack is the
-    same for every ``workers``.
+    Each chunk of c seeds is simulated as one (c, n, K) stack ``xs`` whose
+    row r is ``simulate(model, T, seed=chunk[r], burn_in=burn_in,
+    t_start=t_start, t_end=t_end, check=False)`` bit for bit; ``task``
+    returns a stack of c results in chunk order, so the output has one row
+    per seed, in seed order.  Chunks hold at most ``CHUNK_ELEMENTS``
+    simulated elements c (burn_in + n) K (at least one replication), and
+    their boundaries do not depend on ``workers``.
+
+    With ``workers > 1`` the chunks run in at most ``min(workers, chunks)``
+    processes; ``task`` must then pickle (a module-level function or a
+    ``functools.partial`` of one).  The output is the same for every
+    ``workers``.
     """
+    if t_end is None:
+        t_end = T
+    per_rep = (burn_in + t_end - t_start + 1) * model.dim
+    size = max(1, CHUNK_ELEMENTS // per_rep)
+    chunks = [list(seeds[i:i + size]) for i in range(0, len(seeds), size)]
     one = partial(_simulate_then, model, T, task, burn_in, t_start, t_end)
-    workers = min(workers, len(seeds))
+    workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds, chunksize=max(1, len(seeds) // (4 * workers))))
+            results = list(pool.map(one, chunks))
     else:
-        results = [one(s) for s in seeds]
-    return np.stack(results)
+        results = [one(chunk) for chunk in chunks]
+    return np.concatenate(results)
 
 
-def _simulate_then(model, T, task, burn_in, t_start, t_end, seed):
-    x = simulate(model, T, seed=seed, burn_in=burn_in, t_start=t_start, t_end=t_end, check=False)
-    return task(x, seed)
+def _simulate_then(model, T, task, burn_in, t_start, t_end, seeds):
+    xs, _ = _simulate_rows(model, T, seeds, burn_in, t_start, t_end)
+    return task(xs, seeds)
 
 
-def _estimate_points(cfg, T, points, x, seed, t0=1):
-    """Replication task: estimates at (u, omega) points, one ``estimate_grid`` per u."""
+def _estimate_points(cfg, T, points, xs, seeds, t0=1):
+    """Replication task: estimates at (u, omega) points, shape (c, len(points), K, K).
+
+    One batched smoother call per distinct u.
+    """
     order = {}
     for idx, (u, _) in enumerate(points):
         order.setdefault(float(u), []).append(idx)
-    k = np.asarray(x).shape[1]
-    out = np.empty((len(points), k, k), dtype=complex)
+    k = xs.shape[2]
+    out = np.empty((len(xs), len(points), k, k), dtype=complex)
     for u, idxs in order.items():
-        omegas = [points[idx][1] for idx in idxs]
-        out[idxs] = estimate_grid(x, cfg, T, [u], omegas, t0=t0).values[0]
+        band = _smoothing_band(cfg, np.array([points[idx][1] for idx in idxs], dtype=float))
+        out[:, idxs] = _smoothed_rows(xs, cfg, T, u, band, t0)
     return out
 
 
@@ -341,18 +364,41 @@ def imse(estimates, truth):
             raise ValueError("estimate and truth grids are on different points")
     diffsq = np.zeros(truth.values.shape[:2])
     for est in estimates:
-        d = est.values - truth.values
-        diffsq += np.sum(np.abs(d) ** 2, axis=(2, 3))
+        diffsq += _squared_errors(est.values - truth.values)
     diffsq /= len(estimates)
     per_u = np.trapezoid(diffsq, truth.omega, axis=1)
     return ImseResult(value=float(per_u.mean()), per_u=per_u, mse=diffsq)
 
 
-def _coupling_ratio_sq(frozen, T, u, burn_in, x, seed):
-    """Replication task: P_t^2 against the frozen process on the same seed."""
-    y = simulate(frozen, T, seed=seed, burn_in=burn_in)
+def _squared_errors(diff):
+    """Squared Hilbert-Schmidt norms of the K x K differences on the trailing axes."""
+    sq = np.abs(diff)
+    sq **= 2
+    return sq.sum(axis=(-2, -1))
+
+
+def _imse_task(cfg, T, truth, xs, seeds):
+    """Replication task: the ``imse`` value of each row, shape (c,).
+
+    Estimates and reduces one u at a time, so a chunk never holds its
+    estimate grids.
+    """
+    band = _smoothing_band(cfg, truth.omega)
+    diffsq = np.empty((len(xs), truth.u.size, truth.omega.size))
+    for a, u in enumerate(truth.u):
+        est = _smoothed_rows(xs, cfg, T, u, band)
+        est -= truth.values[a]
+        diffsq[:, a] = _squared_errors(est)
+        del est  # freed before the next u's estimates are built
+    return np.trapezoid(diffsq, truth.omega, axis=-1).mean(axis=-1)
+
+
+def _coupling_ratio_sq(frozen, T, u, burn_in, xs, seeds):
+    """Replication task: P_t^2 against the frozen process on the same seeds, shape (c, T)."""
+    ys, _ = _simulate_rows(frozen, T, seeds, burn_in, 1, T)
+    ys -= xs
     denom = np.abs(np.arange(1, T + 1) / T - u) + 1.0 / T
-    return (np.linalg.norm(x - y, axis=1) / denom) ** 2
+    return (np.linalg.norm(ys, axis=2) / denom) ** 2
 
 
 def local_stationarity_check(model, u, T_list, R, seed=0, burn_in=500,
@@ -368,7 +414,7 @@ def local_stationarity_check(model, u, T_list, R, seed=0, burn_in=500,
     """
     T_list = [int(t) for t in T_list]
     frozen = model.frozen(u)
-    frozen.stability  # checked once, here; the cached report travels with the model
+    _require_stable(frozen)  # once, here; the chunks simulate it unchecked
     means = []
     maxima = []
     for ti, T in enumerate(T_list):

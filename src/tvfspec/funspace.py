@@ -75,9 +75,11 @@ def op_norm(mat):
 def kernel_grid(mat, basis, taus, sigmas):
     """Integral kernel of ``mat`` on a product grid.
 
+    A stack of operators, shape (..., K, K), renders in one call.
+
     Returns
     -------
-    ndarray, shape (len(taus), len(sigmas)), complex
+    ndarray, shape (..., len(taus), len(sigmas)), complex
         Values a(tau_i, sigma_j).
     """
     pt = basis.evaluate(taus)

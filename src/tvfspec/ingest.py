@@ -183,7 +183,7 @@ def render_grid(count=64):
     return np.linspace(0.0, 1.0, count)
 
 
-def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None):
+def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None, kernels=None):
     """Write a spectral grid as long-format delimited text.
 
     ``coeff`` rows are (u, omega, i, j, Re, Im) over the stored basis
@@ -192,6 +192,9 @@ def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None):
     kernel on the taus x taus grid (default 64 uniform points); the abs column
     is the amplitude surface contour plots display.  Rows are emitted in
     nested (u, omega, first index, second index) order, one u at a time.
+    ``kernels``, shape (len(u), len(omega), len(taus), len(taus)), passes the
+    grid already rendered by ``kernel_grid`` on ``taus``; ``basis`` is then
+    unused.
     """
     if mode not in GRID_HEADERS:
         raise ValueError(f"unknown grid mode {mode!r}")
@@ -216,7 +219,10 @@ def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None):
                 if mode == "coeff":
                     columns = [mat.real, mat.imag]
                 else:
-                    ker = kernel_grid(mat, basis, taus, taus)
+                    if kernels is None:
+                        ker = kernel_grid(mat, basis, taus, taus)
+                    else:
+                        ker = kernels[iu, iw]
                     # np.hypot, not np.abs: the vectorised complex abs can
                     # differ from the scalar abs() in the last digit
                     columns = [ker.real, ker.imag, np.hypot(ker.real, ker.imag)]

@@ -25,6 +25,12 @@ product for all anchors at once and composes the moving-average part on top;
 The stability report on the default grid is computed once per model
 (``TvFarmaModel.stability``) and read by the simulation gate and the
 truncation heuristic.
+
+Simulation.  One private simulator carries R replications in a single
+(R, burn_in + n, K) buffer, one time step at a time; ``simulate`` is its
+single-series case and ``evaluate.replicate`` drives it in chunks.  A row's
+arithmetic does not depend on R, so every replication is bitwise the same
+however the replications are grouped.
 """
 
 from __future__ import annotations
@@ -106,7 +112,13 @@ class OperatorCurve:
         left = knots[idx]
         width = knots[idx + 1] - knots[idx]
         w = (uc - left) / width
-        return (1.0 - w)[:, None, None] * self.values[idx] + w[:, None, None] * self.values[idx + 1]
+        # (1 - w) A + w B, built in place: two stacks live at a time, not five
+        out = self.values[idx]
+        out *= (1.0 - w)[:, None, None]
+        right = self.values[idx + 1]
+        right *= w[:, None, None]
+        out += right
+        return out
 
 
 @dataclass(frozen=True)
@@ -128,9 +140,6 @@ class InnovationSpec:
     @property
     def covariance(self):
         return np.diag(self.sigma**2)
-
-    def draw(self, rng, count):
-        return rng.standard_normal((count, self.dim)) * self.sigma
 
 
 @dataclass(frozen=True)
@@ -284,6 +293,10 @@ def simulate(model, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None,
              return_innovations=False, check=True):
     """Simulate the triangular array for sample size T.
 
+    The single-series case of the replication-batched simulator that
+    ``evaluate.replicate`` drives: the rows are bitwise equal to row r of a
+    batch whose replication r has master seed ``seed``.
+
     Parameters
     ----------
     model : TvFarmaModel
@@ -310,44 +323,56 @@ def simulate(model, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None,
     """
     if t_end is None:
         t_end = T
-    if t_end < t_start:
-        raise ValueError("empty observation window")
     if check and model.ar:
         _require_stable(model)
+    x, eps = _simulate_rows(model, T, [seed], burn_in, t_start, t_end, return_innovations)
+    if return_innovations:
+        return x[0], eps[0]
+    return x[0]
+
+
+def _simulate_rows(model, T, seeds, burn_in, t_start, t_end, keep_innovations=False):
+    """Replications of the triangular array, one row per master seed.
+
+    One (R, burn_in + n, K) buffer carries every replication: row r is filled
+    with the innovations of ``seeds[r]``'s sub-stream (1,), then shaped by C
+    and run through the AR and MA terms in place, one time step at a time.
+    Each term is a per-row ``einsum`` (no BLAS), so a row's arithmetic does
+    not depend on how many rows share the buffer.
+
+    Returns the (R, n, K) view of the observation window and, when asked
+    for, a copy of the innovations (else None).
+    """
+    if t_end < t_start:
+        raise ValueError("empty observation window")
     k = model.dim
     m = model.ar_order
     n = model.ma_order
     total = burn_in + (t_end - t_start + 1)
-    times = np.arange(t_start - burn_in, t_end + 1)
-    us = times / float(T)
-    rng = spawn_rng(seed, _KEY_INNOV)
-    eps = model.innovations.draw(rng, total)
-
+    us = np.arange(t_start - burn_in, t_end + 1) / float(T)
+    c_ops = None if model.c is None else model.c.batch(us)
     ar_ops = [cv.batch(us) for cv in model.ar]
     ma_ops = [cv.batch(us) for cv in model.ma]
-    if model.c is None:
-        shaped = eps
-    else:
-        c_ops = model.c.batch(us)
-        shaped = np.einsum("tij,tj->ti", c_ops, eps)
-
-    if m == 0 and n == 0:
-        x = shaped
-    else:
-        x = np.zeros((total, k))
-        for i in range(total):
-            acc = shaped[i].copy()
-            for j in range(1, m + 1):
-                if i - j >= 0:
-                    acc += ar_ops[j - 1][i] @ x[i - j]
-            for l in range(1, n + 1):
-                if i - l >= 0:
-                    acc += ma_ops[l - 1][i] @ shaped[i - l]
-            x[i] = acc
-    out = x[burn_in:]
-    if return_innovations:
-        return out, eps
-    return out
+    x = np.empty((len(seeds), total, k))
+    for row, seed in zip(x, seeds):
+        spawn_rng(seed, _KEY_INNOV).standard_normal(out=row)
+    x *= model.innovations.sigma
+    eps = x.copy() if keep_innovations else None
+    if c_ops is None and m == 0 and n == 0:
+        return x[:, burn_in:], eps
+    # shaped innovations of the current and the last n steps, for the MA terms
+    shaped = np.empty((n + 1, len(seeds), k))
+    steps = list(x.transpose(1, 0, 2))  # steps[i] is the (R, K) view of time step i
+    for i, now in enumerate(steps):
+        if c_ops is not None:
+            now[...] = np.einsum("rj,ij->ri", now, c_ops[i])
+        if n:
+            shaped[i % (n + 1)] = now
+        for j in range(1, min(i, m) + 1):
+            now += np.einsum("rj,ij->ri", steps[i - j], ar_ops[j - 1][i])
+        for l in range(1, min(i, n) + 1):
+            now += np.einsum("rj,ij->ri", shaped[(i - l) % (n + 1)], ma_ops[l - 1][i])
+    return x[:, burn_in:], eps
 
 
 def _shaping(model, us):

@@ -237,6 +237,32 @@ class TestEvaluate:
         serial = manifest_for_threads(tmp_path, argv, 1)
         assert manifest_for_threads(tmp_path, argv, 2) == serial
 
+    def test_imse_bytes_do_not_depend_on_threads_with_default_blas(self, tmp_path):
+        # the README imse config in fresh processes whose BLAS and OpenMP
+        # thread counts are left at their defaults; at T = 4096 the 20
+        # replications form three chunks, so two workers split the work
+        config = write_config(
+            tmp_path, "imse.json",
+            {"model": {"preset": "far1", "size": 15}, "estimator": "auto",
+             "u": {"count": 5}, "omega": {"count": 64},
+             "imse": {"T_list": [512, 4096], "replications": 20}, "checks": ["imse"]},
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tvfspec.__file__)))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        reports = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "tvfspec.cli", "evaluate", "--config", config,
+                 "--threads", str(threads), "--seed", "7", "--out", str(out)],
+                env=env, capture_output=True, check=True,
+            )
+            reports.append((out / "imse.json").read_bytes())
+        assert reports[1] == reports[0]
+        assert json.loads(reports[0])["passed"] is True
+
     def test_unknown_check_exits_2(self, tmp_path):
         config = write_config(
             tmp_path, "eval.json",

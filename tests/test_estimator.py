@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from tvfspec.estimator import (
     BoundaryError,
+    _smoothed_rows,
+    _smoothing_band,
     EstimatorConfig,
     FreqKernelSpec,
     TaperSpec,
@@ -219,6 +221,16 @@ def weight_loop_estimate(x, cfg, T, u, omegas):
     return np.array(out)
 
 
+def dense_estimate(x, cfg, T, u, omegas, t0=1):
+    """Reference smoother: dense weight matrix over all N periodogram operators."""
+    per = local_periodogram_grid(x, u, cfg, T, t0=t0)
+    w = cfg.fkernel.values(
+        wrap_frequency(np.asarray(omegas)[:, None] - fourier_frequencies(cfg.N)) / cfg.b_f
+    )
+    w /= w.sum(axis=1, keepdims=True)
+    return np.einsum("bn,nij->bij", w, per)
+
+
 class TestSmoothing:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -252,6 +264,63 @@ class TestSmoothing:
             assert np.abs(vals - ref).max() <= 1e-12 * scale
             assert np.abs(vals - np.conj(np.swapaxes(vals, -1, -2))).max() <= 1e-12 * scale
             assert np.linalg.eigvalsh(vals).min() >= -1e-10 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=st.integers(2, 4),
+        k=st.sampled_from([1, 3]),
+        n=st.sampled_from([16, 32, 64]),
+        b_f=st.floats(0.5, 8.0),
+        seed=st.integers(0, 2**16),
+        t0=st.integers(-40, 40),
+        u=st.floats(0.0, 1.0),
+        fourier_idx=st.lists(st.integers(0, 63), max_size=4),
+        off_grid=st.lists(st.floats(-2.0 * np.pi, 2.0 * np.pi), min_size=1, max_size=4),
+    )
+    def test_banded_rows_match_dense_oracle(self, rows, k, n, b_f, seed, t0, u, fourier_idx,
+                                            off_grid):
+        T = 4 * n
+        xs = np.random.default_rng(seed).standard_normal((rows, T, k))
+        cfg = EstimatorConfig(N=n, b_f=b_f)
+        # the window starts at t0, so the valid band is shifted by (t0 - 1) / T
+        lo, hi = (t0 - 1 + n / 2) / T, (t0 - 1 + T - n / 2) / T
+        u = lo + (hi - lo) * u
+        omegas = ([fourier_frequencies(n)[j % n] for j in fourier_idx] + off_grid
+                  + [np.pi - 1e-3, -np.pi])
+        est = _smoothed_rows(xs, cfg, T, u, _smoothing_band(cfg, np.array(omegas)), t0)
+        assert est.shape == (rows, len(omegas), k, k)
+        for vals, x in zip(est, xs):
+            ref = dense_estimate(x, cfg, T, u, omegas, t0)
+            assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+            single = estimate_grid(x, cfg, T, [u], omegas, t0=t0).values[0]
+            assert np.array_equal(vals, single)
+
+    def test_band_supports_vary_and_wrap_across_pi(self):
+        cfg = EstimatorConfig(N=32, b_f=0.9)
+        grid = fourier_frequencies(32)
+        omegas = np.array([grid[5], 0.5 * (grid[5] + grid[6]), np.pi - 0.01, -np.pi])
+        index, weights = _smoothing_band(cfg, omegas)
+        support = [set(index[b][weights[b] > 0].tolist()) for b in range(len(omegas))]
+        assert len({len(sup) for sup in support}) > 1
+        # unshifted bins: 16 is -pi, 15 is the last bin below +pi
+        assert {15, 16} <= support[2] and {15, 16} <= support[3]
+        assert np.allclose(weights.sum(axis=1), 1.0)
+        rng = np.random.default_rng(3)
+        xs = rng.standard_normal((3, 128, 2))
+        est = _smoothed_rows(xs, cfg, 128, 0.5, (index, weights))
+        for vals, x in zip(est, xs):
+            ref = dense_estimate(x, cfg, 128, 0.5, omegas)
+            assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_rows_reject_out_of_band_u(self):
+        cfg = EstimatorConfig(N=32, b_f=0.9)
+        xs = np.zeros((3, 128, 2))
+        lo, hi = cfg.valid_band(128)
+        band = _smoothing_band(cfg, np.array([0.0]))
+        with pytest.raises(BoundaryError, match="valid band"):
+            _smoothed_rows(xs, cfg, 128, lo - 0.01, band)
+        with pytest.raises(BoundaryError, match="valid band"):
+            _smoothed_rows(xs, cfg, 128, hi + 0.01, band)
 
     def test_explicit_weights_match_convolution_path(self):
         rng = np.random.default_rng(11)

@@ -1,11 +1,12 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 from tvfspec import evaluate as evaluate_module
 from tvfspec import model as model_module
-from tvfspec.estimator import EstimatorConfig
+from tvfspec.estimator import EstimatorConfig, estimate_grid
 from tvfspec.evaluate import (
     McReport,
     _second_derivative,
@@ -39,20 +40,25 @@ def ramp_ar1():
     return TvFarmaModel(ar=(curve,), innovations=InnovationSpec(np.array([1.0])))
 
 
-def seed_and_first_value(x, seed):
-    return np.array([seed, x[0, 0]])
+def seed_first_value_and_chunk(xs, seeds):
+    return np.column_stack([seeds, xs[:, 0, 0], np.full(len(seeds), len(seeds))])
 
 
 class TestReplicate:
-    def test_rows_follow_seed_order_for_any_worker_count(self):
+    def test_rows_follow_seed_order_for_any_worker_count(self, monkeypatch):
         model = far1(size=3)
         seeds = list(range(100, 107))
-        stacks = [replicate(model, 32, seeds, seed_and_first_value, workers=w) for w in (1, 2, 3)]
-        assert stacks[0][:, 0].tolist() == seeds
         firsts = [simulate(model, 32, seed=s, check=False)[0, 0] for s in seeds]
-        assert stacks[0][:, 1].tolist() == firsts
-        for other in stacks[1:]:
-            assert np.array_equal(other, stacks[0])
+        for reps_per_chunk in (7, 1, 2, 3):
+            # a budget of c * (burn_in + n) * K elements holds c replications
+            monkeypatch.setattr(evaluate_module, "CHUNK_ELEMENTS",
+                                reps_per_chunk * (500 + 32) * 3)
+            sizes = [min(reps_per_chunk, len(seeds) - i) for i in range(0, len(seeds), reps_per_chunk)]
+            for workers in (1, 2, 3):
+                stack = replicate(model, 32, seeds, seed_first_value_and_chunk, workers=workers)
+                assert stack[:, 0].tolist() == seeds
+                assert stack[:, 1].tolist() == firsts
+                assert stack[:, 2].tolist() == [c for c in sizes for _ in range(c)]
 
     def test_never_more_workers_than_replications(self, monkeypatch):
         started = []
@@ -68,16 +74,52 @@ class TestReplicate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
+            def map(self, fn, items):
                 return map(fn, items)
 
         monkeypatch.setattr(evaluate_module, "ProcessPoolExecutor", SerialPool)
-        out = replicate(white(), 16, [4, 5, 6], seed_and_first_value, workers=64)
+        # three small replications share one chunk: no pool at all
+        out = replicate(white(), 16, [4, 5, 6], seed_first_value_and_chunk, workers=64)
+        assert started == []
+        assert out[:, 0].tolist() == [4, 5, 6]
+        monkeypatch.setattr(evaluate_module, "CHUNK_ELEMENTS", 1)
+        out = replicate(white(), 16, [4, 5, 6], seed_first_value_and_chunk, workers=64)
         assert started == [3]
         assert out[:, 0].tolist() == [4, 5, 6]
-        # a single replication needs no pool at all
-        replicate(white(), 16, [4], seed_and_first_value, workers=64)
+        assert out[:, 2].tolist() == [1, 1, 1]
+        replicate(white(), 16, [4], seed_first_value_and_chunk, workers=64)
         assert started == [3]
+
+    def test_estimates_do_not_depend_on_chunks_or_workers(self, monkeypatch):
+        model = far1(size=3)
+        T = 256
+        cfg = EstimatorConfig.auto(T)
+        task = partial(evaluate_module._estimate_points, cfg, T,
+                       [(0.5, 0.3), (0.4, 1.0), (0.5, -2.0)])
+        seeds = [replication_seed(3, r) for r in range(5)]
+        reference = replicate(model, T, seeds, task)
+        for r, s in enumerate(seeds):
+            x = simulate(model, T, seed=s, check=False)
+            assert np.array_equal(reference[r, [0, 2]],
+                                  estimate_grid(x, cfg, T, [0.5], [0.3, -2.0]).values[0])
+        for reps_per_chunk in (1, 2, 3):
+            monkeypatch.setattr(evaluate_module, "CHUNK_ELEMENTS",
+                                reps_per_chunk * (500 + T) * 3)
+            for workers in (1, 2, 3):
+                assert np.array_equal(replicate(model, T, seeds, task, workers=workers), reference)
+
+    def test_chunk_budget_bounds_the_buffer(self):
+        chunks = []
+
+        def record(xs, seeds):
+            chunks.append(xs.shape)
+            return np.zeros(len(seeds))
+
+        model = far1(size=15)
+        replicate(model, 4096, list(range(20)), record)
+        per_rep = (500 + 4096) * 15
+        assert [c for c, _, _ in chunks] == [8, 8, 4]
+        assert all(c * per_rep <= evaluate_module.CHUNK_ELEMENTS for c, _, _ in chunks)
 
 
 class TestImse:

@@ -233,6 +233,18 @@ class TestSpectralGridFiles:
         expected = (at * sigma**2) @ at.T / TWO_PI
         assert np.abs(ker - expected).max() < 1e-10
 
+    def test_prerendered_kernels_write_the_same_bytes(self, tmp_path):
+        grid = truth_grid(far1(size=5), [0.3, 0.6], [-1.0, 0.4, 2.5])
+        basis = BasisSpec(size=5)
+        taus = render_grid(7)
+        inside, given = tmp_path / "inside.csv", tmp_path / "given.csv"
+        write_spectral_grid(grid, inside, mode="kernel", basis=basis, taus=taus)
+        # one render of the whole (u, omega) stack
+        kernels = kernel_grid(grid.values, basis, taus, taus)
+        assert kernels.shape == (2, 3, 7, 7)
+        write_spectral_grid(grid, given, mode="kernel", taus=taus, kernels=kernels)
+        assert given.read_bytes() == inside.read_bytes()
+
     def test_kernel_header_required(self, tmp_path):
         grid = truth_grid(white([1.0]), [0.5], [0.0])
         coeff_path = tmp_path / "coeff.csv"

@@ -81,6 +81,35 @@ def impulse_response_filters(model, t, T, lags):
     return out
 
 
+def looped_simulate(model, T, seed, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None):
+    """Oracle: one series, one time step and one matrix-vector product at a time."""
+    if t_end is None:
+        t_end = T
+    k = model.dim
+    m = model.ar_order
+    n = model.ma_order
+    total = burn_in + (t_end - t_start + 1)
+    us = np.arange(t_start - burn_in, t_end + 1) / float(T)
+    eps = spawn_rng(seed, 1).standard_normal((total, k)) * model.innovations.sigma
+    ar_ops = [cv.batch(us) for cv in model.ar]
+    ma_ops = [cv.batch(us) for cv in model.ma]
+    if model.c is None:
+        shaped = eps
+    else:
+        shaped = np.einsum("tij,tj->ti", model.c.batch(us), eps)
+    x = np.zeros((total, k))
+    for i in range(total):
+        acc = shaped[i].copy()
+        for j in range(1, m + 1):
+            if i - j >= 0:
+                acc += ar_ops[j - 1][i] @ x[i - j]
+        for l in range(1, n + 1):
+            if i - l >= 0:
+                acc += ma_ops[l - 1][i] @ shaped[i - l]
+        x[i] = acc
+    return x[burn_in:]
+
+
 def truncated_ma_rows(model, T, innovations, lags, t_start, t_end, eps_t_start):
     """Oracle: the truncated MA sum accumulated one innovation row at a time."""
     k = model.dim
@@ -204,6 +233,47 @@ class TestSimulate:
         frozen = model.frozen(0.3)
         _, eps_frozen = simulate(frozen, 64, seed=7, return_innovations=True)
         assert np.array_equal(eps_moving, eps_frozen)
+
+
+class TestBatchedSimulation:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        k=st.sampled_from([1, 3]),
+        m=st.integers(0, 2),
+        n=st.integers(0, 2),
+        with_c=st.booleans(),
+        T=st.integers(8, 48),
+        t_start=st.integers(-6, 6),
+        length=st.integers(1, 40),
+        burn_in=st.integers(0, 24),
+        rows=st.integers(1, 5),
+    )
+    def test_rows_match_looped_oracle_and_any_chunking(self, seed, k, m, n, with_c, T, t_start,
+                                                       length, burn_in, rows):
+        model = random_model(seed, k, m, n, with_c)
+        t_end = t_start + length - 1
+        seeds = [replication_seed(seed, r) for r in range(rows)]
+        xs, _ = model_module._simulate_rows(model, T, seeds, burn_in, t_start, t_end)
+        assert xs.shape == (rows, length, k)
+        for row, s in zip(xs, seeds):
+            oracle = looped_simulate(model, T, s, burn_in, t_start, t_end)
+            assert np.abs(row - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
+            single = simulate(model, T, seed=s, burn_in=burn_in, t_start=t_start, t_end=t_end,
+                              check=False)
+            assert np.array_equal(row, single)
+        for size in (1, 2, 3, rows):
+            chunked = [model_module._simulate_rows(model, T, seeds[i:i + size], burn_in,
+                                                   t_start, t_end)[0]
+                       for i in range(0, rows, size)]
+            assert np.array_equal(np.concatenate(chunked), xs)
+
+    def test_innovations_are_the_unshaped_draws(self):
+        model = random_model(3, 3, 1, 1, True)
+        x, eps = simulate(model, 32, seed=4, burn_in=10, return_innovations=True, check=False)
+        draws = spawn_rng(4, 1).standard_normal((42, 3)) * model.innovations.sigma
+        assert np.array_equal(eps, draws)
+        assert np.array_equal(x, simulate(model, 32, seed=4, burn_in=10, check=False))
 
 
 class TestStability:
