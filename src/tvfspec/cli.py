@@ -255,6 +255,14 @@ def _required_T(run, args):
     return T
 
 
+def _replications(check, value, least=1):
+    """Replication count of one Monte Carlo check, at least ``least``."""
+    count = int(value)
+    if count < least:
+        raise ConfigError(f"{check} check needs at least {least} replications, got {count}")
+    return count
+
+
 def _stability_payload(report):
     worst_u, worst_radius = report.worst()
     return {
@@ -369,7 +377,7 @@ def _imse_report(run, model):
     t_list = sorted(int(t) for t in spec.get("T_list", (2**9, 2**12)))
     if len(t_list) < 2:
         raise ConfigError("imse check needs at least two sample sizes")
-    R = int(spec.get("replications", run.config.get("replications", 20)))
+    R = _replications("imse", spec.get("replications", run.config.get("replications", 20)))
     cfgs = {T: _resolve_estimator(run.config, T) for T in t_list}
     lo = max(cfgs[T].valid_band(T)[0] for T in t_list)
     hi = min(cfgs[T].valid_band(T)[1] for T in t_list)
@@ -427,7 +435,7 @@ def cmd_evaluate(args):
                 model,
                 u=float(spec.get("u", 0.25)),
                 T_list=[int(t) for t in spec.get("T_list", (2**8, 2**10, 2**12))],
-                R=int(spec.get("replications", 32)),
+                R=_replications("stationarity", spec.get("replications", 32)),
                 seed=run.seed,
                 workers=run.threads,
             )
@@ -436,7 +444,9 @@ def cmd_evaluate(args):
             spec = run.config.get(check, {})
             T = int(spec.get("T", run.config.get("T", 2**12)))
             cfg = _resolve_estimator(run.config, T)
-            R = int(spec.get("replications", run.config.get("replications", 200)))
+            # bias, covariance and normality take sample deviations (ddof=1)
+            R = _replications(check, spec.get("replications", run.config.get("replications", 200)),
+                              least=2)
             u = float(spec.get("u", 0.5))
             if check == "bias":
                 report = evaluate.mc_mean_bias(
@@ -541,6 +551,8 @@ def cmd_reproduce(args):
 def cmd_check(args):
     run = Run("check", args, require_config=True)
     model, _ = _resolve_model(run.config)
+    spec = run.config.get("stationarity", {})
+    R = _replications("stationarity", spec.get("replications", 16))
     report = check_stability(model)
     run.write_json("stability.json", _stability_payload(report))
     if not report.passed:
@@ -551,12 +563,11 @@ def cmd_check(args):
             file=sys.stderr,
         )
         return EXIT_STABILITY
-    spec = run.config.get("stationarity", {})
     stat = evaluate.local_stationarity_check(
         model,
         u=float(spec.get("u", 0.25)),
         T_list=[int(t) for t in spec.get("T_list", (2**8, 2**10, 2**12))],
-        R=int(spec.get("replications", 16)),
+        R=R,
         seed=run.seed,
         workers=run.threads,
     )

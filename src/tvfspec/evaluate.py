@@ -9,16 +9,16 @@ projections, integrated squared error decay, and the coupled bound defining
 local stationarity.  Replication r of a run with master seed s draws its
 innovations from the sub-stream (2, r) of s, so reports are reproducible and
 independent of worker count; reductions always run in replication order.
-``replicate`` is the one function that simulates replications: it hands its
-tasks chunks of them, simulated as one stack, and the tasks estimate and
-reduce a whole chunk at once.
+``replicate`` is the one function that simulates replications: it
+simulates runs of consecutive chunks of them in one pass of the time loop
+and hands its tasks one chunk at a time, and the tasks estimate and reduce a
+whole chunk at once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -92,42 +92,72 @@ def _cnum(z):
 # replications of far1 at T = 4096, with one chunk's buffer at 4.8 MB.
 CHUNK_ELEMENTS = 600_000
 
+# Simulated elements per pass, a run of consecutive chunks simulated in one
+# time loop: about what one chunk took before the simulator streamed its
+# curves, its buffer plus one (burn_in + n, K, K) operator stack (0.60 M +
+# 1.03 M elements for far1 at T = 4096), so 20 such replications make one
+# 11 MB pass.
+PASS_ELEMENTS = 1_700_000
+
 
 def replicate(model, T, seeds, task, workers=1, burn_in=DEFAULT_BURN_IN,
               t_start=1, t_end=None):
     """Concatenated ``task(xs, chunk)`` over consecutive chunks of ``seeds``.
 
-    Each chunk of c seeds is simulated as one (c, n, K) stack ``xs`` whose
-    row r is ``simulate(model, T, seed=chunk[r], burn_in=burn_in,
+    Each chunk of c seeds is handed to ``task`` as one (c, n, K) stack ``xs``
+    whose row r is ``simulate(model, T, seed=chunk[r], burn_in=burn_in,
     t_start=t_start, t_end=t_end, check=False)`` bit for bit; ``task``
     returns a stack of c results in chunk order, so the output has one row
     per seed, in seed order.  Chunks hold at most ``CHUNK_ELEMENTS``
     simulated elements c (burn_in + n) K (at least one replication), and
     their boundaries do not depend on ``workers``.
 
-    With ``workers > 1`` the chunks run in at most ``min(workers, chunks)``
+    Runs of consecutive chunks are simulated as one pass, one time loop for
+    all their rows, and each pass is sliced back into its chunks for
+    ``task``.  A pass holds at most ``PASS_ELEMENTS`` simulated elements (at
+    least one chunk) and at most ceil(chunks / workers) chunks, and the
+    passes split the chunks as evenly as whole chunks allow.  With
+    ``workers > 1`` the passes run in at most ``min(workers, passes)``
     processes; ``task`` must then pickle (a module-level function or a
     ``functools.partial`` of one).  The output is the same for every
-    ``workers``.
+    ``workers``, because rows do not depend on how they are grouped.
     """
     if t_end is None:
         t_end = T
     per_rep = (burn_in + t_end - t_start + 1) * model.dim
     size = max(1, CHUNK_ELEMENTS // per_rep)
     chunks = [list(seeds[i:i + size]) for i in range(0, len(seeds), size)]
+    width = max(1, min(PASS_ELEMENTS // (size * per_rep),
+                       math.ceil(len(chunks) / max(workers, 1))))
+    count = math.ceil(len(chunks) / width)
+    # passes as even as whole chunks allow, the longer ones last (the short
+    # final chunk then shares a pass): [8], [8, 4] for two workers
+    edges = [p * len(chunks) // count for p in range(count + 1)]
+    passes = [chunks[a:b] for a, b in zip(edges, edges[1:])]
     one = partial(_simulate_then, model, T, task, burn_in, t_start, t_end)
-    workers = min(workers, len(chunks))
+    workers = min(workers, len(passes))
     if workers > 1:
+        # imported only here: loading the pool machinery (multiprocessing,
+        # socket) adds ~15 ms to the start-up of every run
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, chunks))
+            results = list(pool.map(one, passes))
     else:
-        results = [one(chunk) for chunk in chunks]
-    return np.concatenate(results)
+        results = [one(run) for run in passes]
+    return np.concatenate([out for outs in results for out in outs])
 
 
-def _simulate_then(model, T, task, burn_in, t_start, t_end, seeds):
-    xs, _ = _simulate_rows(model, T, seeds, burn_in, t_start, t_end)
-    return task(xs, seeds)
+def _simulate_then(model, T, task, burn_in, t_start, t_end, chunks):
+    """``task`` over each chunk of one pass, simulated in one time loop."""
+    xs, _ = _simulate_rows(model, T, [seed for chunk in chunks for seed in chunk],
+                           burn_in, t_start, t_end)
+    outs = []
+    start = 0
+    for chunk in chunks:
+        outs.append(task(xs[start:start + len(chunk)], chunk))
+        start += len(chunk)
+    return outs
 
 
 def _estimate_points(cfg, T, points, xs, seeds, t0=1):

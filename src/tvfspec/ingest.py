@@ -241,7 +241,12 @@ def _grid_meta(path, line):
 
 
 def read_spectral_grid(path):
-    """Read a coeff-layout grid file back into a ``SpectralGrid``."""
+    """Read a coeff-layout grid file back into a ``SpectralGrid``.
+
+    The data rows are parsed in one numpy call and their order and u/omega
+    columns checked as arrays; only rows that fail either are rescanned one
+    by one, so every error names its first bad line.
+    """
     with open(path) as fh:
         lines = fh.read().split("\n")
     while lines and lines[-1] == "":
@@ -260,12 +265,47 @@ def read_spectral_grid(path):
         raise ParseError(
             path, len(lines), f"expected {expected} data rows, got {len(lines) - 2}"
         )
+    block = _parse_grid_block(lines[2:], nu, nw, dim)
+    if block is None:
+        block = _parse_grid_rows(path, lines[2:], nu, nw, dim)
+    return SpectralGrid(*block, provenance=provenance)
+
+
+def _parse_grid_block(rows, nu, nw, dim):
+    """(u, omega, values) parsed in one call, or None if any row needs a closer look."""
+    if not rows:
+        return None  # np.loadtxt warns on empty input; the row scan needs no parse
+    try:
+        # comments=None: a "#" inside a data row is an error, not a comment
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(rows), 6):
+        return None
+    table = table.reshape(nu, nw, dim, dim, 6)
+    index = np.arange(dim)
+    # the first row of each u block fixes u, the first u block fixes omega
+    u = table[:, 0, 0, 0, 0]
+    omega = table[0, :, 0, 0, 1]
+    if not (np.all(table[..., 2] == index[:, None]) and np.all(table[..., 3] == index)
+            and np.all(table[..., 0] == u[:, None, None, None])
+            and np.all(table[..., 1] == omega[:, None, None])):
+        return None
+    values = np.empty((nu, nw, dim, dim), dtype=complex)
+    # parts assigned apart, not re + 1j * im, which loses a signed zero
+    values.real = table[..., 4]
+    values.imag = table[..., 5]
+    return u.copy(), omega.copy(), values
+
+
+def _parse_grid_rows(path, rows, nu, nw, dim):
+    """(u, omega, values) parsed row by row; raises at the first bad line."""
     u = np.empty(nu)
     omega = np.empty(nw)
     values = np.empty((nu, nw, dim, dim), dtype=complex)
     per_omega = dim * dim
     per_u = nw * per_omega
-    for number, line in enumerate(lines[2:], start=3):
+    for number, line in enumerate(rows, start=3):
         row = _numeric_row(path, number, line, width=6)
         flat = number - 3
         iu, rest = divmod(flat, per_u)
@@ -288,7 +328,7 @@ def read_spectral_grid(path):
             )
         # complex(re, im), not re + 1j * im, which loses a signed zero
         values[iu, iw, i, j] = complex(row[4], row[5])
-    return SpectralGrid(u=u, omega=omega, values=values, provenance=provenance)
+    return u, omega, values
 
 
 def read_kernel_table(path):

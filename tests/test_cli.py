@@ -61,6 +61,21 @@ def test_import_needs_numpy_only():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_starts_no_process_pool_machinery():
+    # the pool is imported only when a run asks for more than one worker
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tvfspec.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, tvfspec.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def manifest_for_threads(tmp_path, argv, threads):
     out = tmp_path / f"threads{threads}"
     code = cli.main([*argv, "--threads", str(threads), "--out", str(out)])
@@ -240,7 +255,7 @@ class TestEvaluate:
     def test_imse_bytes_do_not_depend_on_threads_with_default_blas(self, tmp_path):
         # the README imse config in fresh processes whose BLAS and OpenMP
         # thread counts are left at their defaults; at T = 4096 the 20
-        # replications form three chunks, so two workers split the work
+        # replications form three chunks, which two workers run as two passes
         config = write_config(
             tmp_path, "imse.json",
             {"model": {"preset": "far1", "size": 15}, "estimator": "auto",
@@ -262,6 +277,20 @@ class TestEvaluate:
             reports.append((out / "imse.json").read_bytes())
         assert reports[1] == reports[0]
         assert json.loads(reports[0])["passed"] is True
+
+    @pytest.mark.parametrize("check, count, least", [
+        ("imse", 0, 1), ("stationarity", 0, 1),
+        ("bias", 1, 2), ("covariance", 1, 2), ("normality", 1, 2),
+    ])
+    def test_too_few_replications_exit_2(self, tmp_path, capsys, check, count, least):
+        config = write_config(
+            tmp_path, "eval.json",
+            {"model": {"preset": "far1", "size": 3}, "checks": [check],
+             check: {"replications": count}},
+        )
+        assert cli.main(["evaluate", "--config", config, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {check} check needs at least {least} replications, got {count}" in err
 
     def test_unknown_check_exits_2(self, tmp_path):
         config = write_config(
@@ -337,3 +366,14 @@ class TestCheck:
         code = cli.main(["check", "--config", config, "--out", str(tmp_path / "x")])
         assert code == 3
         assert "stability: FAIL" in capsys.readouterr().err
+
+    def test_zero_replications_exit_2(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, "check.json",
+            {"model": {"preset": "far1", "size": 3}, "stationarity": {"replications": 0}},
+        )
+        out = tmp_path / "x"
+        assert cli.main(["check", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: stationarity check needs at least 1 replications, got 0" in err
+        assert not (out / "stability.json").exists()

@@ -44,21 +44,36 @@ def seed_first_value_and_chunk(xs, seeds):
     return np.column_stack([seeds, xs[:, 0, 0], np.full(len(seeds), len(seeds))])
 
 
+def seed_chunk_and_rows(xs, seeds):
+    return np.column_stack([seeds, np.full(len(seeds), len(seeds)), xs.reshape(len(xs), -1)])
+
+
+def set_budgets(monkeypatch, per_rep, reps_per_chunk, chunks_per_pass):
+    """Chunks of ``reps_per_chunk`` replications, passes of ``chunks_per_pass`` (None: any)."""
+    monkeypatch.setattr(evaluate_module, "CHUNK_ELEMENTS", reps_per_chunk * per_rep)
+    monkeypatch.setattr(evaluate_module, "PASS_ELEMENTS",
+                        10**12 if chunks_per_pass is None
+                        else chunks_per_pass * reps_per_chunk * per_rep)
+
+
+PASS_CAPS = (1, 2, None)
+
+
 class TestReplicate:
     def test_rows_follow_seed_order_for_any_worker_count(self, monkeypatch):
         model = far1(size=3)
         seeds = list(range(100, 107))
-        firsts = [simulate(model, 32, seed=s, check=False)[0, 0] for s in seeds]
+        rows = np.stack([simulate(model, 32, seed=s, check=False) for s in seeds])
         for reps_per_chunk in (7, 1, 2, 3):
             # a budget of c * (burn_in + n) * K elements holds c replications
-            monkeypatch.setattr(evaluate_module, "CHUNK_ELEMENTS",
-                                reps_per_chunk * (500 + 32) * 3)
             sizes = [min(reps_per_chunk, len(seeds) - i) for i in range(0, len(seeds), reps_per_chunk)]
-            for workers in (1, 2, 3):
-                stack = replicate(model, 32, seeds, seed_first_value_and_chunk, workers=workers)
-                assert stack[:, 0].tolist() == seeds
-                assert stack[:, 1].tolist() == firsts
-                assert stack[:, 2].tolist() == [c for c in sizes for _ in range(c)]
+            for chunks_per_pass in PASS_CAPS:
+                set_budgets(monkeypatch, (500 + 32) * 3, reps_per_chunk, chunks_per_pass)
+                for workers in (1, 2, 3):
+                    stack = replicate(model, 32, seeds, seed_chunk_and_rows, workers=workers)
+                    assert stack[:, 0].tolist() == seeds
+                    assert stack[:, 1].tolist() == [c for c in sizes for _ in range(c)]
+                    assert np.array_equal(stack[:, 2:], rows.reshape(len(seeds), -1))
 
     def test_never_more_workers_than_replications(self, monkeypatch):
         started = []
@@ -77,7 +92,7 @@ class TestReplicate:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(evaluate_module, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         # three small replications share one chunk: no pool at all
         out = replicate(white(), 16, [4, 5, 6], seed_first_value_and_chunk, workers=64)
         assert started == []
@@ -103,10 +118,11 @@ class TestReplicate:
             assert np.array_equal(reference[r, [0, 2]],
                                   estimate_grid(x, cfg, T, [0.5], [0.3, -2.0]).values[0])
         for reps_per_chunk in (1, 2, 3):
-            monkeypatch.setattr(evaluate_module, "CHUNK_ELEMENTS",
-                                reps_per_chunk * (500 + T) * 3)
-            for workers in (1, 2, 3):
-                assert np.array_equal(replicate(model, T, seeds, task, workers=workers), reference)
+            for chunks_per_pass in PASS_CAPS:
+                set_budgets(monkeypatch, (500 + T) * 3, reps_per_chunk, chunks_per_pass)
+                for workers in (1, 2, 3):
+                    assert np.array_equal(replicate(model, T, seeds, task, workers=workers),
+                                          reference)
 
     def test_chunk_budget_bounds_the_buffer(self):
         chunks = []
@@ -120,6 +136,43 @@ class TestReplicate:
         per_rep = (500 + 4096) * 15
         assert [c for c, _, _ in chunks] == [8, 8, 4]
         assert all(c * per_rep <= evaluate_module.CHUNK_ELEMENTS for c, _, _ in chunks)
+
+
+    def test_one_pass_per_worker_at_the_readme_scale(self, monkeypatch):
+        # the README imse config at T = 4096: 20 far1 replications in chunks
+        # of 8, 8 and 4, simulated in one time loop per worker
+        passes = []
+        real = evaluate_module._simulate_rows
+
+        def spy(model, T, seeds, *args):
+            passes.append(len(seeds))
+            return real(model, T, seeds, *args)
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(evaluate_module, "_simulate_rows", spy)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        model = far1(size=15)
+        seeds = [replication_seed(0, r) for r in range(20)]
+        out = replicate(model, 4096, seeds, seed_first_value_and_chunk)
+        assert passes == [20]
+        assert out[:, 2].tolist() == [8] * 8 + [8] * 8 + [4] * 4
+        # two workers split the three chunks into passes of one and two
+        passes.clear()
+        assert np.array_equal(replicate(model, 4096, seeds, seed_first_value_and_chunk,
+                                        workers=2), out)
+        assert passes == [8, 12]
 
 
 class TestImse:

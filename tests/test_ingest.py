@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_model import random_model
 
+from tvfspec import ingest as ingest_module
 from tvfspec.evaluate import McReport
 from tvfspec.funspace import BasisSpec, kernel_grid
 from tvfspec.ingest import (
@@ -277,6 +278,22 @@ class TestSpectralGridFiles:
         assert np.array_equal(bits(back.omega), bits(grid.omega))
         assert np.array_equal(bits(back.values), bits(grid.values))
         assert back.provenance == grid.provenance
+
+    @given(data=st.data(), dim=st.sampled_from([1, 2, 4]),
+           nu=st.integers(1, 3), nw=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_block_parse_matches_the_row_rescan(self, data, dim, nu, nw):
+        # the one-call parse and the row-by-row rescan read the same bits
+        grid = random_grid(data, dim, nu, nw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.csv")
+            write_spectral_grid(grid, path)
+            with open(path) as fh:
+                rows = fh.read().split("\n")[2:-1]
+        block = ingest_module._parse_grid_block(rows, nu, nw, dim)
+        assert block is not None
+        for fast, slow in zip(block, ingest_module._parse_grid_rows(path, rows, nu, nw, dim)):
+            assert np.array_equal(bits(fast), bits(slow))
 
     @given(data=st.data(), dim=st.sampled_from([1, 2, 4]),
            nu=st.integers(1, 3), nw=st.integers(1, 4), render=st.integers(2, 9))

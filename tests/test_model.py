@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,33 @@ class TestBatchedSimulation:
                                                    t_start, t_end)[0]
                        for i in range(0, rows, size)]
             assert np.array_equal(np.concatenate(chunked), xs)
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 7])
+    def test_rows_do_not_depend_on_the_span(self, monkeypatch, steps):
+        # the curves are evaluated span by span; spans of any length, cut
+        # inside the AR and MA lags, give the same bits as one span
+        model = random_model(5, 3, 2, 2, True)
+        seeds = [replication_seed(5, r) for r in range(3)]
+        whole, _ = model_module._simulate_rows(model, 40, seeds, 12, -3, 40)
+        monkeypatch.setattr(model_module, "_SPAN_ELEMENTS", steps * 3 * 3)
+        spans, _ = model_module._simulate_rows(model, 40, seeds, 12, -3, 40)
+        assert np.array_equal(spans, whole)
+        for row, s in zip(spans, seeds):
+            oracle = looped_simulate(model, 40, s, 12, -3, 40)
+            assert np.abs(row - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
+
+    def test_peak_memory_is_the_buffer_not_operator_stacks(self):
+        model = far1(size=15)
+        model.stability  # the cached stability report is not part of the simulation
+        buffer = (DEFAULT_BURN_IN + 4096) * 15 * 8
+        tracemalloc.start()
+        try:
+            simulate(model, 4096, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two whole-window (burn_in + n, K, K) operator stacks take 30 buffers
+        assert peak < 2 * buffer
 
     def test_innovations_are_the_unshaped_draws(self):
         model = random_model(3, 3, 1, 1, True)
