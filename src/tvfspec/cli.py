@@ -263,6 +263,18 @@ def _replications(check, value, least=1):
     return count
 
 
+def _check_replications(config, check):
+    """Replication count of one ``evaluate`` check, validated."""
+    spec = config.get(check, {})
+    if check == "imse":
+        return _replications(check, spec.get("replications", config.get("replications", 20)))
+    if check == "stationarity":
+        return _replications(check, spec.get("replications", 32))
+    # bias, covariance and normality take sample deviations (ddof=1)
+    return _replications(check, spec.get("replications", config.get("replications", 200)),
+                         least=2)
+
+
 def _stability_payload(report):
     worst_u, worst_radius = report.worst()
     return {
@@ -371,13 +383,12 @@ def cmd_estimate(args):
     return EXIT_OK
 
 
-def _imse_report(run, model):
+def _imse_report(run, model, R):
     """Paired-seed integrated-squared-error comparison across sample sizes."""
     spec = run.config.get("imse", {})
     t_list = sorted(int(t) for t in spec.get("T_list", (2**9, 2**12)))
     if len(t_list) < 2:
         raise ConfigError("imse check needs at least two sample sizes")
-    R = _replications("imse", spec.get("replications", run.config.get("replications", 20)))
     cfgs = {T: _resolve_estimator(run.config, T) for T in t_list}
     lo = max(cfgs[T].valid_band(T)[0] for T in t_list)
     hi = min(cfgs[T].valid_band(T)[1] for T in t_list)
@@ -418,24 +429,27 @@ def _imse_report(run, model):
 def cmd_evaluate(args):
     run = Run("evaluate", args, require_config=True)
     model, _ = _resolve_model(run.config)
-    if model.ar:
-        _checked_stability(run, model)
     checks = run.config.get("checks", ["imse"])
     known = {"imse", "bias", "covariance", "normality", "stationarity"}
     bad = [c for c in checks if c not in known]
     if bad:
         raise ConfigError(f"unknown checks {bad}; available: {sorted(known)}")
+    # every check's counts are validated before the first output is written
+    counts = {check: _check_replications(run.config, check) for check in checks}
+    if model.ar:
+        _checked_stability(run, model)
     overall = True
     for check in checks:
+        R = counts[check]
         if check == "imse":
-            report = _imse_report(run, model)
+            report = _imse_report(run, model, R)
         elif check == "stationarity":
             spec = run.config.get("stationarity", {})
             report = evaluate.local_stationarity_check(
                 model,
                 u=float(spec.get("u", 0.25)),
                 T_list=[int(t) for t in spec.get("T_list", (2**8, 2**10, 2**12))],
-                R=_replications("stationarity", spec.get("replications", 32)),
+                R=R,
                 seed=run.seed,
                 workers=run.threads,
             )
@@ -444,9 +458,6 @@ def cmd_evaluate(args):
             spec = run.config.get(check, {})
             T = int(spec.get("T", run.config.get("T", 2**12)))
             cfg = _resolve_estimator(run.config, T)
-            # bias, covariance and normality take sample deviations (ddof=1)
-            R = _replications(check, spec.get("replications", run.config.get("replications", 200)),
-                              least=2)
             u = float(spec.get("u", 0.5))
             if check == "bias":
                 report = evaluate.mc_mean_bias(
@@ -536,7 +547,8 @@ def cmd_reproduce(args):
                     g, p, mode="kernel", taus=render, kernels=ker[None, None]
                 ),
             )
-    iqr = np.percentile(amplitudes, 75, axis=1) - np.percentile(amplitudes, 25, axis=1)
+    lower, upper = np.percentile(amplitudes, [25, 75], axis=1)
+    iqr = upper - lower
     dispersion = {
         f"slice{i}": float(np.median(iqr[i])) for i in range(len(slices))
     }

@@ -39,37 +39,159 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {reason}")
 
 
-# Every float is written as "%.17g" (exact float64 round trips).  Rows are
-# formatted and written in blocks of at most _BLOCK_ROWS, one ``%`` call per
-# block: formatting row by row in Python dominated the cost of writing.
-# Small blocks write as fast as whole 64 x 64 kernels but keep every
-# temporary string small, which the allocator reuses; 1024-row blocks raised
-# the peak RSS of ``reproduce far2 --T 512`` from 56 to 64 MB.
+# Every float is written byte for byte as "%.17g" would write it (exact
+# float64 round trips), but a block of values at a time: ``_format`` lays out
+# the fixed-notation cases, -4 <= exponent <= 16, with numpy and hands every
+# other entry to ``%`` itself.  Blocks hold whole rows and at most
+# _BLOCK_VALUES values: larger blocks spill the (width, n) canvas out of the
+# CPU caches and raise the peak RSS of ``reproduce far2 --T 512``.
 _FLOAT = "%.17g"
-_BLOCK_ROWS = 64
+_BLOCK_VALUES = 3072
+# sign, "0.000" prefix, 17 digits with a point slot after each but the last;
+# every "%.17g" text, at most 24 bytes, fits
+_WIDTH = 39
+_ZERO, _DOT, _MINUS = ord("0"), ord("."), ord("-")
 
 
-def _fields(count):
-    return ",".join([_FLOAT] * count)
+def _dekker_split(a):
+    """(hi, lo) with hi + lo == a and both halves of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-def _write_rows(fh, templates, values, prefix=""):
-    """Write ``prefix`` + ``templates[r]`` filled from row r of ``values``."""
-    for start in range(0, len(templates), _BLOCK_ROWS):
-        text = prefix + prefix.join(templates[start:start + _BLOCK_ROWS])
-        fh.write(text % tuple(values[start:start + _BLOCK_ROWS].ravel().tolist()))
+def _byte_rows(texts):
+    """Read-only (len(texts), width) uint8 block of NUL-padded ASCII rows."""
+    block = np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
+    block.flags.writeable = False
+    return block
+
+
+# 10**s for the shifts s = 16 - exponent of the fixed-notation range; every
+# one is exact in float64, so the Dekker product below is the exact product.
+_POW10 = 10.0 ** np.arange(21)
+_POW10_HI, _POW10_LO = _dekker_split(_POW10)
+# _QUADS[:, q] holds the four ASCII digits of q; _TRAILING[q] its trailing zeros
+_QUADS = (np.arange(10000, dtype=np.int16) // np.array([[1000], [100], [10], [1]], dtype=np.int16)
+          % 10 + _ZERO).astype(np.uint8)
+_TRAILING = np.logical_and.accumulate(_QUADS[::-1] == _ZERO).sum(axis=0)
+# sign and "0.000" prefix rows, column e + 4 + 21 * negative for exponent e
+_LEAD = _byte_rows([sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"").ljust(5, b"\0")
+                    for sign in (b"\0", b"-") for e in range(-4, 17)]).T
+_DIGIT = np.arange(17)[:, None]
+
+
+def _significand(values):
+    """Decimal exponent e, 17-digit significand D and exactness of each |v|.
+
+    e = floor(log10 |v|) clipped to the fixed-notation range -4..16, and
+    D = round(|v| 10**(16 - e)) half to even from an error-free (Dekker)
+    product.  ``exact`` is False for zeros, inf, nan, values outside that
+    range, a wrong exponent estimate (the rounded product outside
+    (1e16, 1e17), which also catches the few D = 1e16) and products within
+    1e-6 of a rounding tie.
+    """
+    with np.errstate(all="ignore"):  # zeros, inf and nan fail the range test
+        mag = np.abs(values)
+        exp = np.clip(np.floor(np.log10(mag)), -4, 16).astype(np.intp)
+        shift = 16 - exp
+        scale_hi = _POW10_HI.take(shift, mode="clip")
+        scale_lo = _POW10_LO.take(shift, mode="clip")
+        hi = mag * _POW10.take(shift, mode="clip")
+        mag_hi, mag_lo = _dekker_split(mag)
+        lo = ((mag_hi * scale_hi - hi) + mag_hi * scale_lo + mag_lo * scale_hi) + mag_lo * scale_lo
+        # hi is an even integer above 2**53, so hi + rint(lo) rounds hi + lo
+        # half to even
+        up = np.rint(lo)
+        exact = (hi > 1e16) & (hi < 1e17) & (np.abs(lo - up) < 0.5 - 1e-6)
+        sig = hi.astype(np.int64) + up.astype(np.int64)
+    return exp, sig, exact
+
+
+def _digit_groups(sig):
+    """Leading digit, the four 4-digit groups after it and the last nonzero digit's index."""
+    top = sig // 10**8
+    low = sig - top * 10**8
+    first = top // 10**8
+    top -= first * 10**8
+    quads = []
+    for half in (top, low):
+        high = half // 10**4
+        quads += [high, half - high * 10**4]
+    last = 16 - _TRAILING.take(quads[3], mode="clip")
+    short = np.flatnonzero(quads[3] == 0)
+    if short.size:
+        found = np.zeros(short.size, dtype=np.intp)  # digit 0 is never zero
+        for q in range(3):
+            part = quads[q][short]
+            found = np.where(part != 0, 4 + 4 * q - _TRAILING.take(part, mode="clip"), found)
+        last[short] = found
+    return first, quads, last
+
+
+def _format(values):
+    """Bytes of ``"%.17g" % v`` for each v of ``values``, NUL padded.
+
+    Returns a (_WIDTH, n) uint8 canvas whose column i, with its NUL bytes
+    removed, is the text of ``values[i]``.  Entries ``_significand`` cannot
+    decide exactly are formatted with ``%`` one at a time.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    exp, sig, exact = _significand(values)
+    first, quads, last = _digit_groups(sig)
+    canvas = np.empty((_WIDTH, values.size), dtype=np.uint8)
+    np.take(_LEAD, exp + 4 + 21 * (values < 0), axis=1, out=canvas[:6], mode="clip")
+    digits = canvas[6::2]
+    digits[0] = first + _ZERO
+    for q, quad in enumerate(quads):
+        np.take(_QUADS, quad, axis=1, out=digits[1 + 4 * q:5 + 4 * q], mode="clip")
+    # strip the fraction's trailing zeros; the point follows digit exp
+    keep = np.maximum(last, exp)
+    cut = np.flatnonzero(keep < 16)
+    digits[:, cut] *= _DIGIT <= keep[cut]
+    points = canvas[7::2]
+    points[...] = 0
+    point = np.flatnonzero((last > exp) & (exp >= 0))
+    points[exp[point], point] = _DOT
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        text = [_FLOAT % v for v in values[slow].tolist()]
+        canvas[:, slow] = np.array(text, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH).T
+    return canvas
+
+
+def _write_rows(fh, values, lead=None, prefix=b""):
+    """Write ``prefix + lead[r]`` and row r of ``values`` as one text line per row.
+
+    ``lead`` is a NUL-padded (rows, width) byte block of leading columns; the
+    fields of a row are "%.17g" texts joined by commas.
+    """
+    rows, count = values.shape
+    start_bytes = np.frombuffer(prefix, dtype=np.uint8)
+    head = start_bytes.size + (0 if lead is None else lead.shape[1])
+    step = max(1, _BLOCK_VALUES // count)
+    for start in range(0, rows, step):
+        block = values[start:start + step]
+        size = len(block)
+        line = np.empty((size, head + count * (_WIDTH + 1)), dtype=np.uint8)
+        line[:, :start_bytes.size] = start_bytes
+        if lead is not None:
+            line[:, start_bytes.size:head] = lead[start:start + step]
+        body = line[:, head:].reshape(size, count, _WIDTH + 1)
+        body[..., :_WIDTH] = _format(block).T.reshape(size, count, _WIDTH)
+        body[..., _WIDTH] = ord(",")
+        body[:, -1, _WIDTH] = ord("\n")
+        fh.write(line.tobytes().translate(None, b"\0"))
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_rows(first, second, count):
-    """Row templates of one (u, omega) block of a spectral grid file.
+def _grid_rows(first, second):
+    """Leading columns "a,b," of one (u, omega) block of a spectral grid file.
 
-    Row (a, b) is "a,b," followed by ``count`` float fields: the leading
-    columns (render axes or coefficient indices) are formatted once per
-    axis pair, not once per block.
+    The render axes or coefficient indices are formatted once per axis pair,
+    not once per block.
     """
-    tail = _fields(count) + "\n"
-    return tuple(f"{_FLOAT % a},{_FLOAT % b},{tail}" for a in first for b in second)
+    return _byte_rows([f"{_FLOAT % a},{_FLOAT % b},".encode() for a in first for b in second])
 
 
 @dataclass(frozen=True)
@@ -138,11 +260,10 @@ def project_to_basis(raw, basis):
 
 def write_series(raw, path):
     """Write a versioned delimited-text series file: grid row, then data rows."""
-    row = _fields(raw.grid.size) + "\n"
-    with open(path, "w") as fh:
-        fh.write(SERIES_HEADER + "\n")
-        _write_rows(fh, (row,), raw.grid[None, :])
-        _write_rows(fh, (row,) * raw.length, raw.data)
+    with open(path, "wb") as fh:
+        fh.write(f"{SERIES_HEADER}\n".encode())
+        _write_rows(fh, raw.grid[None, :])
+        _write_rows(fh, raw.data)
 
 
 def _numeric_row(path, number, line, width=None):
@@ -204,14 +325,13 @@ def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None, kernels
         taus = render_grid() if taus is None else np.asarray(taus, dtype=float)
     dim = grid.values.shape[-1]
     if mode == "coeff":
-        rows = _grid_rows(tuple(range(dim)), tuple(range(dim)), 2)
+        lead = _grid_rows(tuple(range(dim)), tuple(range(dim)))
     else:
-        rows = _grid_rows(tuple(taus.tolist()), tuple(taus.tolist()), 3)
-    with open(path, "w") as fh:
-        fh.write(GRID_HEADERS[mode] + "\n")
+        lead = _grid_rows(tuple(taus.tolist()), tuple(taus.tolist()))
+    with open(path, "wb") as fh:
         fh.write(
-            f"# u {grid.u.size} omega {grid.omega.size} dim {dim} "
-            f"provenance {grid.provenance}\n"
+            f"{GRID_HEADERS[mode]}\n# u {grid.u.size} omega {grid.omega.size} dim {dim} "
+            f"provenance {grid.provenance}\n".encode()
         )
         for iu, u in enumerate(grid.u):
             for iw, omega in enumerate(grid.omega):
@@ -226,8 +346,8 @@ def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None, kernels
                     # np.hypot, not np.abs: the vectorised complex abs can
                     # differ from the scalar abs() in the last digit
                     columns = [ker.real, ker.imag, np.hypot(ker.real, ker.imag)]
-                values = np.stack(columns, axis=-1).reshape(len(rows), -1)
-                _write_rows(fh, rows, values, prefix=f"{_FLOAT % u},{_FLOAT % omega},")
+                values = np.stack(columns, axis=-1).reshape(len(lead), -1)
+                _write_rows(fh, values, lead, prefix=f"{_FLOAT % u},{_FLOAT % omega},".encode())
 
 
 def _grid_meta(path, line):

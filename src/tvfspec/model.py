@@ -206,7 +206,7 @@ class TvFarmaModel:
     @cached_property
     def stability(self):
         """``check_stability`` on its default grid, computed once per model."""
-        return check_stability(self)
+        return _stability_report(self)
 
     def frozen(self, u):
         """Stationary model with every curve fixed at rescaled time ``u``."""
@@ -265,14 +265,25 @@ class StabilityReport:
         return float(self.u[i]), float(self.radii[i])
 
 
-def check_stability(model, u_grid=None, delta=1e-6):
+_STABILITY_DELTA = 1e-6
+
+
+def check_stability(model, u_grid=None, delta=_STABILITY_DELTA):
     """Evaluate causality diagnostics of the AR part on a grid of u.
 
     Reports, per u, the sum of operator norms of the AR curves (sufficient
     condition when < 1) and the spectral radius of the companion matrix
     (authoritative pass criterion: radius < 1 - delta everywhere).  All
-    companions are built and decomposed as one stack.
+    companions are built and decomposed as one stack.  The default grid is
+    65 equispaced u; with it and the default delta the result is the model's
+    cached report, ``TvFarmaModel.stability``.
     """
+    if u_grid is None and delta == _STABILITY_DELTA:
+        return model.stability
+    return _stability_report(model, u_grid, delta)
+
+
+def _stability_report(model, u_grid=None, delta=_STABILITY_DELTA):
     if u_grid is None:
         u_grid = np.linspace(0.0, 1.0, 65)
     u_grid = np.asarray(u_grid, dtype=float)

@@ -292,6 +292,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"config error: {check} check needs at least {least} replications, got {count}" in err
 
+    def test_bad_later_check_writes_no_report(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, "eval.json",
+            {"model": {"preset": "far1", "size": 3}, "checks": ["imse", "bias"],
+             "bias": {"replications": 1}},
+        )
+        out = tmp_path / "x"
+        assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 2
+        assert "bias check needs at least 2 replications" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_unknown_check_exits_2(self, tmp_path):
         config = write_config(
             tmp_path, "eval.json",

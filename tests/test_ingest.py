@@ -2,6 +2,9 @@ import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -348,6 +351,103 @@ def reference_grid_text(grid, mode, basis=None, taus=None):
                         lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
                                      % (u, omega, tau, sigma, z.real, z.imag, abs(z)))
     return "".join(line + "\n" for line in lines)
+
+
+def formatted(values):
+    """Texts of the block formatter, one per entry."""
+    canvas = ingest_module._format(np.asarray(values, dtype=float))
+    return [col.tobytes().translate(None, b"\0").decode() for col in canvas.T]
+
+
+def percent_g17(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+class TestBlockFormatter:
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert formatted(values) == percent_g17(values)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, values):
+        assert formatted(values) == percent_g17(values)
+
+    @given(st.lists(st.floats(1e-4, 1e17), min_size=1, max_size=64), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fixed_notation_range(self, values, data):
+        # random bit patterns seldom land in -4 <= exponent <= 16, the exact path
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(values),
+                                   max_size=len(values)))
+        values = np.array(values) * signs
+        assert formatted(values) == percent_g17(values)
+
+    def test_signed_zeros_and_powers_of_ten_with_neighbours(self):
+        powers = 10.0 ** np.arange(-30, 31)
+        values = np.concatenate([[0.0, -0.0], powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+        values = np.concatenate([values, -values])
+        assert formatted(values) == percent_g17(values)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, np.inf, -np.inf, np.nan,
+        9.99e-5, -1e17, 3.5e21, 5e-324, -1.7976931348623157e308,
+        np.nextafter(1e-3, 0.0), np.nextafter(1e16, 0.0), 1.0,
+        (1e14 + 1) / 32, -(1e14 + 3) / 32,
+    ], ids=["zero", "negative_zero", "inf", "negative_inf", "nan",
+            "below_range", "above_range", "far_above_range", "subnormal", "most_negative",
+            "estimate_high_small", "estimate_high_large", "product_at_1e16",
+            "tie", "negative_tie"])
+    def test_fallback_branches(self, value):
+        exp, sig, exact = ingest_module._significand(np.array([value]))
+        assert not exact[0]
+        assert formatted([value, 0.5]) == percent_g17([value, 0.5])
+
+    def test_fallback_branches_are_the_named_ones(self):
+        # the log10 estimate of a value just below a power of ten rounds up
+        below = np.nextafter(np.array([1e-3, 1e16]), 0.0)
+        assert np.array_equal(np.floor(np.log10(below)), [-3.0, 16.0])
+        # |v| 10**(16 - e), e = 12, is exactly halfway between two integers
+        assert (Fraction((1e14 + 1) / 32) * 10**4).denominator == 2
+        exp, sig, exact = ingest_module._significand(np.array([0.3, -2.5e-4, 123.456, 9.87e15]))
+        assert exact.all() and np.array_equal(exp, [-1, -4, 2, 15])
+
+    def test_no_runtime_warning_for_zeros_inf_and_nan(self, tmp_path):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5])
+        values = np.empty((1, 2, 3, 3), dtype=complex)
+        values.real = np.resize(special, 18).reshape(1, 2, 3, 3)
+        values.imag = np.resize(special[::-1], 18).reshape(1, 2, 3, 3)
+        grid = SpectralGrid(u=np.array([0.0]), omega=np.array([-0.0, np.nan]), values=values,
+                            provenance="smoothed")
+        taus = render_grid(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_spectral_grid(grid, tmp_path / "coeff.csv")
+            write_spectral_grid(grid, tmp_path / "kernel.csv", mode="kernel", taus=taus,
+                                kernels=values)
+            write_series(RawSeries(grid=taus, data=np.zeros((4, 3))), tmp_path / "series.csv")
+        assert (tmp_path / "coeff.csv").read_text() == reference_grid_text(grid, "coeff")
+        assert (tmp_path / "series.csv").read_text().split("\n")[1:-1] == ["0,0.5,1"] + ["0,0,0"] * 4
+
+    def test_one_kernel_slice_is_written_in_blocks(self, tmp_path):
+        model = far2()
+        grid = truth_grid(model, [0.3], [1.2])
+        taus = render_grid(64)
+        kernels = kernel_grid(grid.values, model.basis, taus, taus)
+        path = tmp_path / "slice.csv"
+        # the first write caches the (tau, sigma) columns
+        write_spectral_grid(grid, path, mode="kernel", taus=taus, kernels=kernels)
+        tracemalloc.start()
+        try:
+            write_spectral_grid(grid, path, mode="kernel", taus=taus, kernels=kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # formatting the 4096 rows as one block peaks near 5x the file's bytes
+        assert peak < 2 * path.stat().st_size
 
 
 class TestGoldenBytes:

@@ -370,6 +370,26 @@ class TestStability:
         simulate(model, 128, seed=0)
         assert len(calls) <= 1
 
+    def test_explicit_check_and_simulation_gate_share_one_decomposition(self, monkeypatch):
+        passes = []
+        real = np.linalg.eigvals
+
+        def spy(a):
+            passes.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        model = far2(size=4)
+        report = check_stability(model)
+        choose_ma_order(model, 128)
+        simulate(model, 128, seed=0)
+        assert report is model.stability
+        assert passes == [(65, 8, 8)]
+        # another grid or margin is a new report
+        assert check_stability(model, u_grid=[0.5]).u.tolist() == [0.5]
+        assert check_stability(model, delta=1e-3).delta == 1e-3
+        assert len(passes) == 3
+
 
 class TestPresets:
     def test_far1_operator_norm_is_eta_at_knots(self):
