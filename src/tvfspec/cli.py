@@ -16,7 +16,11 @@ with the same config and seed reproduces every output byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 stability failure,
 4 estimation band violation, 5 I/O or parse error; 1 means the pipeline ran
-but a Monte Carlo or diagnostic check did not pass.
+but a Monte Carlo or diagnostic check did not pass.  Each command resolves
+and checks every setting before it writes anything, so codes 2 and 4 leave
+the output directory empty, and code 3 leaves only ``stability.json``,
+``config.json`` and ``manifest.json`` where the command runs the stability
+gate.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .estimator import (
     EstimatorConfig,
     FreqKernelSpec,
     TaperSpec,
+    _segment_start,
     estimate_grid,
     fourier_frequencies,
 )
@@ -50,7 +55,7 @@ from .model import (
     replication_seed,
     simulate,
 )
-from .spectrum import SpectralGrid, truth_grid
+from .spectrum import SpectralGrid, TransferSingularError, truth_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,7 +140,7 @@ class Run:
         self.outputs.append("config.json")
         manifest = {
             "command": self.command,
-            "config_sha256": hashlib.sha256(self.config_bytes).hexdigest(),
+            "config_sha256": self.config_hash,
             "inputs": self.inputs,
             "outputs": {name: _sha256(self.path(name)) for name in self.outputs},
             "package": "tvfspec",
@@ -182,38 +187,30 @@ def _resolve_model(config):
         raise ConfigError(f"bad inline model document: {exc}") from exc
 
 
-def _taper(spec):
-    if spec is None:
-        return None
-    return TaperSpec(**spec)
-
-
-def _fkernel(spec):
-    if spec is None:
-        return None
-    return FreqKernelSpec(**spec)
-
-
 def _resolve_estimator(config, T):
     spec = config.get("estimator", "auto")
+    if spec == "auto":
+        spec = {}
+    if not isinstance(spec, dict):
+        raise ConfigError("'estimator' must be \"auto\" or a JSON object")
     try:
-        if spec == "auto":
-            return EstimatorConfig.auto(T)
-        if not isinstance(spec, dict):
-            raise ConfigError("'estimator' must be \"auto\" or a JSON object")
-        taper = _taper(spec.get("taper"))
-        fkernel = _fkernel(spec.get("kernel"))
-        if "segment" in spec or "half_width" in spec:
-            auto = EstimatorConfig.auto(T)
-            return EstimatorConfig(
-                N=int(spec.get("segment", auto.N)),
-                b_f=float(spec.get("half_width", auto.b_f)),
-                taper=taper or TaperSpec(),
-                fkernel=fkernel or FreqKernelSpec(),
-            )
-        return EstimatorConfig.auto(T, taper=taper, fkernel=fkernel)
+        taper = TaperSpec(**(spec.get("taper") or {}))
+        fkernel = FreqKernelSpec(**(spec.get("kernel") or {}))
+        auto = EstimatorConfig.auto(T, taper=taper, fkernel=fkernel)
+        return EstimatorConfig(
+            N=int(spec.get("segment", auto.N)),
+            b_f=float(spec.get("half_width", auto.b_f)),
+            taper=taper,
+            fkernel=fkernel,
+        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad estimator config: {exc}") from exc
+
+
+def _check_band(cfg, T, us):
+    """Raise the smoother's ``BoundaryError`` for any u outside its valid band."""
+    for u in us:
+        _segment_start(T, float(u), cfg, T, 1)
 
 
 def _axis(spec, default_count, span):
@@ -263,18 +260,6 @@ def _replications(check, value, least=1):
     return count
 
 
-def _check_replications(config, check):
-    """Replication count of one ``evaluate`` check, validated."""
-    spec = config.get(check, {})
-    if check == "imse":
-        return _replications(check, spec.get("replications", config.get("replications", 20)))
-    if check == "stationarity":
-        return _replications(check, spec.get("replications", 32))
-    # bias, covariance and normality take sample deviations (ddof=1)
-    return _replications(check, spec.get("replications", config.get("replications", 200)),
-                         least=2)
-
-
 def _stability_payload(report):
     worst_u, worst_radius = report.worst()
     return {
@@ -289,25 +274,23 @@ def _stability_payload(report):
 
 
 def _checked_stability(run, model):
+    """Write ``stability.json``; on failure finish the run and raise."""
     report = check_stability(model)
     run.write_json("stability.json", _stability_payload(report))
     if not report.passed:
         worst_u, worst_radius = report.worst()
         run.finish()
-        raise StabilityError(
-            f"model unstable: companion spectral radius {worst_radius:.6g} at u = {worst_u:.6g}"
-        )
-    return report
+        raise StabilityError(f"radius {worst_radius:.6g} at u = {worst_u:.6g}")
 
 
 def cmd_simulate(args):
     run = Run("simulate", args, require_config=True)
     model, model_seed = _resolve_model(run.config)
     T = _required_T(run, args)
+    grid = _render_axis(run.config)
     if model.ar:
         _checked_stability(run, model)
     x = simulate(model, T, seed=run.seed, check=False)
-    grid = _render_axis(run.config)
     data = x @ model.basis.evaluate(grid).T
     raw = ingest.RawSeries(grid=grid, data=data)
     run.emit("series.csv", lambda p: ingest.write_series(raw, p))
@@ -321,8 +304,8 @@ def cmd_truth(args):
     model, _ = _resolve_model(run.config)
     us = _axis(run.config.get("u"), 5, (0.1, 0.9))
     omegas = _omega_axis(run.config)
-    grid = truth_grid(model, us, omegas)
     render = _render_axis(run.config)
+    grid = truth_grid(model, us, omegas)
     run.emit("truth_coeff.csv", lambda p: ingest.write_spectral_grid(grid, p, mode="coeff"))
     run.emit(
         "truth_kernel.csv",
@@ -343,6 +326,7 @@ def cmd_estimate(args):
         basis = model.basis
     else:
         basis = BasisSpec(size=int(run.config.get("basis_size", 15)))
+    render = _render_axis(run.config) if run.config.get("kernel") else None
     projection = ingest.project_to_basis(raw, basis)
     x = projection.coefficients
     T = x.shape[0]
@@ -352,8 +336,7 @@ def cmd_estimate(args):
     omegas = _omega_axis(run.config)
     grid = estimate_grid(x, cfg, T, us, omegas)
     run.emit("estimate_coeff.csv", lambda p: ingest.write_spectral_grid(grid, p, mode="coeff"))
-    if run.config.get("kernel"):
-        render = _render_axis(run.config)
+    if render is not None:
         run.emit(
             "estimate_kernel.csv",
             lambda p: ingest.write_spectral_grid(grid, p, mode="kernel", basis=basis, taus=render),
@@ -383,9 +366,12 @@ def cmd_estimate(args):
     return EXIT_OK
 
 
-def _imse_report(run, model, R):
-    """Paired-seed integrated-squared-error comparison across sample sizes."""
+# Each resolver validates one check's settings and returns its ready call, so
+# every check is resolved before the first output is written.
+
+def _resolve_imse(run, model):
     spec = run.config.get("imse", {})
+    R = _replications("imse", spec.get("replications", run.config.get("replications", 20)))
     t_list = sorted(int(t) for t in spec.get("T_list", (2**9, 2**12)))
     if len(t_list) < 2:
         raise ConfigError("imse check needs at least two sample sizes")
@@ -395,20 +381,27 @@ def _imse_report(run, model, R):
     if not lo < hi:
         raise ConfigError("no common valid band across the requested sample sizes")
     us = _axis(spec.get("u"), 3, (lo, hi))
+    for T in t_list:
+        _check_band(cfgs[T], T, us)
     omegas = _omega_axis(spec if "omega" in spec else run.config)
+    return partial(_imse_report, model, t_list, cfgs, us, omegas, R, run.seed, run.threads)
+
+
+def _imse_report(model, t_list, cfgs, us, omegas, R, seed, workers):
+    """Paired-seed integrated-squared-error comparison across sample sizes."""
     truth = truth_grid(model, us, omegas)
-    seeds = [replication_seed(run.seed, r) for r in range(R)]
+    seeds = [replication_seed(seed, r) for r in range(R)]
     values = {
         T: evaluate.replicate(model, T, seeds, partial(evaluate._imse_task, cfgs[T], T, truth),
-                              workers=run.threads)
+                              workers=workers)
         for T in t_list
     }
     t_lo, t_hi = t_list[0], t_list[-1]
     wins = int(np.sum(values[t_hi] < values[t_lo]))
     need = int(np.ceil(0.9 * R))
-    report = evaluate.McReport(
+    return evaluate.McReport(
         name="imse_consistency",
-        seed=run.seed,
+        seed=seed,
         replications=R,
         quantities={
             **{f"imse_mean_T{T}": float(values[T].mean()) for T in t_list},
@@ -418,11 +411,64 @@ def _imse_report(run, model, R):
         },
         tolerances={"win_fraction": 0.9},
         passes={"direction": wins >= need},
-        notes=[
-            "paired seeds: replication r uses sub-seed (2, r) at every T",
-            f"config_sha256={run.config_hash}",
-        ],
+        notes=["paired seeds: replication r uses sub-seed (2, r) at every T"],
     )
+
+
+def _resolve_estimating(run, model, check):
+    """Bias, covariance or normality check of the smoother at one (T, u)."""
+    spec = run.config.get(check, {})
+    # these checks take sample deviations (ddof=1)
+    R = _replications(check, spec.get("replications", run.config.get("replications", 200)),
+                      least=2)
+    T = int(spec.get("T", run.config.get("T", 2**12)))
+    cfg = _resolve_estimator(run.config, T)
+    u = float(spec.get("u", 0.5))
+    _check_band(cfg, T, [u])
+    common = {"seed": run.seed, "workers": run.threads}
+    if check == "bias":
+        projection = tuple(int(i) for i in spec.get("projection", (0, 0)))
+        if len(projection) != 2 or not all(0 <= i < model.dim for i in projection):
+            raise ConfigError(f"bias projection must be two indices in [0, {model.dim}), "
+                              f"got {list(projection)}")
+        return partial(evaluate.mc_mean_bias, model, cfg, T, u, float(spec.get("omega", 0.0)), R,
+                       projection=projection, **common)
+    if check == "covariance":
+        return partial(evaluate.mc_covariance, model, cfg, T, u,
+                       float(spec.get("omega1", np.pi / 2)), float(spec.get("omega2", np.pi / 4)),
+                       R, **common)
+    return partial(evaluate.mc_normality, model, cfg, T, u, float(spec.get("omega", np.pi / 2)),
+                   R, **common)
+
+
+def _resolve_stationarity(run, model, replications):
+    """Local stationarity diagnostic; ``replications`` is the command's default count."""
+    spec = run.config.get("stationarity", {})
+    return partial(
+        evaluate.local_stationarity_check,
+        model,
+        u=float(spec.get("u", 0.25)),
+        T_list=[int(t) for t in spec.get("T_list", (2**8, 2**10, 2**12))],
+        R=_replications("stationarity", spec.get("replications", replications)),
+        seed=run.seed,
+        workers=run.threads,
+    )
+
+
+_RESOLVERS = {
+    "imse": _resolve_imse,
+    "bias": partial(_resolve_estimating, check="bias"),
+    "covariance": partial(_resolve_estimating, check="covariance"),
+    "normality": partial(_resolve_estimating, check="normality"),
+    "stationarity": partial(_resolve_stationarity, replications=32),
+}
+
+
+def _emit_report(run, check, call):
+    """Run one resolved check and write ``<check>.json``, config hash as last note."""
+    report = call()
+    report.notes.append(f"config_sha256={run.config_hash}")
+    run.emit(f"{check}.json", lambda p: ingest.write_report(report, p))
     return report
 
 
@@ -430,56 +476,15 @@ def cmd_evaluate(args):
     run = Run("evaluate", args, require_config=True)
     model, _ = _resolve_model(run.config)
     checks = run.config.get("checks", ["imse"])
-    known = {"imse", "bias", "covariance", "normality", "stationarity"}
-    bad = [c for c in checks if c not in known]
+    bad = [c for c in checks if c not in _RESOLVERS]
     if bad:
-        raise ConfigError(f"unknown checks {bad}; available: {sorted(known)}")
-    # every check's counts are validated before the first output is written
-    counts = {check: _check_replications(run.config, check) for check in checks}
+        raise ConfigError(f"unknown checks {bad}; available: {sorted(_RESOLVERS)}")
+    calls = [(check, _RESOLVERS[check](run, model)) for check in checks]
     if model.ar:
         _checked_stability(run, model)
     overall = True
-    for check in checks:
-        R = counts[check]
-        if check == "imse":
-            report = _imse_report(run, model, R)
-        elif check == "stationarity":
-            spec = run.config.get("stationarity", {})
-            report = evaluate.local_stationarity_check(
-                model,
-                u=float(spec.get("u", 0.25)),
-                T_list=[int(t) for t in spec.get("T_list", (2**8, 2**10, 2**12))],
-                R=R,
-                seed=run.seed,
-                workers=run.threads,
-            )
-            report.notes.append(f"config_sha256={run.config_hash}")
-        else:
-            spec = run.config.get(check, {})
-            T = int(spec.get("T", run.config.get("T", 2**12)))
-            cfg = _resolve_estimator(run.config, T)
-            u = float(spec.get("u", 0.5))
-            if check == "bias":
-                report = evaluate.mc_mean_bias(
-                    model, cfg, T, u, float(spec.get("omega", 0.0)), R,
-                    seed=run.seed,
-                    projection=tuple(spec.get("projection", (0, 0))),
-                    workers=run.threads,
-                )
-            elif check == "covariance":
-                report = evaluate.mc_covariance(
-                    model, cfg, T, u,
-                    float(spec.get("omega1", np.pi / 2)),
-                    float(spec.get("omega2", np.pi / 4)),
-                    R, seed=run.seed, workers=run.threads,
-                )
-            else:
-                report = evaluate.mc_normality(
-                    model, cfg, T, u, float(spec.get("omega", np.pi / 2)), R,
-                    seed=run.seed, workers=run.threads,
-                )
-            report.notes.append(f"config_sha256={run.config_hash}")
-        run.emit(f"{check}.json", lambda p, rep=report: ingest.write_report(rep, p))
+    for check, call in calls:
+        report = _emit_report(run, check, call)
         print(f"{check}: {'pass' if report.passed else 'FAIL'}")
         overall = overall and report.passed
     run.finish()
@@ -501,13 +506,13 @@ def cmd_reproduce(args):
     else:
         model = far2(size=15)
         slices = [(u, 1.5 - np.cos(np.pi * u)) for u in FAR2_SLICE_US]
+    render = _render_axis(run.config)
     _checked_stability(run, model)
     # Figure presets taper with sqrt-Epanechnikov so the induced time kernel
     # is the same Epanechnikov kernel the frequency smoother uses.
     cfg = EstimatorConfig.auto(T, taper=TaperSpec(name="sqrt_epanechnikov"))
     n = cfg.N
     t0, t_end = 1 - n // 2, T + n // 2
-    render = _render_axis(run.config)
     basis = model.basis
     run.write_json(
         "slices.json",
@@ -563,28 +568,9 @@ def cmd_reproduce(args):
 def cmd_check(args):
     run = Run("check", args, require_config=True)
     model, _ = _resolve_model(run.config)
-    spec = run.config.get("stationarity", {})
-    R = _replications("stationarity", spec.get("replications", 16))
-    report = check_stability(model)
-    run.write_json("stability.json", _stability_payload(report))
-    if not report.passed:
-        run.finish()
-        worst_u, worst_radius = report.worst()
-        print(
-            f"stability: FAIL (radius {worst_radius:.6g} at u = {worst_u:.6g})",
-            file=sys.stderr,
-        )
-        return EXIT_STABILITY
-    stat = evaluate.local_stationarity_check(
-        model,
-        u=float(spec.get("u", 0.25)),
-        T_list=[int(t) for t in spec.get("T_list", (2**8, 2**10, 2**12))],
-        R=R,
-        seed=run.seed,
-        workers=run.threads,
-    )
-    stat.notes.append(f"config_sha256={run.config_hash}")
-    run.emit("stationarity.json", lambda p: ingest.write_report(stat, p))
+    call = _resolve_stationarity(run, model, replications=16)
+    _checked_stability(run, model)
+    stat = _emit_report(run, "stationarity", call)
     run.finish()
     print(f"stability: pass; local stationarity: {'pass' if stat.passed else 'FAIL'}")
     return EXIT_OK if stat.passed else 1
@@ -640,8 +626,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StabilityError as exc:
-        print(f"stability failure: {exc}", file=sys.stderr)
+    except (StabilityError, TransferSingularError) as exc:
+        print(f"stability: FAIL ({exc})", file=sys.stderr)
         return EXIT_STABILITY
     except BoundaryError as exc:
         print(f"boundary error: {exc}", file=sys.stderr)

@@ -99,6 +99,13 @@ CHUNK_ELEMENTS = 600_000
 # 11 MB pass.
 PASS_ELEMENTS = 1_700_000
 
+# Fixed tolerances of the checks; each report records the ones it applies.
+DERIV_STEP = 1e-3  # finite-difference step of the bias check's derivatives
+COVARIANCE_RTOL = 0.25  # relative agreement of a nonzero covariance limit
+NORMALITY_Z = 2.576  # two-sided 1% level of the moment z tests
+NORMALITY_MIN_DOF = 12.0  # below this effective dof normality is informational
+STATIONARITY_SLOPE_TOL = 0.15  # |slope| of log mean P_t^2 against log T
+
 
 def replicate(model, T, seeds, task, workers=1, burn_in=DEFAULT_BURN_IN,
               t_start=1, t_end=None):
@@ -189,8 +196,7 @@ def _second_derivative(fn, x0, step):
     return fine, abs(fine - coarse) / scale
 
 
-def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0),
-                 workers=1, deriv_step=1e-3, burn_in=500):
+def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0), workers=1):
     """Compare the Monte Carlo mean against the smoothed-mean expansion.
 
     The second-order prediction adds (b_t^2 kappa_t d^2_u + b_f^2 kappa_f
@@ -202,7 +208,7 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0),
     """
     m, n = projection
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
-                     partial(_estimate_points, cfg, T, [(u, omega)]), workers, burn_in)
+                     partial(_estimate_points, cfg, T, [(u, omega)]), workers)
     vals = ests[:, 0, m, n]
     mc_mean = complex(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(R))
@@ -214,8 +220,8 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0),
         return true_spectral_density(model, u, ww)[m, n]
 
     truth = proj_u(u)
-    d2u, gap_u = _second_derivative(proj_u, u, deriv_step)
-    d2w, gap_w = _second_derivative(proj_w, omega, deriv_step)
+    d2u, gap_u = _second_derivative(proj_u, u, DERIV_STEP)
+    d2w, gap_w = _second_derivative(proj_w, omega, DERIV_STEP)
     kt = kernel_constants(cfg.taper)
     kf = kernel_constants(cfg.fkernel)
     bt = cfg.b_t(T)
@@ -258,24 +264,24 @@ def predicted_covariance(model, cfg, T, u, omega1, omega2, pair):
 
 
 def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0,
-                  pairs=(((0, 0), (0, 0)),), workers=1, rtol=0.25, burn_in=500):
+                  pairs=(((0, 0), (0, 0)),), workers=1):
     """Scaled covariances of estimator projections against the sharp limit.
 
     For each pair of coefficient projections, compares the sample statistic
     b_t b_f T cov(Z1, Z2) with the predicted limit; when the prediction is
     zero (separated frequencies) the pass criterion is |cov| < 3 SE, else
-    relative agreement within ``rtol``.
+    relative agreement within ``COVARIANCE_RTOL``.
     """
     points = [(u, omega1), (u, omega2)]
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
-                     partial(_estimate_points, cfg, T, points), workers, burn_in)
+                     partial(_estimate_points, cfg, T, points), workers)
     scale = cfg.b_t(T) * cfg.b_f * T
     report = McReport(name="covariance", seed=seed, replications=R)
     report.quantities = {
         "u": u, "omega1": omega1, "omega2": omega2, "T": T,
         "scale": scale, "pairs": [],
     }
-    report.tolerances = {"relative": rtol, "zero_sigma": 3.0}
+    report.tolerances = {"relative": COVARIANCE_RTOL, "zero_sigma": 3.0}
     for pid, pair in enumerate(pairs):
         (m, n), (mm, nn) = pair
         z1 = ests[:, 0, m, n]
@@ -295,7 +301,7 @@ def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0,
             ok = abs(cov) < 3.0 * se
             entry["criterion"] = "zero_within_3se"
         else:
-            ok = abs(cov - pred) < rtol * abs(pred)
+            ok = abs(cov - pred) < COVARIANCE_RTOL * abs(pred)
             entry["criterion"] = "relative"
         report.quantities["pairs"].append(entry)
         report.passes[f"pair_{pid}"] = bool(ok)
@@ -318,30 +324,29 @@ def effective_dof(cfg):
 
 
 def mc_normality(model, cfg, T, u, omega, R, seed=0,
-                 projections=((0, 1), (0, 2), (1, 2)), workers=1,
-                 alpha_z=2.576, burn_in=500, min_dof=12.0):
+                 projections=((0, 1), (0, 2), (1, 2)), workers=1):
     """Gaussianity of centred, scaled estimator projections.
 
-    Applies skewness and excess-kurtosis z tests (two-sided 1% level by
-    default) to the real and imaginary parts of sqrt(b_t b_f T)
-    (proj - mean).  Off-diagonal projections are the default: diagonal
-    entries keep a visible chi-square skew at desk-scale effective degrees
-    of freedom.  When those degrees of freedom fall below ``min_dof`` the
+    Applies skewness and excess-kurtosis z tests (two-sided 1% level) to
+    the real and imaginary parts of sqrt(b_t b_f T) (proj - mean).
+    Off-diagonal projections are the default: diagonal entries keep a
+    visible chi-square skew at desk-scale effective degrees of freedom.
+    When those degrees of freedom fall below ``NORMALITY_MIN_DOF`` the
     outcome is recorded as informational rather than pass/fail.
     """
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
-                     partial(_estimate_points, cfg, T, [(u, omega)]), workers, burn_in)
+                     partial(_estimate_points, cfg, T, [(u, omega)]), workers)
     scale = np.sqrt(cfg.b_t(T) * cfg.b_f * T)
     dof = effective_dof(cfg)
-    informational = dof < min_dof
+    informational = dof < NORMALITY_MIN_DOF
     report = McReport(name="normality", seed=seed, replications=R)
     report.quantities = {
         "u": u, "omega": omega, "T": T, "effective_dof": dof, "projections": [],
     }
-    report.tolerances = {"z_abs": alpha_z}
+    report.tolerances = {"z_abs": NORMALITY_Z}
     if informational:
         report.notes.append(
-            f"effective dof {dof:.1f} below {min_dof}; moments recorded, not enforced"
+            f"effective dof {dof:.1f} below {NORMALITY_MIN_DOF}; moments recorded, not enforced"
         )
     for m, n in projections:
         vals = scale * (ests[:, 0, m, n] - ests[:, 0, m, n].mean())
@@ -353,7 +358,7 @@ def mc_normality(model, cfg, T, u, omega, R, seed=0,
             report.quantities["projections"].append(
                 {"projection": [m, n], "part": part, "z_skew": zs, "z_kurt": zk}
             )
-            ok = max(abs(zs), abs(zk)) < alpha_z
+            ok = max(abs(zs), abs(zk)) < NORMALITY_Z
             report.passes[key] = None if informational else bool(ok)
     return report
 
@@ -423,16 +428,15 @@ def _imse_task(cfg, T, truth, xs, seeds):
     return np.trapezoid(diffsq, truth.omega, axis=-1).mean(axis=-1)
 
 
-def _coupling_ratio_sq(frozen, T, u, burn_in, xs, seeds):
+def _coupling_ratio_sq(frozen, T, u, xs, seeds):
     """Replication task: P_t^2 against the frozen process on the same seeds, shape (c, T)."""
-    ys, _ = _simulate_rows(frozen, T, seeds, burn_in, 1, T)
+    ys, _ = _simulate_rows(frozen, T, seeds, DEFAULT_BURN_IN, 1, T)
     ys -= xs
     denom = np.abs(np.arange(1, T + 1) / T - u) + 1.0 / T
     return (np.linalg.norm(ys, axis=2) / denom) ** 2
 
 
-def local_stationarity_check(model, u, T_list, R, seed=0, burn_in=500,
-                             slope_tol=0.15, workers=1):
+def local_stationarity_check(model, u, T_list, R, seed=0, workers=1):
     """Coupled-process bound behind the locally stationary approximation.
 
     For each T simulates the triangular array and its stationary companion
@@ -440,7 +444,8 @@ def local_stationarity_check(model, u, T_list, R, seed=0, burn_in=500,
     P_t = |X_{t,T} - X_t(u)| / (|t/T - u| + 1/T).  Reports, per T, the
     maximum over t of the replication mean of P_t^2 and its average over t;
     the pass criterion is that the slope of log average versus log T stays
-    within ``slope_tol`` of zero (the second moment is bounded in T).
+    within ``STATIONARITY_SLOPE_TOL`` of zero (the second moment is bounded
+    in T).
     """
     T_list = [int(t) for t in T_list]
     frozen = model.frozen(u)
@@ -448,9 +453,9 @@ def local_stationarity_check(model, u, T_list, R, seed=0, burn_in=500,
     means = []
     maxima = []
     for ti, T in enumerate(T_list):
-        task = partial(_coupling_ratio_sq, frozen, T, u, burn_in)
+        task = partial(_coupling_ratio_sq, frozen, T, u)
         acc = replicate(model, T, [replication_seed(seed, ti, r) for r in range(R)], task,
-                        workers, burn_in).mean(axis=0)
+                        workers).mean(axis=0)
         means.append(float(acc.mean()))
         maxima.append(float(acc.max()))
     slope = float(np.polyfit(np.log(T_list), np.log(means), 1)[0])
@@ -458,6 +463,6 @@ def local_stationarity_check(model, u, T_list, R, seed=0, burn_in=500,
     report.quantities = {
         "u": u, "T": T_list, "mean_p2": means, "max_p2": maxima, "slope": slope,
     }
-    report.tolerances = {"slope_abs": slope_tol}
-    report.passes = {"bounded_second_moment": abs(slope) <= slope_tol}
+    report.tolerances = {"slope_abs": STATIONARITY_SLOPE_TOL}
+    report.passes = {"bounded_second_moment": abs(slope) <= STATIONARITY_SLOPE_TOL}
     return report

@@ -50,6 +50,7 @@ _KEY_INNOV = 1
 _KEY_REPLICATION = 2
 
 DEFAULT_BURN_IN = 500
+MAX_MA_LAGS = 100_000  # lag count at which choose_ma_order gives up
 
 # Operator entries per curve the simulator evaluates at once: inside the time
 # loop every curve is batched over spans of _SPAN_ELEMENTS // K^2 rescaled
@@ -489,7 +490,7 @@ def _ma_tail_estimate(model, coeffs, lags):
     return last * ratio / (1.0 - ratio)
 
 
-def choose_ma_order(model, T, tol=1e-10, max_lags=100000):
+def choose_ma_order(model, T, tol=1e-10):
     """Smallest lag count whose estimated tail falls below ``tol``.
 
     The tail is the heuristic estimate of ``ma_coefficients`` (a geometric
@@ -501,11 +502,11 @@ def choose_ma_order(model, T, tol=1e-10, max_lags=100000):
     """
     anchors = np.array(sorted({1, T // 4, T // 2, (3 * T) // 4, T} - {0}))
     lags = max(4 * model.ar_order + model.ma_order, 8)
-    while lags <= max_lags:
+    while lags <= MAX_MA_LAGS:
         if ma_coefficients(model, anchors, T, lags)[1].max() < tol:
             return lags
         lags *= 2
-    raise RuntimeError(f"no truncation below tol={tol} within {max_lags} lags")
+    raise RuntimeError(f"no truncation below tol={tol} within {MAX_MA_LAGS} lags")
 
 
 def simulate_ma(model, T, innovations, lags, t_start=1, t_end=None, eps_t_start=None):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestSimulate:
             "series.csv", "model.json", "stability.json", "config.json",
         }
         # config is copied verbatim
-        assert (out / "config.json").read_bytes() == open(config, "rb").read()
+        assert (out / "config.json").read_bytes() == Path(config).read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_config(
@@ -236,7 +237,7 @@ class TestEvaluate:
         report = json.loads((out / "imse.json").read_text())
         assert report["passed"] is True
         assert report["quantities"]["wins"] >= report["quantities"]["wins_needed"]
-        config_hash = hashlib.sha256(open(config, "rb").read()).hexdigest()
+        config_hash = hashlib.sha256(Path(config).read_bytes()).hexdigest()
         assert f"config_sha256={config_hash}" in report["notes"]
         small = report["quantities"]["imse_mean_T512"]
         large = report["quantities"]["imse_mean_T4096"]
@@ -388,3 +389,48 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "config error: stationarity check needs at least 1 replications, got 0" in err
         assert not (out / "stability.json").exists()
+
+
+def far1_config(**extra):
+    return {"model": {"preset": "far1", "size": 3}, **extra}
+
+
+def white_series(tmp_path):
+    config = write_config(
+        tmp_path, "white.json", {"model": {"preset": "white", "size": 2}, "render": 8, "T": 256},
+    )
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+    return str(tmp_path / "sim" / "series.csv")
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["simulate"], far1_config(T=64, render=1), 2),
+    (["reproduce", "far1", "--T", "512"], {"render": 1}, 2),
+    (["estimate", None], {"basis_size": 2, "u": [0.5], "kernel": True, "render": 1}, 2),
+    (["evaluate"], far1_config(checks=["imse"], imse={"T_list": [512]}), 2),
+    (["evaluate"], far1_config(checks=["bias"], estimator={"taper": {"name": "nope"}}), 2),
+    (["evaluate"], far1_config(checks=["bias"], bias={"u": 0.01}), 4),
+    (["evaluate"], far1_config(checks=["bias"], bias={"projection": [3, 0]}), 2),
+    (["evaluate"], far1_config(checks=["imse"], imse={"T_list": [256, 512]},
+                               estimator={"segment": 512}), 2),
+], ids=["simulate-render", "reproduce-render", "estimate-render", "imse-one-T",
+        "bias-taper", "bias-band", "bias-projection", "imse-no-common-band"])
+def test_bad_setting_writes_nothing(tmp_path, argv, config, code):
+    argv = [white_series(tmp_path) if a is None else a for a in argv]
+    path = write_config(tmp_path, "bad.json", config)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", path, "--out", str(out)]) == code
+    assert list(out.iterdir()) == []
+
+
+def test_singular_ar_symbol_exits_3(tmp_path, capsys):
+    curve = OperatorCurve(np.array([0.0, 1.0]), np.array([[[1.0]], [[1.0]]]))
+    model = TvFarmaModel(ar=(curve,), innovations=InnovationSpec(np.array([1.0])))
+    config = write_config(
+        tmp_path, "truth.json", {"model": model_document(model), "omega": [0.0, 1.0]},
+    )
+    out = tmp_path / "x"
+    assert cli.main(["truth", "--config", config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stability: FAIL (AR symbol at u=") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
