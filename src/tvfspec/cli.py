@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -82,10 +83,37 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _dump_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(evaluate._jsonify(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+# JSON types of config values; bool is not int here, so true is no count
+_KINDS = {"an integer": (int,), "a number": (int, float), "a string": (str,),
+          "a boolean": (bool,), "an object": (dict,),
+          "a number, list or object": (int, float, list, dict)}
+
+
+def _get(config, path, kind, default=None, many=False):
+    """Config value at the dotted JSON ``path``, or ``default`` when absent.
+
+    The value must be ``kind`` (a list of ``kind`` with ``many``) and each
+    section on the path an object; any other JSON type is a config error
+    that names the path.  Numbers come back as floats.
+    """
+    outer, _, key = path.rpartition(".")
+    if outer:
+        config = _get(config, outer, "an object", {})
+    if key not in config:
+        return default
+    value = config[key]
+    if many and type(value) is not list:
+        raise ConfigError(f"{path} must be a list, got {value!r}")
+    for name, item in ([(f"{path}[{i}]", v) for i, v in enumerate(value)] if many
+                       else [(path, value)]):
+        if type(item) not in _KINDS[kind]:
+            raise ConfigError(f"{name} must be {kind}, got {item!r}")
+    return float(value) if kind == "a number" and not many else value
+
+
+def _own(config, check, key):
+    """Path of a check's setting: in the check's own section if set there, else top level."""
+    return f"{check}.{key}" if key in _get(config, check, "an object", {}) else key
 
 
 class Run:
@@ -108,11 +136,13 @@ class Run:
                 raise ConfigError("config must be a JSON object")
         elif require_config:
             raise ConfigError(f"{command} requires --config")
-        self.seed = args.seed if args.seed is not None else int(self.config.get("seed", 0))
+        self.seed = _get(self.config, "seed", "an integer", 0) if args.seed is None else args.seed
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         self.threads = args.threads
-        out = args.out or self.config.get("out") or f"tvfspec-{command}"
+        out = args.out or _get(self.config, "out", "a string") or f"tvfspec-{command}"
         os.makedirs(out, exist_ok=True)
         self.out = out
         self.inputs = {}
@@ -125,8 +155,7 @@ class Run:
         self.inputs[str(path)] = _sha256(path)
 
     def write_json(self, name, payload):
-        _dump_json(payload, self.path(name))
-        self.outputs.append(name)
+        self.emit(name, partial(ingest.write_json, payload))
 
     def emit(self, name, writer):
         """Write one output file through ``writer(path)`` and track it."""
@@ -149,7 +178,7 @@ class Run:
         }
         if extra:
             manifest.update(extra)
-        _dump_json(manifest, self.path("manifest.json"))
+        ingest.write_json(manifest, self.path("manifest.json"))
 
     @property
     def config_hash(self):
@@ -158,48 +187,45 @@ class Run:
 
 def _resolve_model(config):
     """Model from a preset name, a document path, or an inline document."""
-    spec = config.get("model")
+    spec = _get(config, "model", "an object")
     if spec is None:
         raise ConfigError("config needs a 'model' entry (preset, path, or document)")
-    if not isinstance(spec, dict):
-        raise ConfigError("'model' must be a JSON object")
     if "preset" in spec:
         name = spec["preset"]
-        size = int(spec.get("size", 15))
-        if name == "far1":
-            kwargs = {k: spec[k] for k in ("eta", "decay", "knots") if k in spec}
-            return far1(size=size, seed=int(spec.get("seed", 0)), **kwargs), spec.get("seed", 0)
-        if name == "far2":
-            kwargs = {k: spec[k] for k in ("knots",) if k in spec}
-            return far2(size=size, seed=int(spec.get("seed", 1)), **kwargs), spec.get("seed", 1)
+        size = _get(config, "model.size", "an integer", 15)
+        if name in ("far1", "far2"):
+            build, seed = (far1, 0) if name == "far1" else (far2, 1)
+            keys = ("eta", "decay", "knots") if name == "far1" else ("knots",)
+            kwargs = {k: _get(config, f"model.{k}", "an integer" if k == "knots" else "a number")
+                      for k in keys if k in spec}
+            seed = _get(config, "model.seed", "an integer", seed)
+            return build(size=size, seed=seed, **kwargs), seed
         if name == "white":
-            sigma = np.asarray(spec.get("sigma", np.ones(size)), dtype=float)
-            return TvFarmaModel(innovations=InnovationSpec(sigma)), None
+            sigma = _get(config, "model.sigma", "a number", np.ones(size), many=True)
+            return TvFarmaModel(innovations=InnovationSpec(np.asarray(sigma, dtype=float))), None
         raise ConfigError(f"unknown model preset {name!r}")
     if "path" in spec:
+        path = _get(config, "model.path", "a string")
         try:
-            return ingest.read_model(spec["path"])
+            return ingest.read_model(path)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load model {spec['path']}: {exc}") from exc
+            raise ConfigError(f"cannot load model {path}: {exc}") from exc
     try:
         return ingest.model_from_document(spec)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad inline model document: {exc}") from exc
 
 
 def _resolve_estimator(config, T):
-    spec = config.get("estimator", "auto")
-    if spec == "auto":
-        spec = {}
-    if not isinstance(spec, dict):
-        raise ConfigError("'estimator' must be \"auto\" or a JSON object")
+    if config.get("estimator") == "auto":
+        config = {}  # every estimator setting at its default
     try:
-        taper = TaperSpec(**(spec.get("taper") or {}))
-        fkernel = FreqKernelSpec(**(spec.get("kernel") or {}))
+        taper = TaperSpec(**_get(config, "estimator.taper", "an object", {}))
+        fkernel = FreqKernelSpec(**_get(config, "estimator.kernel", "an object", {}))
         auto = EstimatorConfig.auto(T, taper=taper, fkernel=fkernel)
         return EstimatorConfig(
-            N=int(spec.get("segment", auto.N)),
-            b_f=float(spec.get("half_width", auto.b_f)),
+            N=_get(config, "estimator.segment", "an integer", auto.N),
+            b_f=_get(config, "estimator.half_width", "a number", auto.b_f),
             taper=taper,
             fkernel=fkernel,
         )
@@ -213,80 +239,61 @@ def _check_band(cfg, T, us):
         _segment_start(T, float(u), cfg, T, 1)
 
 
-def _axis(spec, default_count, span):
-    """Resolve a grid axis: explicit list, single number, or {"count": n}."""
-    if spec is None:
-        spec = {"count": default_count}
-    if isinstance(spec, dict):
-        count = int(spec.get("count", default_count))
-        if count < 1:
-            raise ConfigError("axis count must be positive")
-        lo, hi = span
-        return np.linspace(lo, hi, count)
-    arr = np.atleast_1d(np.asarray(spec, dtype=float))
-    return arr
+def _axis(config, path, default, grid, least=1, points=True):
+    """Grid axis at ``path``: ``grid(count)`` for a count, else explicit points.
 
-
-def _omega_axis(config, default_count=64):
-    spec = config.get("omega")
-    if spec is None or isinstance(spec, dict):
-        count = int(spec.get("count", default_count)) if isinstance(spec, dict) else default_count
-        return fourier_frequencies(count)
-    return np.atleast_1d(np.asarray(spec, dtype=float))
+    Absent means ``default`` points.  A count is {"count": n}, or the bare
+    integer n on an axis without explicit ``points`` (the render axis), and
+    must be at least ``least``; explicit points are one number or a list.
+    """
+    spec = _get(config, path, "a number, list or object" if points else "an integer")
+    if points and type(spec) in (int, float, list):
+        values = _get(config, path, "a number", many=type(spec) is list)
+        return np.atleast_1d(np.asarray(values, dtype=float))
+    count = spec if type(spec) is int else _get(config, f"{path}.count", "an integer", default)
+    if count < least:
+        raise ConfigError(f"{path} count must be at least {least}")
+    return grid(count)
 
 
 def _render_axis(config):
-    count = int(config.get("render", 64))
-    if count < 2:
-        raise ConfigError("render count must be at least 2")
-    return ingest.render_grid(count)
+    return _axis(config, "render", 64, ingest.render_grid, least=2, points=False)
 
 
-def _required_T(run, args):
-    T = args.T if args.T is not None else run.config.get("T")
-    if T is None:
-        raise ConfigError("sample size T required (config 'T' or --T)")
-    T = int(T)
-    if T < 1:
-        raise ConfigError("T must be positive")
-    return T
-
-
-def _replications(check, value, least=1):
+def _replications(check, count, least=1):
     """Replication count of one Monte Carlo check, at least ``least``."""
-    count = int(value)
     if count < least:
         raise ConfigError(f"{check} check needs at least {least} replications, got {count}")
     return count
 
 
-def _stability_payload(report):
-    worst_u, worst_radius = report.worst()
-    return {
-        "passed": report.passed,
-        "delta": report.delta,
-        "u": report.u,
-        "radii": report.radii,
-        "norm_sums": report.norm_sums,
-        "worst_u": worst_u,
-        "worst_radius": worst_radius,
-    }
-
-
 def _checked_stability(run, model):
     """Write ``stability.json``; on failure finish the run and raise."""
     report = check_stability(model)
-    run.write_json("stability.json", _stability_payload(report))
+    worst_u, worst_radius = report.worst()
+    run.write_json("stability.json", {**asdict(report), "passed": report.passed,
+                                      "worst_u": worst_u, "worst_radius": worst_radius})
     if not report.passed:
-        worst_u, worst_radius = report.worst()
         run.finish()
         raise StabilityError(f"radius {worst_radius:.6g} at u = {worst_u:.6g}")
+
+
+def _emit_grid(run, stem, grid, basis, render):
+    """Write ``<stem>_coeff.csv`` and, given a render axis, ``<stem>_kernel.csv``."""
+    run.emit(f"{stem}_coeff.csv", partial(ingest.write_spectral_grid, grid, mode="coeff"))
+    if render is not None:
+        run.emit(f"{stem}_kernel.csv", partial(ingest.write_spectral_grid, grid, mode="kernel",
+                                               basis=basis, taus=render))
 
 
 def cmd_simulate(args):
     run = Run("simulate", args, require_config=True)
     model, model_seed = _resolve_model(run.config)
-    T = _required_T(run, args)
+    T = args.T if args.T is not None else _get(run.config, "T", "an integer")
+    if T is None:
+        raise ConfigError("sample size T required (config 'T' or --T)")
+    if T < 1:
+        raise ConfigError("T must be positive")
     grid = _render_axis(run.config)
     if model.ar:
         _checked_stability(run, model)
@@ -302,17 +309,10 @@ def cmd_simulate(args):
 def cmd_truth(args):
     run = Run("truth", args, require_config=True)
     model, _ = _resolve_model(run.config)
-    us = _axis(run.config.get("u"), 5, (0.1, 0.9))
-    omegas = _omega_axis(run.config)
+    us = _axis(run.config, "u", 5, partial(np.linspace, 0.1, 0.9))
+    omegas = _axis(run.config, "omega", 64, fourier_frequencies)
     render = _render_axis(run.config)
-    grid = truth_grid(model, us, omegas)
-    run.emit("truth_coeff.csv", lambda p: ingest.write_spectral_grid(grid, p, mode="coeff"))
-    run.emit(
-        "truth_kernel.csv",
-        lambda p: ingest.write_spectral_grid(
-            grid, p, mode="kernel", basis=model.basis, taus=render
-        ),
-    )
+    _emit_grid(run, "truth", truth_grid(model, us, omegas), model.basis, render)
     run.finish(extra={"u_count": us.size, "omega_count": omegas.size})
     return EXIT_OK
 
@@ -325,26 +325,20 @@ def cmd_estimate(args):
         model, _ = _resolve_model(run.config)
         basis = model.basis
     else:
-        basis = BasisSpec(size=int(run.config.get("basis_size", 15)))
-    render = _render_axis(run.config) if run.config.get("kernel") else None
+        basis = BasisSpec(size=_get(run.config, "basis_size", "an integer", 15))
+    render = _render_axis(run.config) if _get(run.config, "kernel", "a boolean") else None
     projection = ingest.project_to_basis(raw, basis)
     x = projection.coefficients
     T = x.shape[0]
     cfg = _resolve_estimator(run.config, T)
     lo, hi = cfg.valid_band(T)
-    us = _axis(run.config.get("u"), 5, (lo, hi))
-    omegas = _omega_axis(run.config)
+    us = _axis(run.config, "u", 5, partial(np.linspace, lo, hi))
+    omegas = _axis(run.config, "omega", 64, fourier_frequencies)
     grid = estimate_grid(x, cfg, T, us, omegas)
-    run.emit("estimate_coeff.csv", lambda p: ingest.write_spectral_grid(grid, p, mode="coeff"))
-    if render is not None:
-        run.emit(
-            "estimate_kernel.csv",
-            lambda p: ingest.write_spectral_grid(grid, p, mode="kernel", basis=basis, taus=render),
-        )
-    herm = float(
-        max(np.abs(grid.values - np.conj(np.swapaxes(grid.values, -1, -2))).max(), 0.0)
-    )
-    eigs = np.linalg.eigvalsh(0.5 * (grid.values + np.conj(np.swapaxes(grid.values, -1, -2))))
+    _emit_grid(run, "estimate", grid, basis, render)
+    adjoint = np.conj(np.swapaxes(grid.values, -1, -2))
+    herm = float(np.abs(grid.values - adjoint).max())
+    eigs = np.linalg.eigvalsh(0.5 * (grid.values + adjoint))
     scale = float(np.abs(eigs).max())
     min_eig = float(eigs.min())
     traces = np.einsum("uwkk->uw", grid.values).real
@@ -370,20 +364,21 @@ def cmd_estimate(args):
 # every check is resolved before the first output is written.
 
 def _resolve_imse(run, model):
-    spec = run.config.get("imse", {})
-    R = _replications("imse", spec.get("replications", run.config.get("replications", 20)))
-    t_list = sorted(int(t) for t in spec.get("T_list", (2**9, 2**12)))
+    config = run.config
+    R = _replications("imse", _get(config, _own(config, "imse", "replications"), "an integer",
+                                   20))
+    t_list = sorted(_get(config, "imse.T_list", "an integer", [2**9, 2**12], many=True))
     if len(t_list) < 2:
         raise ConfigError("imse check needs at least two sample sizes")
-    cfgs = {T: _resolve_estimator(run.config, T) for T in t_list}
+    cfgs = {T: _resolve_estimator(config, T) for T in t_list}
     lo = max(cfgs[T].valid_band(T)[0] for T in t_list)
     hi = min(cfgs[T].valid_band(T)[1] for T in t_list)
     if not lo < hi:
         raise ConfigError("no common valid band across the requested sample sizes")
-    us = _axis(spec.get("u"), 3, (lo, hi))
+    us = _axis(config, "imse.u", 3, partial(np.linspace, lo, hi))
     for T in t_list:
         _check_band(cfgs[T], T, us)
-    omegas = _omega_axis(spec if "omega" in spec else run.config)
+    omegas = _axis(config, _own(config, "imse", "omega"), 64, fourier_frequencies)
     return partial(_imse_report, model, t_list, cfgs, us, omegas, R, run.seed, run.threads)
 
 
@@ -417,39 +412,41 @@ def _imse_report(model, t_list, cfgs, us, omegas, R, seed, workers):
 
 def _resolve_estimating(run, model, check):
     """Bias, covariance or normality check of the smoother at one (T, u)."""
-    spec = run.config.get(check, {})
+    config = run.config
     # these checks take sample deviations (ddof=1)
-    R = _replications(check, spec.get("replications", run.config.get("replications", 200)),
+    R = _replications(check, _get(config, _own(config, check, "replications"), "an integer", 200),
                       least=2)
-    T = int(spec.get("T", run.config.get("T", 2**12)))
-    cfg = _resolve_estimator(run.config, T)
-    u = float(spec.get("u", 0.5))
+    T = _get(config, _own(config, check, "T"), "an integer", 2**12)
+    cfg = _resolve_estimator(config, T)
+    number = partial(_get, config, kind="a number")
+    u = number(f"{check}.u", default=0.5)
     _check_band(cfg, T, [u])
     common = {"seed": run.seed, "workers": run.threads}
     if check == "bias":
-        projection = tuple(int(i) for i in spec.get("projection", (0, 0)))
+        projection = tuple(_get(config, "bias.projection", "an integer", (0, 0), many=True))
         if len(projection) != 2 or not all(0 <= i < model.dim for i in projection):
             raise ConfigError(f"bias projection must be two indices in [0, {model.dim}), "
                               f"got {list(projection)}")
-        return partial(evaluate.mc_mean_bias, model, cfg, T, u, float(spec.get("omega", 0.0)), R,
-                       projection=projection, **common)
+        return partial(evaluate.mc_mean_bias, model, cfg, T, u, number("bias.omega", default=0.0),
+                       R, projection=projection, **common)
     if check == "covariance":
         return partial(evaluate.mc_covariance, model, cfg, T, u,
-                       float(spec.get("omega1", np.pi / 2)), float(spec.get("omega2", np.pi / 4)),
-                       R, **common)
-    return partial(evaluate.mc_normality, model, cfg, T, u, float(spec.get("omega", np.pi / 2)),
-                   R, **common)
+                       number("covariance.omega1", default=np.pi / 2),
+                       number("covariance.omega2", default=np.pi / 4), R, **common)
+    return partial(evaluate.mc_normality, model, cfg, T, u,
+                   number("normality.omega", default=np.pi / 2), R, **common)
 
 
 def _resolve_stationarity(run, model, replications):
     """Local stationarity diagnostic; ``replications`` is the command's default count."""
-    spec = run.config.get("stationarity", {})
+    config = run.config
     return partial(
         evaluate.local_stationarity_check,
         model,
-        u=float(spec.get("u", 0.25)),
-        T_list=[int(t) for t in spec.get("T_list", (2**8, 2**10, 2**12))],
-        R=_replications("stationarity", spec.get("replications", replications)),
+        u=_get(config, "stationarity.u", "a number", 0.25),
+        T_list=_get(config, "stationarity.T_list", "an integer", [2**8, 2**10, 2**12], many=True),
+        R=_replications("stationarity",
+                        _get(config, "stationarity.replications", "an integer", replications)),
         seed=run.seed,
         workers=run.threads,
     )
@@ -475,7 +472,7 @@ def _emit_report(run, check, call):
 def cmd_evaluate(args):
     run = Run("evaluate", args, require_config=True)
     model, _ = _resolve_model(run.config)
-    checks = run.config.get("checks", ["imse"])
+    checks = _get(run.config, "checks", "a string", ["imse"], many=True)
     bad = [c for c in checks if c not in _RESOLVERS]
     if bad:
         raise ConfigError(f"unknown checks {bad}; available: {sorted(_RESOLVERS)}")
@@ -493,7 +490,7 @@ def cmd_evaluate(args):
 
 def cmd_reproduce(args):
     run = Run("reproduce", args)
-    T = args.T if args.T is not None else int(run.config.get("T", 2**9))
+    T = args.T if args.T is not None else _get(run.config, "T", "an integer", 2**9)
     if T not in REPRODUCE_LENGTHS:
         raise ConfigError(
             f"reproduce supports T in {REPRODUCE_LENGTHS}, got {T}"

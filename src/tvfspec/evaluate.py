@@ -17,14 +17,14 @@ whole chunk at once.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .estimator import _smoothed_rows, _smoothing_band, kernel_constants
+from .ingest import write_json
 from .model import DEFAULT_BURN_IN, _require_stable, _simulate_rows, replication_seed
 from .spectrum import SpectralGrid, TWO_PI, true_spectral_density
 
@@ -50,37 +50,12 @@ class McReport:
     def passed(self):
         return all(v for v in self.passes.values() if v is not None)
 
+    def document(self):
+        """JSON-ready dict of the report: its fields and ``passed``."""
+        return {**asdict(self), "passed": self.passed}
+
     def to_json(self):
-        payload = {
-            "name": self.name,
-            "seed": self.seed,
-            "replications": self.replications,
-            "quantities": self.quantities,
-            "tolerances": self.tolerances,
-            "passes": self.passes,
-            "notes": self.notes,
-            "passed": self.passed,
-        }
-        return json.dumps(_jsonify(payload), sort_keys=True, indent=2, allow_nan=False)
-
-
-def _jsonify(obj):
-    """Recursively coerce report payloads to plain JSON types.
-
-    Non-finite floats become the strings "NaN", "Infinity" and "-Infinity",
-    which keeps the output valid JSON.
-    """
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _jsonify(_cnum(obj))
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
-    return obj
+        return write_json(self.document())
 
 
 def _cnum(z):
@@ -106,18 +81,21 @@ NORMALITY_Z = 2.576  # two-sided 1% level of the moment z tests
 NORMALITY_MIN_DOF = 12.0  # below this effective dof normality is informational
 STATIONARITY_SLOPE_TOL = 0.15  # |slope| of log mean P_t^2 against log T
 
+# Coefficient projections (m, n) of the covariance and normality checks
+COVARIANCE_PAIRS = (((0, 0), (0, 0)),)
+NORMALITY_PROJECTIONS = ((0, 1), (0, 2), (1, 2))
 
-def replicate(model, T, seeds, task, workers=1, burn_in=DEFAULT_BURN_IN,
-              t_start=1, t_end=None):
+
+def replicate(model, T, seeds, task, workers=1, t_start=1, t_end=None):
     """Concatenated ``task(xs, chunk)`` over consecutive chunks of ``seeds``.
 
     Each chunk of c seeds is handed to ``task`` as one (c, n, K) stack ``xs``
-    whose row r is ``simulate(model, T, seed=chunk[r], burn_in=burn_in,
-    t_start=t_start, t_end=t_end, check=False)`` bit for bit; ``task``
-    returns a stack of c results in chunk order, so the output has one row
-    per seed, in seed order.  Chunks hold at most ``CHUNK_ELEMENTS``
-    simulated elements c (burn_in + n) K (at least one replication), and
-    their boundaries do not depend on ``workers``.
+    whose row r is ``simulate(model, T, seed=chunk[r], t_start=t_start,
+    t_end=t_end, check=False)`` bit for bit; ``task`` returns a stack of c
+    results in chunk order, so the output has one row per seed, in seed
+    order.  Chunks hold at most ``CHUNK_ELEMENTS`` simulated elements
+    c (DEFAULT_BURN_IN + n) K (at least one replication), and their
+    boundaries do not depend on ``workers``.
 
     Runs of consecutive chunks are simulated as one pass, one time loop for
     all their rows, and each pass is sliced back into its chunks for
@@ -131,7 +109,7 @@ def replicate(model, T, seeds, task, workers=1, burn_in=DEFAULT_BURN_IN,
     """
     if t_end is None:
         t_end = T
-    per_rep = (burn_in + t_end - t_start + 1) * model.dim
+    per_rep = (DEFAULT_BURN_IN + t_end - t_start + 1) * model.dim
     size = max(1, CHUNK_ELEMENTS // per_rep)
     chunks = [list(seeds[i:i + size]) for i in range(0, len(seeds), size)]
     width = max(1, min(PASS_ELEMENTS // (size * per_rep),
@@ -141,7 +119,7 @@ def replicate(model, T, seeds, task, workers=1, burn_in=DEFAULT_BURN_IN,
     # final chunk then shares a pass): [8], [8, 4] for two workers
     edges = [p * len(chunks) // count for p in range(count + 1)]
     passes = [chunks[a:b] for a, b in zip(edges, edges[1:])]
-    one = partial(_simulate_then, model, T, task, burn_in, t_start, t_end)
+    one = partial(_simulate_then, model, T, task, t_start, t_end)
     workers = min(workers, len(passes))
     if workers > 1:
         # imported only here: loading the pool machinery (multiprocessing,
@@ -155,10 +133,10 @@ def replicate(model, T, seeds, task, workers=1, burn_in=DEFAULT_BURN_IN,
     return np.concatenate([out for outs in results for out in outs])
 
 
-def _simulate_then(model, T, task, burn_in, t_start, t_end, chunks):
+def _simulate_then(model, T, task, t_start, t_end, chunks):
     """``task`` over each chunk of one pass, simulated in one time loop."""
     xs, _ = _simulate_rows(model, T, [seed for chunk in chunks for seed in chunk],
-                           burn_in, t_start, t_end)
+                           DEFAULT_BURN_IN, t_start, t_end)
     outs = []
     start = 0
     for chunk in chunks:
@@ -263,14 +241,14 @@ def predicted_covariance(model, cfg, T, u, omega1, omega2, pair):
     return lead * (term1 + term2)
 
 
-def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0,
-                  pairs=(((0, 0), (0, 0)),), workers=1):
+def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0, workers=1):
     """Scaled covariances of estimator projections against the sharp limit.
 
-    For each pair of coefficient projections, compares the sample statistic
-    b_t b_f T cov(Z1, Z2) with the predicted limit; when the prediction is
-    zero (separated frequencies) the pass criterion is |cov| < 3 SE, else
-    relative agreement within ``COVARIANCE_RTOL``.
+    For each pair of coefficient projections in ``COVARIANCE_PAIRS``,
+    compares the sample statistic b_t b_f T cov(Z1, Z2) with the predicted
+    limit; when the prediction is zero (separated frequencies) the pass
+    criterion is |cov| < 3 SE, else relative agreement within
+    ``COVARIANCE_RTOL``.
     """
     points = [(u, omega1), (u, omega2)]
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
@@ -282,7 +260,7 @@ def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0,
         "scale": scale, "pairs": [],
     }
     report.tolerances = {"relative": COVARIANCE_RTOL, "zero_sigma": 3.0}
-    for pid, pair in enumerate(pairs):
+    for pid, pair in enumerate(COVARIANCE_PAIRS):
         (m, n), (mm, nn) = pair
         z1 = ests[:, 0, m, n]
         z2 = ests[:, 1, mm, nn]
@@ -323,13 +301,12 @@ def effective_dof(cfg):
     return 2.0 * cfg.b_f * cfg.N / (TWO_PI * kf.l2 * kt.l2)
 
 
-def mc_normality(model, cfg, T, u, omega, R, seed=0,
-                 projections=((0, 1), (0, 2), (1, 2)), workers=1):
+def mc_normality(model, cfg, T, u, omega, R, seed=0, workers=1):
     """Gaussianity of centred, scaled estimator projections.
 
     Applies skewness and excess-kurtosis z tests (two-sided 1% level) to
     the real and imaginary parts of sqrt(b_t b_f T) (proj - mean).
-    Off-diagonal projections are the default: diagonal entries keep a
+    ``NORMALITY_PROJECTIONS`` are off-diagonal: diagonal entries keep a
     visible chi-square skew at desk-scale effective degrees of freedom.
     When those degrees of freedom fall below ``NORMALITY_MIN_DOF`` the
     outcome is recorded as informational rather than pass/fail.
@@ -348,7 +325,7 @@ def mc_normality(model, cfg, T, u, omega, R, seed=0,
         report.notes.append(
             f"effective dof {dof:.1f} below {NORMALITY_MIN_DOF}; moments recorded, not enforced"
         )
-    for m, n in projections:
+    for m, n in NORMALITY_PROJECTIONS:
         vals = scale * (ests[:, 0, m, n] - ests[:, 0, m, n].mean())
         for part, arr in (("re", vals.real), ("im", vals.imag)):
             if np.std(arr) < 1e-14:

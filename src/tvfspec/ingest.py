@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,35 +267,60 @@ def write_series(raw, path):
         _write_rows(fh, raw.data)
 
 
-def _numeric_row(path, number, line, width=None):
-    parts = line.split(",")
-    if width is not None and len(parts) != width:
-        raise ParseError(path, number, f"expected {width} fields, got {len(parts)}")
+def _lines(path, header, meta=False):
+    """The file's lines minus trailing empty ones; checks its header and ``meta`` line 2."""
+    with open(path) as fh:
+        text = fh.read().rstrip("\n")
+    if not text:
+        raise ParseError(path, 1, "empty file, expected a header line")
+    lines = text.split("\n")
+    if lines[0].strip() != header:
+        raise ParseError(path, 1, f"expected header {header!r}")
+    if meta and (len(lines) < 2 or not lines[1].startswith("#")):
+        raise ParseError(path, 2, "missing metadata line")
+    return lines
+
+
+def _table(path, lines, start, width=None):
+    """Rows ``lines[start:]`` as one (rows, width) float64 array, parsed in one numpy call.
+
+    ``width`` defaults to the first row's field count.  Only if that call
+    fails are the rows scanned one by one, with the same (numpy's) number
+    syntax, to name the first line with a wrong field count or a bad number.
+    """
+    rows = lines[start:]
+    if not rows:
+        return np.empty((0, width))  # np.loadtxt warns on empty input
+    if width is None:
+        width = rows[0].count(",") + 1
     try:
-        return np.array([float(p) for p in parts])
+        # comments=None: a "#" inside a data row is an error, not a comment
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if table.shape == (len(rows), width):  # np.loadtxt skips blank lines
+            return table
     except ValueError:
-        raise ParseError(path, number, f"non-numeric field in {line!r}") from None
+        pass
+    for number, line in enumerate(rows, start=start + 1):
+        fields = line.count(",") + 1
+        if fields != width:
+            raise ParseError(path, number, f"expected {width} fields, got {fields}")
+        try:
+            if line and np.loadtxt([line], delimiter=",", comments=None).size == width:
+                continue
+        except ValueError:
+            pass
+        raise ParseError(path, number, f"non-numeric field in {line!r}")
+    raise AssertionError("np.loadtxt rejected rows that parse one by one")
 
 
 def read_series(path):
     """Parse a series file back into a ``RawSeries``; errors name the line."""
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ParseError(path, 1, "empty file, expected a header line")
-    if lines[0].strip() != SERIES_HEADER:
-        raise ParseError(path, 1, f"expected header {SERIES_HEADER!r}")
+    lines = _lines(path, SERIES_HEADER)
     if len(lines) < 3:
         raise ParseError(path, len(lines) + 1, "missing grid or data rows")
-    grid = _numeric_row(path, 2, lines[1])
-    rows = [
-        _numeric_row(path, number, line, width=grid.size)
-        for number, line in enumerate(lines[2:], start=3)
-    ]
+    table = _table(path, lines, 1)
     try:
-        return RawSeries(grid=grid, data=np.vstack(rows))
+        return RawSeries(grid=table[0], data=table[1:])
     except ValueError as exc:
         raise ParseError(path, 2, str(exc)) from None
 
@@ -319,15 +345,14 @@ def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None, kernels
     """
     if mode not in GRID_HEADERS:
         raise ValueError(f"unknown grid mode {mode!r}")
-    if mode == "kernel":
-        if basis is None:
-            basis = BasisSpec(size=grid.values.shape[-1])
-        taus = render_grid() if taus is None else np.asarray(taus, dtype=float)
     dim = grid.values.shape[-1]
     if mode == "coeff":
-        lead = _grid_rows(tuple(range(dim)), tuple(range(dim)))
+        axis = tuple(range(dim))
     else:
-        lead = _grid_rows(tuple(taus.tolist()), tuple(taus.tolist()))
+        basis = BasisSpec(size=dim) if basis is None else basis
+        taus = render_grid() if taus is None else np.asarray(taus, dtype=float)
+        axis = tuple(taus.tolist())
+    lead = _grid_rows(axis, axis)
     with open(path, "wb") as fh:
         fh.write(
             f"{GRID_HEADERS[mode]}\n# u {grid.u.size} omega {grid.omega.size} dim {dim} "
@@ -350,34 +375,23 @@ def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None, kernels
                 _write_rows(fh, values, lead, prefix=f"{_FLOAT % u},{_FLOAT % omega},".encode())
 
 
-def _grid_meta(path, line):
-    parts = line.lstrip("# ").split()
-    # layout: u <nu> omega <nw> dim <K> provenance <name>
-    try:
-        meta = dict(zip(parts[0::2], parts[1::2]))
-        return int(meta["u"]), int(meta["omega"]), int(meta["dim"]), meta["provenance"]
-    except (KeyError, ValueError, IndexError):
-        raise ParseError(path, line=2, reason=f"bad metadata line {line!r}") from None
-
-
 def read_spectral_grid(path):
     """Read a coeff-layout grid file back into a ``SpectralGrid``.
 
-    The data rows are parsed in one numpy call and their order and u/omega
-    columns checked as arrays; only rows that fail either are rescanned one
-    by one, so every error names its first bad line.
+    The data rows are parsed in one numpy call, then their order and u/omega
+    columns are checked as arrays; every error names its first bad line.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ParseError(path, 1, "empty file, expected a header line")
-    if lines[0].strip() != GRID_HEADERS["coeff"]:
-        raise ParseError(path, 1, f"expected header {GRID_HEADERS['coeff']!r}")
-    if len(lines) < 2 or not lines[1].startswith("#"):
-        raise ParseError(path, 2, "missing metadata line")
-    nu, nw, dim, provenance = _grid_meta(path, lines[1])
+    lines = _lines(path, GRID_HEADERS["coeff"], meta=True)
+    # layout: u <nu> omega <nw> dim <K> provenance <name>
+    parts = lines[1].lstrip("# ").split()
+    try:
+        meta = dict(zip(parts[0::2], parts[1::2]))
+        nu, nw, dim = (int(meta[key]) for key in ("u", "omega", "dim"))
+        provenance = meta["provenance"]
+    except (KeyError, ValueError):
+        nu = nw = dim = 0
+    if min(nu, nw, dim) < 1:
+        raise ParseError(path, 2, f"bad metadata line {lines[1]!r}")
     if provenance not in PROVENANCES:
         raise ParseError(path, 2, f"unknown provenance {provenance!r}")
     expected = nu * nw * dim * dim
@@ -385,79 +399,37 @@ def read_spectral_grid(path):
         raise ParseError(
             path, len(lines), f"expected {expected} data rows, got {len(lines) - 2}"
         )
-    block = _parse_grid_block(lines[2:], nu, nw, dim)
-    if block is None:
-        block = _parse_grid_rows(path, lines[2:], nu, nw, dim)
-    return SpectralGrid(*block, provenance=provenance)
-
-
-def _parse_grid_block(rows, nu, nw, dim):
-    """(u, omega, values) parsed in one call, or None if any row needs a closer look."""
-    if not rows:
-        return None  # np.loadtxt warns on empty input; the row scan needs no parse
-    try:
-        # comments=None: a "#" inside a data row is an error, not a comment
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape != (len(rows), 6):
-        return None
-    table = table.reshape(nu, nw, dim, dim, 6)
-    index = np.arange(dim)
+    table = _table(path, lines, 2, width=6)
+    blocks = table.reshape(nu, nw, dim, dim, 6)
     # the first row of each u block fixes u, the first u block fixes omega
-    u = table[:, 0, 0, 0, 0]
-    omega = table[0, :, 0, 0, 1]
-    if not (np.all(table[..., 2] == index[:, None]) and np.all(table[..., 3] == index)
-            and np.all(table[..., 0] == u[:, None, None, None])
-            and np.all(table[..., 1] == omega[:, None, None])):
-        return None
+    u = blocks[:, 0, 0, 0, 0].copy()
+    omega = blocks[0, :, 0, 0, 1].copy()
+    index = np.arange(dim)
+    disorder = (blocks[..., 2] != index[:, None]) | (blocks[..., 3] != index)
+    off_u = blocks[..., 0] != u[:, None, None, None]
+    off_omega = blocks[..., 1] != omega[:, None, None]
+    off_u[:, 0, 0, 0] = off_omega[0, :, 0, 0] = False  # a NaN that fixes its axis
+    bad = np.flatnonzero(disorder | off_u | off_omega)
+    if bad.size:
+        row = int(bad[0])
+        iu, iw = divmod(row // (dim * dim), nw)
+        if disorder.flat[row]:
+            reason = "rows out of nested (u, omega, i, j) order"
+        elif off_u.flat[row]:
+            reason = f"u {table[row, 0]:.17g} differs from {u[iu]:.17g} in earlier rows"
+        else:
+            reason = f"omega {table[row, 1]:.17g} differs from {omega[iw]:.17g} in earlier rows"
+        raise ParseError(path, row + 3, reason)
     values = np.empty((nu, nw, dim, dim), dtype=complex)
     # parts assigned apart, not re + 1j * im, which loses a signed zero
-    values.real = table[..., 4]
-    values.imag = table[..., 5]
-    return u.copy(), omega.copy(), values
-
-
-def _parse_grid_rows(path, rows, nu, nw, dim):
-    """(u, omega, values) parsed row by row; raises at the first bad line."""
-    u = np.empty(nu)
-    omega = np.empty(nw)
-    values = np.empty((nu, nw, dim, dim), dtype=complex)
-    per_omega = dim * dim
-    per_u = nw * per_omega
-    for number, line in enumerate(rows, start=3):
-        row = _numeric_row(path, number, line, width=6)
-        flat = number - 3
-        iu, rest = divmod(flat, per_u)
-        iw, rest = divmod(rest, per_omega)
-        i, j = divmod(rest, dim)
-        if (int(row[2]), int(row[3])) != (i, j):
-            raise ParseError(path, number, "rows out of nested (u, omega, i, j) order")
-        # the first row of each u block fixes u, the first u block fixes omega
-        if iw == i == j == 0:
-            u[iu] = row[0]
-        elif row[0] != u[iu]:
-            raise ParseError(
-                path, number, f"u {row[0]:.17g} differs from {u[iu]:.17g} in earlier rows"
-            )
-        if iu == i == j == 0:
-            omega[iw] = row[1]
-        elif row[1] != omega[iw]:
-            raise ParseError(
-                path, number, f"omega {row[1]:.17g} differs from {omega[iw]:.17g} in earlier rows"
-            )
-        # complex(re, im), not re + 1j * im, which loses a signed zero
-        values[iu, iw, i, j] = complex(row[4], row[5])
-    return u, omega, values
+    values.real = blocks[..., 4]
+    values.imag = blocks[..., 5]
+    return SpectralGrid(u, omega, values, provenance=provenance)
 
 
 def read_kernel_table(path):
     """Read a kernel-layout grid file as a plain (rows, 7) float array."""
-    with open(path) as fh:
-        first = fh.readline().strip()
-    if first != GRID_HEADERS["kernel"]:
-        raise ParseError(path, 1, f"expected header {GRID_HEADERS['kernel']!r}")
-    return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    return _table(path, _lines(path, GRID_HEADERS["kernel"], meta=True), 2, width=7)
 
 
 def _curve_doc(curve):
@@ -492,10 +464,7 @@ def model_document(model, seed=None):
 
 
 def write_model(model, path, seed=None):
-    with open(path, "w") as fh:
-        json.dump(model_document(model, seed=seed), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+    write_json(model_document(model, seed=seed), path)
 
 
 def model_from_document(doc):
@@ -531,6 +500,38 @@ def read_model(path):
 
 def write_report(report, path):
     """Write an evaluation report as deterministic JSON."""
-    with open(path, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    write_json(report.document(), path)
+
+
+def _jsonify(obj):
+    """Recursively coerce a payload to plain JSON types.
+
+    numpy values become Python ones, tuples and arrays lists, complex numbers
+    {"re", "im"} objects, and non-finite floats the strings "NaN",
+    "Infinity" and "-Infinity", which keeps the output valid JSON.
+    """
+    if isinstance(obj, dict):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _jsonify({"re": obj.real, "im": obj.imag})
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    return obj
+
+
+def write_json(payload, path=None):
+    """Deterministic JSON text of ``payload``, written to ``path`` if one is given.
+
+    Every JSON file the package writes goes through here: keys sorted,
+    two-space indent, one final newline, values coerced by ``_jsonify``.
+    Returns the text.
+    """
+    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text

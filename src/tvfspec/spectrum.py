@@ -128,7 +128,7 @@ def truth_grid(model, u_grid, omega_grid):
     return SpectralGrid(u=u_grid, omega=omega_grid, values=values, provenance="truth")
 
 
-def local_autocov(model, u, s, T, lags=None, tol=1e-10):
+def local_autocov(model, u, s, T, lags=None):
     """Local autocovariance operator pairing the times straddling uT.
 
     cov(X_{t2,T}, X_{t1,T}) with t1 = floor(uT - s/2), t2 = floor(uT + s/2);
@@ -138,17 +138,17 @@ def local_autocov(model, u, s, T, lags=None, tol=1e-10):
     Parameters
     ----------
     lags : int, optional
-        Filter truncation order L; chosen from ``tol`` when omitted.
+        Filter truncation order L; chosen by ``choose_ma_order`` when omitted.
     """
-    return _local_autocovs(model, u, np.array([s]), T, lags, tol)[0]
+    return _local_autocovs(model, u, np.array([s]), T, lags)[0]
 
 
-def autocov_sequence(model, u, T, s_max, lags=None, tol=1e-10):
+def autocov_sequence(model, u, T, s_max, lags=None):
     """Local autocovariances for s = 0, ..., s_max, shape (s_max + 1, K, K)."""
-    return _local_autocovs(model, u, np.arange(s_max + 1), T, lags, tol)
+    return _local_autocovs(model, u, np.arange(s_max + 1), T, lags)
 
 
-def _local_autocovs(model, u, s, T, lags, tol):
+def _local_autocovs(model, u, s, T, lags):
     """The one autocovariance pass: local autocovariances at lags ``s`` around uT.
 
     Each lag pairs a later time t2 = floor(uT + s/2) with an earlier time
@@ -161,7 +161,7 @@ def _local_autocovs(model, u, s, T, lags, tol):
     matrix product over the stacked filter pairs.
     """
     if lags is None:
-        lags = choose_ma_order(model, T, tol=tol)
+        lags = choose_ma_order(model, T)
     earlier = np.floor(u * T - s / 2.0).astype(int)
     later = np.floor(u * T + s / 2.0).astype(int)
     anchors, idx = np.unique(np.concatenate([later, earlier]), return_inverse=True)
@@ -178,7 +178,7 @@ def _local_autocovs(model, u, s, T, lags, tol):
     return out
 
 
-def wigner_ville(model, u_grid, omega_grid, T, s_max, lags=None, tol=1e-10):
+def wigner_ville(model, u_grid, omega_grid, T, s_max, lags=None):
     """Finite-T spectral density operator from truncated autocovariances.
 
     (2 pi)^{-1} sum_{|s| <= s_max} C_{u,s} e^{-i omega s}, one phase-matrix
@@ -188,7 +188,7 @@ def wigner_ville(model, u_grid, omega_grid, T, s_max, lags=None, tol=1e-10):
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if lags is None:
-        lags = choose_ma_order(model, T, tol=tol)
+        lags = choose_ma_order(model, T)
     k = model.dim
     phase = np.exp(-1j * np.outer(omega_grid, np.arange(-s_max, s_max + 1)))
     values = np.empty((u_grid.size, omega_grid.size, k, k), dtype=complex)

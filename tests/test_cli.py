@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tvfspec
-from tvfspec import cli
+from tvfspec import cli, ingest
 from tvfspec.estimator import fourier_frequencies
 from tvfspec.ingest import (
     model_document,
@@ -35,7 +35,7 @@ def unstable_document():
 
 def test_json_outputs_reject_bare_non_finite_tokens(tmp_path):
     path = tmp_path / "out.json"
-    cli._dump_json({"a": [1.0, float("nan")], "b": {"c": -np.inf}}, path)
+    ingest.write_json({"a": [1.0, float("nan")], "b": {"c": -np.inf}}, path)
 
     def reject(token):
         raise ValueError(f"bare {token} is not JSON")
@@ -434,3 +434,34 @@ def test_singular_ar_symbol_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("stability: FAIL (AR symbol at u=") and err.count("\n") == 1
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, config, path", [
+    (["simulate"], far1_config(T=64, render=None), "render"),
+    (["simulate"], far1_config(T=[64]), "T"),
+    (["simulate"], far1_config(T=64, seed=None), "seed"),
+    (["evaluate"], far1_config(imse=[]), "imse"),
+    (["check"], far1_config(stationarity={"T_list": [256, None]}), "stationarity.T_list[1]"),
+    (["truth"], far1_config(omega={"count": None}), "omega.count"),
+    (["simulate"], {"model": {"preset": "far1", "size": True}, "T": 64}, "model.size"),
+    (["simulate"], far1_config(T=64.9), "T"),
+    (["simulate"], far1_config(T=64, seed=-1), "seed"),
+], ids=["render-null", "T-list", "seed-null", "imse-list", "T_list-null", "omega-count-null",
+        "size-bool", "T-float", "seed-negative"])
+def test_bad_config_value_names_its_path(tmp_path, capsys, argv, config, path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main([*argv, "--config", write_config(tmp_path, "bad.json", config),
+                     "--out", str(out)]) == 2
+    assert f"config error: {path} must be " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_estimate_names_the_bad_series_line(tmp_path, capsys):
+    series = Path(white_series(tmp_path))
+    lines = series.read_text().split("\n")
+    lines[4] = lines[4].replace(",", ",x", 1)
+    series.write_text("\n".join(lines))
+    out = tmp_path / "est"
+    assert cli.main(["estimate", str(series), "--out", str(out)]) == 5
+    assert f"parse error: {series}:5: non-numeric field" in capsys.readouterr().err

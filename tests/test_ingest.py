@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -283,22 +284,6 @@ class TestSpectralGridFiles:
         assert back.provenance == grid.provenance
 
     @given(data=st.data(), dim=st.sampled_from([1, 2, 4]),
-           nu=st.integers(1, 3), nw=st.integers(1, 4))
-    @settings(max_examples=30, deadline=None)
-    def test_block_parse_matches_the_row_rescan(self, data, dim, nu, nw):
-        # the one-call parse and the row-by-row rescan read the same bits
-        grid = random_grid(data, dim, nu, nw)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "grid.csv")
-            write_spectral_grid(grid, path)
-            with open(path) as fh:
-                rows = fh.read().split("\n")[2:-1]
-        block = ingest_module._parse_grid_block(rows, nu, nw, dim)
-        assert block is not None
-        for fast, slow in zip(block, ingest_module._parse_grid_rows(path, rows, nu, nw, dim)):
-            assert np.array_equal(bits(fast), bits(slow))
-
-    @given(data=st.data(), dim=st.sampled_from([1, 2, 4]),
            nu=st.integers(1, 3), nw=st.integers(1, 4), render=st.integers(2, 9))
     @settings(max_examples=60, deadline=None)
     def test_block_writer_matches_row_at_a_time_formatting(self, data, dim, nu, nw, render):
@@ -315,6 +300,69 @@ class TestSpectralGridFiles:
             write_spectral_grid(grid, path, mode="kernel", basis=basis, taus=taus)
             with open(path) as fh:
                 assert fh.read() == reference_grid_text(grid, "kernel", basis, taus)
+
+
+def retyped(line, field, text):
+    """Edit: field ``field`` of file line ``line`` replaced by ``text``."""
+    def edit(lines):
+        parts = lines[line - 1].split(",")
+        parts[field] = text
+        lines[line - 1] = ",".join(parts)
+    return edit
+
+
+def truncated(line):
+    """Edit: file line ``line`` loses its last field."""
+    def edit(lines):
+        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0]
+    return edit
+
+
+def swapped(first, second):
+    """Edit: file lines ``first`` and ``second`` trade places."""
+    def edit(lines):
+        lines[first - 1], lines[second - 1] = lines[second - 1], lines[first - 1]
+    return edit
+
+
+TABLE_READERS = {"series": (read_series, 3), "coeff": (read_spectral_grid, 6),
+                 "kernel": (read_kernel_table, 7)}
+
+
+# Series: grid on line 2, data rows on lines 3-5.  Grids: 2 u x 2 omega
+# blocks of 2 x 2 coefficients (coeff, lines 3-18) or 3 x 3 render points
+# (kernel), u = 0.25, 0.75 and omega = 0, 1.
+@pytest.mark.parametrize("kind, edits, line, reason", [
+    *[(kind, [truncated(4)], 4, f"expected {width} fields, got {width - 1}")
+      for kind, (_, width) in TABLE_READERS.items()],
+    *[(kind, [retyped(4, 1, "x")], 4, "non-numeric field in '[^']*,x,")
+      for kind in TABLE_READERS],
+    # float() reads 1_0 as 10; numpy's number syntax does not
+    *[(kind, [retyped(5, 2, "1_0")], 5, "non-numeric field in '[^']*,1_0")
+      for kind in TABLE_READERS],
+    ("series", [retyped(2, 0, "")], 2, "non-numeric field in ',0.5,1'"),
+    ("coeff", [swapped(4, 5)], 4, r"rows out of nested \(u, omega, i, j\) order"),
+    ("coeff", [retyped(7, 0, "0.5")], 7, "u 0.5 differs from 0.25 in earlier rows"),
+    ("coeff", [retyped(11, 1, "0.5")], 11, "omega 0.5 differs from 0 in earlier rows"),
+    # a field error is reported before an order error on an earlier line
+    ("coeff", [swapped(4, 5), retyped(9, 4, "x")], 9, "non-numeric field"),
+], ids=[*(f"{kind}-{case}" for case in ("fields", "text", "1_0") for kind in TABLE_READERS),
+        "series-grid", "coeff-swapped", "coeff-u", "coeff-omega", "coeff-fields-first"])
+def test_tampered_tables_name_the_first_bad_line(tmp_path, kind, edits, line, reason):
+    path = tmp_path / f"{kind}.csv"
+    if kind == "series":
+        write_series(RawSeries(grid=[0.0, 0.5, 1.0], data=np.arange(9.0).reshape(3, 3)), path)
+    else:
+        grid = truth_grid(white([1.0, 0.5]), [0.25, 0.75], [0.0, 1.0])
+        write_spectral_grid(grid, path, mode=kind, taus=render_grid(3))
+    lines = path.read_text().split("\n")
+    for edit in edits:
+        edit(lines)
+    path.write_text("\n".join(lines))
+    read, _ = TABLE_READERS[kind]
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:{line}: {reason}") as exc:
+        read(path)
+    assert exc.value.line == line
 
 
 def random_grid(data, dim, nu, nw):
