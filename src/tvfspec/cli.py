@@ -387,7 +387,7 @@ def _imse_report(model, t_list, cfgs, us, omegas, R, seed, workers):
     truth = truth_grid(model, us, omegas)
     seeds = [replication_seed(seed, r) for r in range(R)]
     values = {
-        T: evaluate.replicate(model, T, seeds, partial(evaluate._imse_task, cfgs[T], T, truth),
+        T: evaluate.replicate(model, T, seeds, evaluate._ImseTask(cfgs[T], T, truth),
                               workers=workers)
         for T in t_list
     }
@@ -495,8 +495,6 @@ def cmd_reproduce(args):
         raise ConfigError(
             f"reproduce supports T in {REPRODUCE_LENGTHS}, got {T}"
         )
-    if T == 2**16:
-        print("note: T = 2^16 takes much longer than the smaller presets", file=sys.stderr)
     if args.figure == "far1":
         model = far1(size=15)
         slices = list(FAR1_SLICES)
@@ -529,8 +527,7 @@ def cmd_reproduce(args):
     R = REPRODUCE_REPLICATIONS
     estimates = evaluate.replicate(
         model, T, [replication_seed(run.seed, r) for r in range(R)],
-        partial(evaluate._estimate_points, cfg, T, slices, t0=t0),
-        workers=run.threads, t_start=t0, t_end=t_end)
+        evaluate._EstimatePoints(cfg, T, slices, t0, t_end), workers=run.threads, t_start=t0)
     amplitudes = np.empty((len(slices), R, render.size, render.size))
     for r, mats in enumerate(estimates):
         # one render of the replication's slices serves its files and amplitudes

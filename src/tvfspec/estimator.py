@@ -228,6 +228,12 @@ def _segment_start(length, u, cfg, T, t0):
     return start - t0
 
 
+# Bytes of temporaries one row block of the smoother may hold (see
+# _smoothed_blocks): one row of the README imse config (64 frequencies) at
+# T = 512 and 4096, 14 rows of ``reproduce far2`` (one frequency) at T = 512
+_BLOCK_BYTES = 2**20
+
+
 def _taper_values(cfg):
     return cfg.taper.values(np.arange(cfg.N) / cfg.N)
 
@@ -242,14 +248,25 @@ def _segment(x, u, cfg, T, t0):
 
 
 def local_fdft(x, u, omega, cfg, T, t0=1):
-    """Local functional DFT at one (u, omega), as a coefficient vector."""
+    """Local functional DFT at one (u, omega), as a coefficient vector.
+
+    The paper's definition, summed term by term: the tapered segment of N
+    observations centred at floor(uT) against e^{-i omega s}.  No pipeline
+    calls it; it is the single-point oracle the tests hold the FFT paths
+    against.
+    """
     seg = _segment(x, u, cfg, T, t0)
     s = np.arange(cfg.N)
     return np.exp(-1j * float(omega) * s) @ seg
 
 
 def local_fdft_grid(x, u, cfg, T, t0=1):
-    """Local functional DFTs at all N Fourier frequencies (sorted order)."""
+    """Local functional DFTs at all N Fourier frequencies (sorted order).
+
+    The paper's definition at the Fourier frequencies, as one FFT of the
+    tapered segment; the smoother takes the same FFT inside its row blocks.
+    The tests check it against ``local_fdft`` point by point.
+    """
     seg = _segment(x, u, cfg, T, t0)
     return np.fft.fftshift(np.fft.fft(seg, axis=0), axes=0)
 
@@ -260,7 +277,12 @@ def _periodogram_norm(cfg):
 
 
 def local_periodogram(x, u, omega, cfg, T, t0=1):
-    """Periodogram operator D (x) D / (2 pi H_{2,N}(0)) at one (u, omega)."""
+    """Periodogram operator D (x) D / (2 pi H_{2,N}(0)) at one (u, omega).
+
+    The paper's rank-one definition at a single point, from ``local_fdft``.
+    No pipeline calls it; the tests check the periodogram's rank, sign,
+    mean and variance on it.
+    """
     d = local_fdft(x, u, omega, cfg, T, t0=t0)
     return np.outer(d, np.conj(d)) / _periodogram_norm(cfg)
 
@@ -309,27 +331,47 @@ def _smoothing_band(cfg, omegas):
     return index, w / totals[:, None]
 
 
-def _smoothed_rows(xs, cfg, T, u, band, t0=1):
-    """Smoothed estimates of every series in ``xs`` at rescaled time u.
+def _smoothed_blocks(xs, cfg, T, u, band, t0=1):
+    """Smoothed estimates of every series in ``xs`` at rescaled time u, by row blocks.
 
     ``xs`` is (R, length, K), its first row at absolute time ``t0``, and
-    ``band`` is ``_smoothing_band(cfg, omegas)``.  One FFT over the (R, N, K)
-    tapered segments gives the DFTs D_n; each estimate is one weighted
-    bilinear form over its band,
+    ``band`` is ``_smoothing_band(cfg, omegas)``.  One FFT over the tapered
+    segments gives the DFTs D_n; each estimate is one weighted bilinear form
+    over its band,
 
         Fhat(u, omega_b) = sum_{n in band b} W[b, n] D_n D_n^H / (2 pi H_2),
 
     taken as a batched (K x S) @ (S x K) product per row and frequency.
-    Returns (R, len(omegas), K, K).
+    Yields ``(rows, estimates)``: a slice of the rows of ``xs`` and their
+    (rows, len(omegas), K, K) estimates, block after block.  A block's
+    temporaries stay within ``_BLOCK_BYTES`` (at least one row per block),
+    so the working memory does not grow with R, and a row's estimates do
+    not depend on its block.
     """
     index, weights = band
     first = _segment_start(xs.shape[1], u, cfg, T, t0)
-    seg = _taper_values(cfg)[:, None] * xs[:, first:first + cfg.N]
-    # np.take keeps the gathered DFTs C-contiguous for every R, so each
-    # (r, b) product sees the same memory layout
-    d = np.take(np.fft.fft(seg, axis=1), index, axis=1)
-    scaled = d * (weights / _periodogram_norm(cfg))[..., None]
-    return np.swapaxes(scaled, -1, -2) @ np.conjugate(d, out=d)
+    k = xs.shape[2]
+    taper = _taper_values(cfg)[:, None]
+    scale = (weights / _periodogram_norm(cfg))[..., None]
+    # per row: the real segment, its complex FFT, the gathered and the
+    # weighted band, and the product
+    row_bytes = 8 * 3 * cfg.N * k + 16 * (2 * index.size * k + index.shape[0] * k * k)
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    for r in range(0, len(xs), step):
+        seg = taper * xs[r:r + step, first:first + cfg.N]
+        # np.take keeps the gathered DFTs C-contiguous for every block size,
+        # so each (r, b) product sees the same memory layout
+        d = np.take(np.fft.fft(seg, axis=1), index, axis=1)
+        yield slice(r, r + step), np.swapaxes(d * scale, -1, -2) @ np.conjugate(d, out=d)
+
+
+def _smoothed_rows(xs, cfg, T, u, band, t0=1):
+    """All the estimates of ``_smoothed_blocks``, shape (R, len(omegas), K, K)."""
+    k = xs.shape[2]
+    out = np.empty((len(xs), band[0].shape[0], k, k), dtype=complex)
+    for rows, est in _smoothed_blocks(xs, cfg, T, u, band, t0):
+        out[rows] = est
+    return out
 
 
 def estimate_grid(x, cfg, T, u_grid, omega_grid=None, t0=1):

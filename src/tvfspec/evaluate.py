@@ -9,23 +9,37 @@ projections, integrated squared error decay, and the coupled bound defining
 local stationarity.  Replication r of a run with master seed s draws its
 innovations from the sub-stream (2, r) of s, so reports are reproducible and
 independent of worker count; reductions always run in replication order.
-``replicate`` is the one function that simulates replications: it
-simulates runs of consecutive chunks of them in one pass of the time loop
-and hands its tasks one chunk at a time, and the tasks estimate and reduce a
-whole chunk at once.
+``replicate`` is the one function that simulates replications.  Its tasks
+declare the time windows they read, and each pass of replications runs one
+time loop that holds only the open windows and hands each window to its
+task as soon as the window closes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from .estimator import _smoothed_rows, _smoothing_band, kernel_constants
+from .estimator import (
+    EstimatorConfig,
+    _segment_start,
+    _smoothed_blocks,
+    _smoothed_rows,
+    _smoothing_band,
+    kernel_constants,
+)
 from .ingest import write_json
-from .model import DEFAULT_BURN_IN, _require_stable, _simulate_rows, replication_seed
+from .model import (
+    DEFAULT_BURN_IN,
+    TvFarmaModel,
+    _require_stable,
+    _simulate_rows,
+    _whole,
+    replication_seed,
+)
 from .spectrum import SpectralGrid, TWO_PI, true_spectral_density
 
 
@@ -63,16 +77,17 @@ def _cnum(z):
     return {"re": z.real, "im": z.imag}
 
 
-# Simulated elements c * (burn_in + n) * K per replication chunk: about 8
-# replications of far1 at T = 4096, with one chunk's buffer at 4.8 MB.
-CHUNK_ELEMENTS = 600_000
+# Bytes of the windows one pass may hold open at a time.  All 20
+# replications of ``reproduce far2 --T 65536`` (two overlapping 25 MB windows
+# of N = 10322 steps) share one time loop, and every run at T <= 4096 with
+# up to ~200 replications keeps all of them in one loop.
+WINDOW_BYTES = 64 * 2**20
 
-# Simulated elements per pass, a run of consecutive chunks simulated in one
-# time loop: about what one chunk took before the simulator streamed its
-# curves, its buffer plus one (burn_in + n, K, K) operator stack (0.60 M +
-# 1.03 M elements for far1 at T = 4096), so 20 such replications make one
-# 11 MB pass.
-PASS_ELEMENTS = 1_700_000
+# Simulated values (rows x steps x K) below which replications stay in one
+# process whatever ``workers`` says: on two cores the pool's start-up costs
+# more than splitting such a run saves (README imse config at T = 512, 0.3 M
+# values: 44-49 ms in one process, 58-90 ms in two).
+POOL_MIN_VALUES = 600_000
 
 # Fixed tolerances of the checks; each report records the ones it applies.
 DERIV_STEP = 1e-3  # finite-difference step of the bias check's derivatives
@@ -86,40 +101,41 @@ COVARIANCE_PAIRS = (((0, 0), (0, 0)),)
 NORMALITY_PROJECTIONS = ((0, 1), (0, 2), (1, 2))
 
 
-def replicate(model, T, seeds, task, workers=1, t_start=1, t_end=None):
-    """Concatenated ``task(xs, chunk)`` over consecutive chunks of ``seeds``.
+def replicate(model, T, seeds, task, workers=1, t_start=1):
+    """Per-row results of ``task`` over replications, one row per seed, in seed order.
 
-    Each chunk of c seeds is handed to ``task`` as one (c, n, K) stack ``xs``
-    whose row r is ``simulate(model, T, seed=chunk[r], t_start=t_start,
-    t_end=t_end, check=False)`` bit for bit; ``task`` returns a stack of c
-    results in chunk order, so the output has one row per seed, in seed
-    order.  Chunks hold at most ``CHUNK_ELEMENTS`` simulated elements
-    c (DEFAULT_BURN_IN + n) K (at least one replication), and their
-    boundaries do not depend on ``workers``.
+    Row r is, bit for bit, ``simulate(model, T, seed=seeds[r],
+    t_start=t_start, t_end=stop, check=False)`` for any stop, but no row is
+    ever held whole.  ``task`` declares the absolute time windows it reads,
+    ``task.windows``, a list of inclusive (start, stop) pairs at or after
+    ``t_start``.  The seeds are split into passes; each pass runs one time
+    loop for all its rows, hands window i to ``task.reduce(i, xs, seeds)``
+    as a (c, stop - start + 1, K) array as soon as the loop has passed its
+    stop, and returns ``task.combine(parts)``, the c per-row results built
+    from the reductions in window order.
 
-    Runs of consecutive chunks are simulated as one pass, one time loop for
-    all their rows, and each pass is sliced back into its chunks for
-    ``task``.  A pass holds at most ``PASS_ELEMENTS`` simulated elements (at
-    least one chunk) and at most ceil(chunks / workers) chunks, and the
-    passes split the chunks as evenly as whole chunks allow.  With
-    ``workers > 1`` the passes run in at most ``min(workers, passes)``
-    processes; ``task`` must then pickle (a module-level function or a
-    ``functools.partial`` of one).  The output is the same for every
-    ``workers``, because rows do not depend on how they are grouped.
+    A pass holds at most ``WINDOW_BYTES`` of open windows (at least one
+    row) and at most ceil(len(seeds) / workers) rows, and the passes are as
+    even as whole rows allow.  A run of fewer than ``POOL_MIN_VALUES``
+    simulated values counts as one worker.  With ``workers > 1`` the passes
+    run in at most ``min(workers, passes)`` processes; ``task`` must then
+    pickle.  The output is the same for every ``workers``, because rows do
+    not depend on how they are grouped.
     """
-    if t_end is None:
-        t_end = T
-    per_rep = (DEFAULT_BURN_IN + t_end - t_start + 1) * model.dim
-    size = max(1, CHUNK_ELEMENTS // per_rep)
-    chunks = [list(seeds[i:i + size]) for i in range(0, len(seeds), size)]
-    width = max(1, min(PASS_ELEMENTS // (size * per_rep),
-                       math.ceil(len(chunks) / max(workers, 1))))
-    count = math.ceil(len(chunks) / width)
-    # passes as even as whole chunks allow, the longer ones last (the short
-    # final chunk then shares a pass): [8], [8, 4] for two workers
-    edges = [p * len(chunks) // count for p in range(count + 1)]
-    passes = [chunks[a:b] for a, b in zip(edges, edges[1:])]
-    one = partial(_simulate_then, model, T, task, t_start, t_end)
+    windows = task.windows
+    first = t_start - DEFAULT_BURN_IN
+    if min(start for start, _ in windows) < t_start:
+        raise ValueError(f"a window starts before the observations at t = {t_start}")
+    steps = max(stop for _, stop in windows) - first + 1
+    if len(seeds) * steps * model.dim < POOL_MIN_VALUES:
+        workers = 1
+    row_bytes = _open_elements(windows) * model.dim * 8
+    rows = max(1, min(WINDOW_BYTES // row_bytes, math.ceil(len(seeds) / max(workers, 1))))
+    count = math.ceil(len(seeds) / rows)
+    # passes as even as whole rows allow, the longer ones last
+    edges = [p * len(seeds) // count for p in range(count + 1)]
+    passes = [list(seeds[a:b]) for a, b in zip(edges, edges[1:])]
+    one = partial(_run_pass, model, T, task, first)
     workers = min(workers, len(passes))
     if workers > 1:
         # imported only here: loading the pool machinery (multiprocessing,
@@ -129,36 +145,69 @@ def replicate(model, T, seeds, task, workers=1, t_start=1, t_end=None):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, passes))
     else:
-        results = [one(run) for run in passes]
-    return np.concatenate([out for outs in results for out in outs])
+        results = [one(rows) for rows in passes]
+    return np.concatenate(results)
 
 
-def _simulate_then(model, T, task, t_start, t_end, chunks):
-    """``task`` over each chunk of one pass, simulated in one time loop."""
-    xs, _ = _simulate_rows(model, T, [seed for chunk in chunks for seed in chunk],
-                           DEFAULT_BURN_IN, t_start, t_end)
-    outs = []
-    start = 0
-    for chunk in chunks:
-        outs.append(task(xs[start:start + len(chunk)], chunk))
-        start += len(chunk)
-    return outs
+def _open_elements(windows):
+    """Most steps of ``windows`` open at one time (a window is open from its start to its stop)."""
+    return max(sum(stop - start + 1 for start, stop in windows if start <= t <= stop)
+               for t, _ in windows)
 
 
-def _estimate_points(cfg, T, points, xs, seeds, t0=1):
+def _run_pass(model, T, task, first, seeds):
+    """``task`` over one pass of rows, simulated in one time loop from ``first``."""
+    parts = _simulate_rows(model, T, seeds, first, task.windows,
+                           lambda i, xs: task.reduce(i, xs, seeds))
+    return task.combine(parts)
+
+
+def _segment_window(cfg, T, u, t0, t_end):
+    """Absolute (start, stop) of the segment for rescaled time u, inside [t0, t_end]."""
+    start = t0 + _segment_start(t_end - t0 + 1, u, cfg, T, t0)
+    return start, start + cfg.N - 1
+
+
+@dataclass(frozen=True)
+class _EstimatePoints:
     """Replication task: estimates at (u, omega) points, shape (c, len(points), K, K).
 
-    One batched smoother call per distinct u.
+    Reads one window per distinct u, the N observations of its segment,
+    which must lie inside the observations [t0, t_end] (default [1, T]),
+    and estimates all of that u's frequencies in one smoother call.
     """
-    order = {}
-    for idx, (u, _) in enumerate(points):
-        order.setdefault(float(u), []).append(idx)
-    k = xs.shape[2]
-    out = np.empty((len(xs), len(points), k, k), dtype=complex)
-    for u, idxs in order.items():
-        band = _smoothing_band(cfg, np.array([points[idx][1] for idx in idxs], dtype=float))
-        out[:, idxs] = _smoothed_rows(xs, cfg, T, u, band, t0)
-    return out
+
+    cfg: EstimatorConfig
+    T: int
+    points: list
+    t0: int = 1
+    t_end: int | None = None
+
+    @cached_property
+    def groups(self):
+        """(u, indices of its points) for each distinct u, in first-seen order."""
+        order = {}
+        for idx, (u, _) in enumerate(self.points):
+            order.setdefault(float(u), []).append(idx)
+        return list(order.items())
+
+    @cached_property
+    def windows(self):
+        t_end = self.T if self.t_end is None else self.t_end
+        return [_segment_window(self.cfg, self.T, u, self.t0, t_end) for u, _ in self.groups]
+
+    def reduce(self, i, xs, seeds):
+        u, idxs = self.groups[i]
+        band = _smoothing_band(self.cfg, np.array([self.points[idx][1] for idx in idxs],
+                                                  dtype=float))
+        return _smoothed_rows(xs, self.cfg, self.T, u, band, self.windows[i][0])
+
+    def combine(self, parts):
+        k = parts[0].shape[-1]
+        out = np.empty((len(parts[0]), len(self.points), k, k), dtype=complex)
+        for (_, idxs), part in zip(self.groups, parts):
+            out[:, idxs] = part
+        return out
 
 
 def _second_derivative(fn, x0, step):
@@ -186,7 +235,7 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0), workers=
     """
     m, n = projection
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
-                     partial(_estimate_points, cfg, T, [(u, omega)]), workers)
+                     _EstimatePoints(cfg, T, [(u, omega)]), workers)
     vals = ests[:, 0, m, n]
     mc_mean = complex(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(R))
@@ -252,7 +301,7 @@ def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0, workers=1):
     """
     points = [(u, omega1), (u, omega2)]
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
-                     partial(_estimate_points, cfg, T, points), workers)
+                     _EstimatePoints(cfg, T, points), workers)
     scale = cfg.b_t(T) * cfg.b_f * T
     report = McReport(name="covariance", seed=seed, replications=R)
     report.quantities = {
@@ -312,7 +361,7 @@ def mc_normality(model, cfg, T, u, omega, R, seed=0, workers=1):
     outcome is recorded as informational rather than pass/fail.
     """
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
-                     partial(_estimate_points, cfg, T, [(u, omega)]), workers)
+                     _EstimatePoints(cfg, T, [(u, omega)]), workers)
     scale = np.sqrt(cfg.b_t(T) * cfg.b_f * T)
     dof = effective_dof(cfg)
     informational = dof < NORMALITY_MIN_DOF
@@ -389,28 +438,65 @@ def _squared_errors(diff):
     return sq.sum(axis=(-2, -1))
 
 
-def _imse_task(cfg, T, truth, xs, seeds):
+@dataclass(frozen=True)
+class _ImseTask:
     """Replication task: the ``imse`` value of each row, shape (c,).
 
-    Estimates and reduces one u at a time, so a chunk never holds its
-    estimate grids.
+    Reads one window per u of the truth grid and reduces its estimates to
+    squared errors one row block at a time, so a pass never holds an
+    estimate grid.
     """
-    band = _smoothing_band(cfg, truth.omega)
-    diffsq = np.empty((len(xs), truth.u.size, truth.omega.size))
-    for a, u in enumerate(truth.u):
-        est = _smoothed_rows(xs, cfg, T, u, band)
-        est -= truth.values[a]
-        diffsq[:, a] = _squared_errors(est)
-        del est  # freed before the next u's estimates are built
-    return np.trapezoid(diffsq, truth.omega, axis=-1).mean(axis=-1)
+
+    cfg: EstimatorConfig
+    T: int
+    truth: SpectralGrid
+
+    @cached_property
+    def windows(self):
+        return [_segment_window(self.cfg, self.T, u, 1, self.T) for u in self.truth.u]
+
+    @cached_property
+    def band(self):
+        return _smoothing_band(self.cfg, self.truth.omega)
+
+    def reduce(self, i, xs, seeds):
+        diffsq = np.empty((len(xs), self.truth.omega.size))
+        for rows, est in _smoothed_blocks(xs, self.cfg, self.T, self.truth.u[i], self.band,
+                                          self.windows[i][0]):
+            est -= self.truth.values[i]
+            diffsq[rows] = _squared_errors(est)
+        return diffsq
+
+    def combine(self, parts):
+        diffsq = np.stack(parts, axis=1)
+        return np.trapezoid(diffsq, self.truth.omega, axis=-1).mean(axis=-1)
 
 
-def _coupling_ratio_sq(frozen, T, u, xs, seeds):
-    """Replication task: P_t^2 against the frozen process on the same seeds, shape (c, T)."""
-    ys, _ = _simulate_rows(frozen, T, seeds, DEFAULT_BURN_IN, 1, T)
-    ys -= xs
-    denom = np.abs(np.arange(1, T + 1) / T - u) + 1.0 / T
-    return (np.linalg.norm(ys, axis=2) / denom) ** 2
+@dataclass(frozen=True)
+class _CouplingTask:
+    """Replication task: P_t^2 against the frozen process on the same seeds, shape (c, T).
+
+    Reads all of [1, T] in one window; the frozen rows of the whole pass are
+    simulated in one more time loop.
+    """
+
+    frozen: TvFarmaModel
+    T: int
+    u: float
+
+    @property
+    def windows(self):
+        return [(1, self.T)]
+
+    def reduce(self, i, xs, seeds):
+        ys = _simulate_rows(self.frozen, self.T, seeds, 1 - DEFAULT_BURN_IN, self.windows,
+                            _whole)[0]
+        ys -= xs
+        denom = np.abs(np.arange(1, self.T + 1) / self.T - self.u) + 1.0 / self.T
+        return (np.linalg.norm(ys, axis=2) / denom) ** 2
+
+    def combine(self, parts):
+        return parts[0]
 
 
 def local_stationarity_check(model, u, T_list, R, seed=0, workers=1):
@@ -426,13 +512,12 @@ def local_stationarity_check(model, u, T_list, R, seed=0, workers=1):
     """
     T_list = [int(t) for t in T_list]
     frozen = model.frozen(u)
-    _require_stable(frozen)  # once, here; the chunks simulate it unchecked
+    _require_stable(frozen)  # once, here; the passes simulate it unchecked
     means = []
     maxima = []
     for ti, T in enumerate(T_list):
-        task = partial(_coupling_ratio_sq, frozen, T, u)
-        acc = replicate(model, T, [replication_seed(seed, ti, r) for r in range(R)], task,
-                        workers).mean(axis=0)
+        acc = replicate(model, T, [replication_seed(seed, ti, r) for r in range(R)],
+                        _CouplingTask(frozen, T, u), workers).mean(axis=0)
         means.append(float(acc.mean()))
         maxima.append(float(acc.max()))
     slope = float(np.polyfit(np.log(T_list), np.log(means), 1)[0])

@@ -26,13 +26,15 @@ The stability report on the default grid is computed once per model
 (``TvFarmaModel.stability``) and read by the simulation gate and the
 truncation heuristic.
 
-Simulation.  One private simulator carries R replications in a single
-(R, burn_in + n, K) buffer, one time step at a time, and evaluates the
-operator curves over short spans of steps as the loop reaches them, never
-as (burn_in + n, K, K) stacks; ``simulate`` is its single-series case and
-``evaluate.replicate`` drives it in passes of whole chunks.  A row's
-arithmetic does not depend on R, so every replication is bitwise the same
-however the replications are grouped.
+Simulation.  One private simulator carries R replications through one
+time loop over a rolling buffer of short spans of steps, evaluates the
+operator curves over the same spans, and copies each span into the time
+windows its caller reads, handing a window over as soon as the loop passes
+its end; it never holds a whole (R, burn_in + n, K) run or a
+(burn_in + n, K, K) operator stack.  ``simulate`` is its single-series,
+single-window case and ``evaluate.replicate`` drives it in passes of
+replications.  A row's arithmetic does not depend on R, so every
+replication is bitwise the same however the replications are grouped.
 """
 
 from __future__ import annotations
@@ -52,12 +54,13 @@ _KEY_REPLICATION = 2
 DEFAULT_BURN_IN = 500
 MAX_MA_LAGS = 100_000  # lag count at which choose_ma_order gives up
 
-# Operator entries per curve the simulator evaluates at once: inside the time
-# loop every curve is batched over spans of _SPAN_ELEMENTS // K^2 rescaled
-# times (72 for K = 15), never over the whole window.  On a 2-vCPU Xeon with
-# numpy 2.4, 72-step K = 15 spans (127 KiB stacks) cost less than one
-# whole-window stack (4.3 against 5.2 ms per 4 596 steps); 128-step spans
-# (256 KiB) cost 11 ms.
+# Entries per operator stack and per rolling buffer of the simulator: inside
+# the time loop every curve is batched over spans of
+# _SPAN_ELEMENTS // (K max(K, R)) rescaled times (72 for one K = 15 series,
+# 54 for 20), never over the whole window.  On a 2-vCPU Xeon with numpy 2.4,
+# 72-step K = 15 spans (127 KiB stacks) cost less than one whole-window
+# stack (4.3 against 5.2 ms per 4 596 steps); 128-step spans (256 KiB) cost
+# 11 ms.
 _SPAN_ELEMENTS = 2**14
 
 
@@ -347,68 +350,103 @@ def simulate(model, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None,
         t_end = T
     if check and model.ar:
         _require_stable(model)
-    x, eps = _simulate_rows(model, T, [seed], burn_in, t_start, t_end, return_innovations)
+    first = t_start - burn_in
+    x = _simulate_rows(model, T, [seed], first, [(t_start, t_end)], _whole)[0][0]
     if return_innovations:
-        return x[0], eps[0]
-    return x[0]
+        # the same draws the simulator took span by span, in one call
+        eps = spawn_rng(seed, _KEY_INNOV).standard_normal((t_end - first + 1, model.dim))
+        return x, eps * model.innovations.sigma
+    return x
 
 
-def _simulate_rows(model, T, seeds, burn_in, t_start, t_end, keep_innovations=False):
-    """Replications of the triangular array, one row per master seed.
+def _simulate_rows(model, T, seeds, first, windows, reduce):
+    """Replications of the triangular array, streamed through time windows.
 
-    One (R, burn_in + n, K) buffer carries every replication: row r is filled
-    with the innovations of ``seeds[r]``'s sub-stream (1,), then shaped by C
-    and run through the AR and MA terms in place, one time step at a time.
-    The curves are evaluated over spans of ``_SPAN_ELEMENTS // K^2`` steps as
-    the loop reaches them, so no (burn_in + n, K, K) stack is ever built.
-    Each term is a per-row ``einsum`` (no BLAS) written into one reused
-    (R, K) buffer, so a row's arithmetic does not depend on how many rows
-    share the buffer.
+    Row r is the process of ``seeds[r]``'s sub-stream (1,) started from a
+    zero state at absolute time ``first``.  One time loop carries every row:
+    it draws the innovations span by span into a rolling buffer of the last
+    m states plus one span of ``_SPAN_ELEMENTS // (K max(K, R))`` steps,
+    evaluates the operator curves over the same span, and applies the C, AR
+    and MA terms in place one time step at a time.  Each term is a per-row
+    ``einsum`` (no BLAS) written into one reused (R, K) buffer, so a row's
+    arithmetic does not depend on how many rows share the loop.
 
-    Returns the (R, n, K) view of the observation window and, when asked
-    for, a copy of the innovations (else None).
+    ``windows`` are (start, stop) absolute times, inclusive, at or after
+    ``first``.  Each window's (R, stop - start + 1, K) array is allocated
+    when the loop reaches its start, filled span by span, and handed to
+    ``reduce(i, xs)`` as soon as the loop passes its stop; the loop ends at
+    the last stop.  Only the open windows are held, never the whole run.
+    Returns the list of ``reduce`` results in window order.
     """
-    if t_end < t_start:
+    if any(stop < start for start, stop in windows):
         raise ValueError("empty observation window")
+    if any(start < first for start, _ in windows):
+        raise ValueError("a window starts before the first simulated step")
     k = model.dim
     m = model.ar_order
     n = model.ma_order
-    total = burn_in + (t_end - t_start + 1)
-    x = np.empty((len(seeds), total, k))
-    for row, seed in zip(x, seeds):
-        spawn_rng(seed, _KEY_INNOV).standard_normal(out=row)
-    x *= model.innovations.sigma
-    eps = x.copy() if keep_innovations else None
-    if model.c is None and m == 0 and n == 0:
-        return x[:, burn_in:], eps
-    us = np.arange(t_start - burn_in, t_end + 1) / float(T)
+    rows = len(seeds)
+    total = max(stop for _, stop in windows) - first + 1
+    rngs = [spawn_rng(seed, _KEY_INNOV) for seed in seeds]
+    sigma = model.innovations.sigma
+    moving = model.c is not None or m or n
+    span = max(1, _SPAN_ELEMENTS // (k * max(k, rows)))
+    # time-major, so each step is one contiguous (R, K) block: the last m
+    # states, then one span of steps.  The draws come row by row into their
+    # own buffer, as one row's stream must fill contiguous memory.
+    buf = np.empty((m + span, rows, k))
+    draws = np.empty((rows, span, k))
     # shaped innovations of the current and the last n steps, for the MA terms
-    shaped = np.empty((n + 1, len(seeds), k))
-    term = np.empty((len(seeds), k))  # one step's product, C-ordered like einsum's own
-    span = max(1, _SPAN_ELEMENTS // (k * k))
+    shaped = np.empty((n + 1, rows, k))
+    term = np.empty((rows, k))  # one step's product, C-ordered like einsum's own
+    steps = list(buf)  # steps[m + s] is time step start + s of the current span
+    order = sorted(range(len(windows)), key=lambda i: windows[i][0])
+    live = {}
+    results = [None] * len(windows)
     for start in range(0, total, span):
         stop = min(start + span, total)
-        c_ops = None if model.c is None else model.c.batch(us[start:stop])
-        ar_ops = [cv.batch(us[start:stop]) for cv in model.ar]
-        ma_ops = [cv.batch(us[start:stop]) for cv in model.ma]
-        back = min(start, m)
-        # steps[back + s] is the (R, K) view of time step start + s
-        steps = list(x[:, start - back:stop].transpose(1, 0, 2))
-        for s in range(stop - start):
-            i = start + s
-            now = steps[back + s]
-            if c_ops is not None:
-                np.einsum("rj,ij->ri", now, c_ops[s], out=term)
-                now[...] = term
-            if n:
-                shaped[i % (n + 1)] = now
-            for j in range(1, min(i, m) + 1):
-                now += np.einsum("rj,ij->ri", steps[back + s - j], ar_ops[j - 1][s], out=term)
-            for l in range(1, min(i, n) + 1):
-                now += np.einsum("rj,ij->ri", shaped[(i - l) % (n + 1)], ma_ops[l - 1][s],
-                                 out=term)
-        del c_ops, ar_ops, ma_ops  # freed before the next span's stacks are built
-    return x[:, burn_in:], eps
+        count = stop - start
+        if start:
+            buf[:m] = buf[span:span + m]
+        for row, rng in zip(draws, rngs):
+            rng.standard_normal(out=row[:count])
+        np.multiply(draws[:, :count].transpose(1, 0, 2), sigma, out=buf[m:m + count])
+        if moving:
+            us = np.arange(first + start, first + stop) / float(T)
+            c_ops = None if model.c is None else model.c.batch(us)
+            ar_ops = [cv.batch(us) for cv in model.ar]
+            ma_ops = [cv.batch(us) for cv in model.ma]
+            for s in range(count):
+                i = start + s
+                now = steps[m + s]
+                if c_ops is not None:
+                    np.einsum("rj,ij->ri", now, c_ops[s], out=term)
+                    now[...] = term
+                if n:
+                    shaped[i % (n + 1)] = now
+                for j in range(1, min(i, m) + 1):
+                    now += np.einsum("rj,ij->ri", steps[m + s - j], ar_ops[j - 1][s], out=term)
+                for l in range(1, min(i, n) + 1):
+                    now += np.einsum("rj,ij->ri", shaped[(i - l) % (n + 1)], ma_ops[l - 1][s],
+                                     out=term)
+            del c_ops, ar_ops, ma_ops  # freed before the next span's stacks are built
+        lo, hi = first + start, first + stop - 1
+        for i in order:
+            a, b = windows[i]
+            if b < lo or a > hi:
+                continue
+            if i not in live:
+                live[i] = np.empty((rows, b - a + 1, k))
+            c, d = max(a, lo), min(b, hi)
+            live[i][:, c - a:d - a + 1] = buf[m + c - lo:m + d - lo + 1].transpose(1, 0, 2)
+            if b <= hi:
+                results[i] = reduce(i, live.pop(i))
+    return results
+
+
+def _whole(i, xs):
+    """``reduce`` that keeps a window as it is."""
+    return xs
 
 
 def _shaping(model, us):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tvfspec
-from tvfspec import cli, ingest
+from tvfspec import cli, evaluate, ingest
 from tvfspec.estimator import fourier_frequencies
 from tvfspec.ingest import (
     model_document,
@@ -255,8 +255,8 @@ class TestEvaluate:
 
     def test_imse_bytes_do_not_depend_on_threads_with_default_blas(self, tmp_path):
         # the README imse config in fresh processes whose BLAS and OpenMP
-        # thread counts are left at their defaults; at T = 4096 the 20
-        # replications form three chunks, which two workers run as two passes
+        # thread counts are left at their defaults; two workers split the
+        # 20 replications of each T into two passes of 10
         config = write_config(
             tmp_path, "imse.json",
             {"model": {"preset": "far1", "size": 15}, "estimator": "auto",
@@ -372,6 +372,23 @@ class TestCheck:
         stationarity = json.loads((out / "stationarity.json").read_text())
         assert stationarity["passes"]["bounded_second_moment"] is True
         assert abs(stationarity["quantities"]["slope"]) <= 0.15
+
+    def test_frozen_rows_share_one_loop_per_pass(self, tmp_path, monkeypatch):
+        # far1 with the default 16 replications: at each T one time loop for
+        # the model's rows and one for the frozen model's, all 16 rows each
+        loops = []
+        real = evaluate._simulate_rows
+
+        def spy(model, T, seeds, *args):
+            frozen = all(curve.knots.size == 1 for curve in model.ar)
+            loops.append(("frozen" if frozen else "model", T, len(seeds)))
+            return real(model, T, seeds, *args)
+
+        monkeypatch.setattr(evaluate, "_simulate_rows", spy)
+        config = write_config(tmp_path, "check.json", {"model": {"preset": "far1"}})
+        assert cli.main(["check", "--config", config, "--out", str(tmp_path / "run")]) == 0
+        assert loops == [(kind, T, 16) for T in (256, 1024, 4096)
+                         for kind in ("model", "frozen")]
 
     def test_unstable_model_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path, "check.json", {"model": unstable_document()})

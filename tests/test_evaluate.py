@@ -1,12 +1,14 @@
 import json
-from functools import partial
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from tvfspec import evaluate as evaluate_module
 from tvfspec import model as model_module
-from tvfspec.estimator import EstimatorConfig, estimate_grid
+from tvfspec.cli import FAR2_SLICE_US
+from tvfspec.estimator import EstimatorConfig, TaperSpec, estimate_grid, fourier_frequencies
 from tvfspec.evaluate import (
     McReport,
     _second_derivative,
@@ -24,10 +26,13 @@ from tvfspec.model import (
     OperatorCurve,
     TvFarmaModel,
     far1,
+    far2,
     replication_seed,
     simulate,
 )
 from tvfspec.spectrum import SpectralGrid, truth_grid
+
+from test_model import looped_simulate
 
 
 def white(dim=1, sigma=1.0):
@@ -40,107 +45,182 @@ def ramp_ar1():
     return TvFarmaModel(ar=(curve,), innovations=InnovationSpec(np.array([1.0])))
 
 
-def seed_first_value_and_chunk(xs, seeds):
-    return np.column_stack([seeds, xs[:, 0, 0], np.full(len(seeds), len(seeds))])
+@dataclass(frozen=True)
+class RecordRows:
+    """Replication task: each row's seed, the size of its pass, then its values in ``windows``."""
+
+    windows: list
+
+    def reduce(self, i, xs, seeds):
+        values = xs.reshape(len(xs), -1)
+        if i:
+            return values
+        return np.column_stack([seeds, np.full(len(seeds), len(seeds)), values])
+
+    def combine(self, parts):
+        return np.concatenate(parts, axis=1)
 
 
-def seed_chunk_and_rows(xs, seeds):
-    return np.column_stack([seeds, np.full(len(seeds), len(seeds)), xs.reshape(len(xs), -1)])
+def set_budget(monkeypatch, model, task, rows):
+    """A window budget that holds ``rows`` replications of ``task`` (None: any number)."""
+    row_bytes = evaluate_module._open_elements(task.windows) * model.dim * 8
+    monkeypatch.setattr(evaluate_module, "WINDOW_BYTES",
+                        10**12 if rows is None else rows * row_bytes)
 
 
-def set_budgets(monkeypatch, per_rep, reps_per_chunk, chunks_per_pass):
-    """Chunks of ``reps_per_chunk`` replications, passes of ``chunks_per_pass`` (None: any)."""
-    monkeypatch.setattr(evaluate_module, "CHUNK_ELEMENTS", reps_per_chunk * per_rep)
-    monkeypatch.setattr(evaluate_module, "PASS_ELEMENTS",
-                        10**12 if chunks_per_pass is None
-                        else chunks_per_pass * reps_per_chunk * per_rep)
+def pass_sizes(count, rows, workers):
+    """Rows of each pass: at most ``rows`` and ceil(count / workers), as even as can be."""
+    per_pass = min(rows or count, -(-count // workers))
+    passes = -(-count // per_pass)
+    return [(p + 1) * count // passes - p * count // passes for p in range(passes)]
 
 
-PASS_CAPS = (1, 2, None)
+class SerialPool:
+    """Stands in for the process pool: records its size, runs the work in this process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+ROW_BUDGETS = (1, 2, None)
+
+
+@pytest.fixture
+def pool_for_any_run(monkeypatch):
+    """Lets even the smallest run split over processes."""
+    monkeypatch.setattr(evaluate_module, "POOL_MIN_VALUES", 0)
 
 
 class TestReplicate:
+    @pytest.mark.usefixtures("pool_for_any_run")
     def test_rows_follow_seed_order_for_any_worker_count(self, monkeypatch):
+        # overlapping and nested windows, one starting at the first observation
         model = far1(size=3)
         seeds = list(range(100, 107))
+        task = RecordRows([(1, 12), (5, 32), (6, 9), (20, 32)])
         rows = np.stack([simulate(model, 32, seed=s, check=False) for s in seeds])
-        for reps_per_chunk in (7, 1, 2, 3):
-            # a budget of c * (burn_in + n) * K elements holds c replications
-            sizes = [min(reps_per_chunk, len(seeds) - i) for i in range(0, len(seeds), reps_per_chunk)]
-            for chunks_per_pass in PASS_CAPS:
-                set_budgets(monkeypatch, (500 + 32) * 3, reps_per_chunk, chunks_per_pass)
-                for workers in (1, 2, 3):
-                    stack = replicate(model, 32, seeds, seed_chunk_and_rows, workers=workers)
-                    assert stack[:, 0].tolist() == seeds
-                    assert stack[:, 1].tolist() == [c for c in sizes for _ in range(c)]
-                    assert np.array_equal(stack[:, 2:], rows.reshape(len(seeds), -1))
+        want = np.concatenate([rows[:, a - 1:b].reshape(len(seeds), -1)
+                               for a, b in task.windows], axis=1)
+        for budget in (1, 2, 3, None):
+            set_budget(monkeypatch, model, task, budget)
+            for workers in (1, 2, 3):
+                stack = replicate(model, 32, seeds, task, workers=workers)
+                assert stack[:, 0].tolist() == seeds
+                sizes = pass_sizes(len(seeds), budget, workers)
+                assert stack[:, 1].tolist() == [c for c in sizes for _ in range(c)]
+                assert np.array_equal(stack[:, 2:], want)
 
     def test_never_more_workers_than_replications(self, monkeypatch):
         started = []
-
-        class SerialPool:
-            # records the pool size and runs the work in this process
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+        monkeypatch.setattr(SerialPool, "started", started)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        # three small replications share one chunk: no pool at all
-        out = replicate(white(), 16, [4, 5, 6], seed_first_value_and_chunk, workers=64)
+        task = RecordRows([(1, 16)])
+        # three small replications share one pass: no pool at all
+        out = replicate(white(), 16, [4, 5, 6], task, workers=64)
         assert started == []
-        assert out[:, 0].tolist() == [4, 5, 6]
-        monkeypatch.setattr(evaluate_module, "CHUNK_ELEMENTS", 1)
-        out = replicate(white(), 16, [4, 5, 6], seed_first_value_and_chunk, workers=64)
+        assert out[:, 1].tolist() == [3, 3, 3]
+        # past the pool threshold, three replications split over at most
+        # three processes
+        monkeypatch.setattr(evaluate_module, "POOL_MIN_VALUES", 3 * 516)
+        out = replicate(white(), 16, [4, 5, 6], task, workers=64)
         assert started == [3]
         assert out[:, 0].tolist() == [4, 5, 6]
-        assert out[:, 2].tolist() == [1, 1, 1]
-        replicate(white(), 16, [4], seed_first_value_and_chunk, workers=64)
+        assert out[:, 1].tolist() == [1, 1, 1]
+        replicate(white(), 16, [4], task, workers=64)
+        assert started == [3]
+        monkeypatch.setattr(evaluate_module, "POOL_MIN_VALUES", 3 * 516 + 1)
+        replicate(white(), 16, [4, 5, 6], task, workers=64)
         assert started == [3]
 
-    def test_estimates_do_not_depend_on_chunks_or_workers(self, monkeypatch):
+    @pytest.mark.usefixtures("pool_for_any_run")
+    def test_estimates_do_not_depend_on_passes_or_workers(self, monkeypatch):
         model = far1(size=3)
         T = 256
         cfg = EstimatorConfig.auto(T)
-        task = partial(evaluate_module._estimate_points, cfg, T,
-                       [(0.5, 0.3), (0.4, 1.0), (0.5, -2.0)])
+        task = evaluate_module._EstimatePoints(cfg, T, [(0.5, 0.3), (0.4, 1.0), (0.5, -2.0)])
         seeds = [replication_seed(3, r) for r in range(5)]
         reference = replicate(model, T, seeds, task)
         for r, s in enumerate(seeds):
             x = simulate(model, T, seed=s, check=False)
+            assert np.abs(x - looped_simulate(model, T, s)).max() <= 1e-12 * np.abs(x).max()
             assert np.array_equal(reference[r, [0, 2]],
                                   estimate_grid(x, cfg, T, [0.5], [0.3, -2.0]).values[0])
-        for reps_per_chunk in (1, 2, 3):
-            for chunks_per_pass in PASS_CAPS:
-                set_budgets(monkeypatch, (500 + T) * 3, reps_per_chunk, chunks_per_pass)
-                for workers in (1, 2, 3):
-                    assert np.array_equal(replicate(model, T, seeds, task, workers=workers),
-                                          reference)
+            assert np.array_equal(reference[r, 1],
+                                  estimate_grid(x, cfg, T, [0.4], [1.0]).values[0, 0])
+        for budget in ROW_BUDGETS:
+            set_budget(monkeypatch, model, task, budget)
+            for workers in (1, 2, 3):
+                assert np.array_equal(replicate(model, T, seeds, task, workers=workers),
+                                      reference)
 
-    def test_chunk_budget_bounds_the_buffer(self):
-        chunks = []
+    @pytest.mark.usefixtures("pool_for_any_run")
+    def test_overlapping_windows_before_the_first_observation(self, monkeypatch):
+        # the far2 figure slices at T = 512: segments observed on
+        # [1 - N/2, T + N/2], the first starting before t = 1, neighbours
+        # overlapping
+        model = far2(size=4)
+        T = 512
+        cfg = EstimatorConfig.auto(T, taper=TaperSpec(name="sqrt_epanechnikov"))
+        t0, t_end = 1 - cfg.N // 2, T + cfg.N // 2
+        slices = [(u, 1.5 - np.cos(np.pi * u)) for u in FAR2_SLICE_US]
+        task = evaluate_module._EstimatePoints(cfg, T, slices, t0, t_end)
+        starts = [a for a, _ in task.windows]
+        assert starts[0] < 1
+        assert any(b >= a for (_, b), a in zip(task.windows, starts[1:]))
+        seeds = [replication_seed(7, r) for r in range(4)]
+        want = []
+        for s in seeds:
+            x = simulate(model, T, seed=s, t_start=t0, t_end=t_end, check=False)
+            want.append([estimate_grid(x, cfg, T, [u], [omega], t0=t0).values[0, 0]
+                         for u, omega in slices])
+        for budget in ROW_BUDGETS:
+            set_budget(monkeypatch, model, task, budget)
+            for workers in (1, 2, 3):
+                got = replicate(model, T, seeds, task, workers=workers, t_start=t0)
+                assert np.array_equal(got, np.array(want))
 
-        def record(xs, seeds):
-            chunks.append(xs.shape)
-            return np.zeros(len(seeds))
+    def test_window_budget_bounds_the_open_windows(self, monkeypatch):
+        shapes = []
 
+        class Record(RecordRows):
+            def reduce(self, i, xs, seeds):
+                shapes.append(xs.shape)
+                return np.zeros((len(seeds), 1))
+
+        # the README imse config at T = 4096: three disjoint segments of
+        # N = 1024 steps, one open at a time
         model = far1(size=15)
-        replicate(model, 4096, list(range(20)), record)
-        per_rep = (500 + 4096) * 15
-        assert [c for c, _, _ in chunks] == [8, 8, 4]
-        assert all(c * per_rep <= evaluate_module.CHUNK_ELEMENTS for c, _, _ in chunks)
-
+        T = 4096
+        cfg = EstimatorConfig.auto(T)
+        windows = evaluate_module._ImseTask(cfg, T, truth_grid(model, [0.18, 0.5, 0.82],
+                                                               [0.0])).windows
+        task = Record(windows)
+        row_bytes = cfg.N * 15 * 8
+        assert evaluate_module._open_elements(windows) == cfg.N
+        replicate(model, T, list(range(20)), task)
+        assert shapes == [(20, cfg.N, 15)] * 3
+        # a budget of 8 rows splits the 20 rows evenly into passes of at most 8
+        shapes.clear()
+        monkeypatch.setattr(evaluate_module, "WINDOW_BYTES", 8 * row_bytes)
+        replicate(model, T, list(range(20)), task)
+        assert [c for c, _, _ in shapes[::3]] == [6, 7, 7]
+        assert all(c * row_bytes <= evaluate_module.WINDOW_BYTES for c, _, _ in shapes)
 
     def test_one_pass_per_worker_at_the_readme_scale(self, monkeypatch):
-        # the README imse config at T = 4096: 20 far1 replications in chunks
-        # of 8, 8 and 4, simulated in one time loop per worker
+        # the README imse config: all 20 far1 replications in one time loop;
+        # two workers split them at T = 4096, not at T = 512, where the
+        # pool would cost more than it saves
         passes = []
         real = evaluate_module._simulate_rows
 
@@ -148,31 +228,44 @@ class TestReplicate:
             passes.append(len(seeds))
             return real(model, T, seeds, *args)
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
         monkeypatch.setattr(evaluate_module, "_simulate_rows", spy)
+        monkeypatch.setattr(SerialPool, "started", [])
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         model = far1(size=15)
+        truth = truth_grid(model, [0.18, 0.5, 0.82], fourier_frequencies(64))
         seeds = [replication_seed(0, r) for r in range(20)]
-        out = replicate(model, 4096, seeds, seed_first_value_and_chunk)
-        assert passes == [20]
-        assert out[:, 2].tolist() == [8] * 8 + [8] * 8 + [4] * 4
-        # two workers split the three chunks into passes of one and two
-        passes.clear()
-        assert np.array_equal(replicate(model, 4096, seeds, seed_first_value_and_chunk,
-                                        workers=2), out)
-        assert passes == [8, 12]
+        for T, split in ((512, [20]), (4096, [10, 10])):
+            task = evaluate_module._ImseTask(EstimatorConfig.auto(T), T, truth)
+            passes.clear()
+            out = replicate(model, T, seeds, task)
+            assert passes == [20]
+            passes.clear()
+            SerialPool.started.clear()
+            assert np.array_equal(replicate(model, T, seeds, task, workers=2), out)
+            assert passes == split
+            assert SerialPool.started == ([2] if len(split) > 1 else [])
+
+    def test_peak_memory_is_the_open_windows_at_any_T(self):
+        # one point estimate per row reads one segment of N steps: the
+        # traced peak stays near the open window however long the run
+        model = far1(size=3)
+        model.stability  # cached before tracing, as in every run
+        cfg = EstimatorConfig(N=256, b_f=0.5)
+        seeds = list(range(16))
+        window = len(seeds) * cfg.N * 3 * 8
+        peaks = []
+        for T in (2**12, 2**15):
+            task = evaluate_module._EstimatePoints(cfg, T, [(0.5, 0.3)])
+            tracemalloc.start()
+            try:
+                replicate(model, T, seeds, task)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the open window, the rolling span and the smoother's FFTs; a whole
+        # (R, burn_in + T, K) buffer would take 18 and 130 windows
+        assert peaks[0] < 12 * window
+        assert peaks[1] < peaks[0] + window / 4
 
 
 class TestImse:
