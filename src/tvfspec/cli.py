@@ -16,11 +16,11 @@ with the same config and seed reproduces every output byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 stability failure,
 4 estimation band violation, 5 I/O or parse error; 1 means the pipeline ran
-but a Monte Carlo or diagnostic check did not pass.  Each command resolves
-and checks every setting before it writes anything, so codes 2 and 4 leave
-the output directory empty, and code 3 leaves only ``stability.json``,
-``config.json`` and ``manifest.json`` where the command runs the stability
-gate.
+but a Monte Carlo or diagnostic check did not pass.  The whole config is
+checked against one key table (``_TABLE``) before any command logic runs, and
+each command resolves its settings before it writes anything, so codes 2 and
+4 leave the output directory empty, and code 3 leaves only ``stability.json``,
+``config.json`` and ``manifest.json`` where the command runs the stability gate.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +72,7 @@ FAR1_SLICES = ((0.25, 0.0), (0.5, 0.3 * np.pi), (0.25, 0.9 * np.pi))
 FAR2_SLICE_US = (0.1, 0.25, 0.375, 0.5, 0.625, 0.75, 0.9)
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Configuration that cannot be turned into a runnable pipeline."""
 
 
@@ -83,76 +84,148 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-# JSON types of config values; bool is not int here, so true is no count
-_KINDS = {"an integer": (int,), "a number": (int, float), "a string": (str,),
-          "a boolean": (bool,), "an object": (dict,),
-          "a number, list or object": (int, float, list, dict)}
+class _Key(NamedTuple):
+    """Table entry of one config key.  ``kind`` is int, float (any number), str, bool
+    or dict (bool is no int, so true is no count); a tuple of the values allowed;
+    or "axis": one number, a list of numbers or {"count": n}."""
+
+    kind: object
+    least: float | None = None  # bound of the value, of each list entry, or of an axis count
+    many: int = 0  # a list of at least this many distinct entries
+    fallback: bool = False  # a check setting that reads the top-level key if its section lacks it
 
 
-def _get(config, path, kind, default=None, many=False):
-    """Config value at the dotted JSON ``path``, or ``default`` when absent.
-
-    The value must be ``kind`` (a list of ``kind`` with ``many``) and each
-    section on the path an object; any other JSON type is a config error
-    that names the path.  Numbers come back as floats.
-    """
-    outer, _, key = path.rpartition(".")
-    if outer:
-        config = _get(config, outer, "an object", {})
-    if key not in config:
-        return default
-    value = config[key]
-    if many and type(value) is not list:
-        raise ConfigError(f"{path} must be a list, got {value!r}")
-    for name, item in ([(f"{path}[{i}]", v) for i, v in enumerate(value)] if many
-                       else [(path, value)]):
-        if type(item) not in _KINDS[kind]:
-            raise ConfigError(f"{name} must be {kind}, got {item!r}")
-    return float(value) if kind == "a number" and not many else value
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+               dict: "an object", "axis": "a number, list or object"}
 
 
-def _own(config, check, key):
-    """Path of a check's setting: in the check's own section if set there, else top level."""
-    return f"{check}.{key}" if key in _get(config, check, "an object", {}) else key
+# settings of every check that estimates at one (T, u); each takes sample deviations (ddof=1)
+_ESTIMATING = {"replications": _Key(int, 2, fallback=True), "T": _Key(int, 1, fallback=True),
+               "u": _Key(float)}
+
+
+# Every config key any command reads; a dict is a section.  ``model`` is this
+# preset section unless it is an inline model document (see ``_validate``).
+_TABLE = {
+    "seed": _Key(int, 0), "out": _Key(str), "T": _Key(int, 1), "replications": _Key(int, 1),
+    "u": _Key("axis", 1), "omega": _Key("axis", 1), "render": _Key(int, 2),
+    "basis_size": _Key(int, 1), "kernel": _Key(bool),
+    "checks": _Key(("imse", "bias", "covariance", "normality", "stationarity"), many=1),
+    "model": {"preset": _Key(("far1", "far2", "white")), "path": _Key(str),
+              "size": _Key(int, 1), "seed": _Key(int, 0), "eta": _Key(float),
+              "decay": _Key(float), "knots": _Key(int, 1), "sigma": _Key(float, 0, many=1)},
+    # the estimator's own classes bound these values
+    "estimator": {"segment": _Key(int), "half_width": _Key(float),
+                  "taper": {"name": _Key(str), "rho": _Key(float)},
+                  "kernel": {"name": _Key(str), "half_width": _Key(float)}},
+    "imse": {"replications": _Key(int, 1, fallback=True), "T_list": _Key(int, 1, many=2),
+             "u": _Key("axis", 1), "omega": _Key("axis", 1, fallback=True)},
+    "bias": {**_ESTIMATING, "omega": _Key(float), "projection": _Key(int, 0, many=1)},
+    "covariance": {**_ESTIMATING, "omega1": _Key(float), "omega2": _Key(float)},
+    "normality": {**_ESTIMATING, "omega": _Key(float)},
+    "stationarity": {"u": _Key(float), "T_list": _Key(int, 1, many=2),
+                     "replications": _Key(int, 1)},
+}
+
+
+def _check(value, rule, path):
+    """``value`` checked against ``rule``, numbers as floats; errors name ``path``."""
+    if type(rule) is dict:
+        if type(value) is not dict:
+            raise ConfigError(f"{path} must be an object, got {value!r}")
+        paths = {key: f"{path}.{key}" if path else key for key in value}
+        for key in value:
+            if key not in rule:
+                import difflib  # only on this error path, so no run pays for the import
+                close = difflib.get_close_matches(key, rule, n=1)
+                hint = f"did you mean {close[0]}?" if close else f"known keys: {', '.join(rule)}"
+                raise ConfigError(f"unknown key {paths[key]}; {hint}")
+        return {key: _check(item, rule[key], paths[key]) for key, item in value.items()}
+    if rule.many:
+        if type(value) is not list:
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        one = rule._replace(many=0)
+        items = [_check(item, one, f"{path}[{i}]") for i, item in enumerate(value)]
+        if len(set(items)) < rule.many:
+            raise ConfigError(f"{path} needs {rule.many} or more distinct entries, got {value}")
+        return items
+    if type(rule.kind) is tuple:
+        if value not in rule.kind:
+            raise ConfigError(f"{path} must be one of {', '.join(map(str, rule.kind))}, "
+                              f"got {value!r}")
+        return value
+    types = {float: (int, float), "axis": (int, float, list, dict)}.get(rule.kind, (rule.kind,))
+    if type(value) not in types:
+        raise ConfigError(f"{path} must be {_KIND_NAMES[rule.kind]}, got {value!r}")
+    if rule.kind == "axis":
+        return _check(value, {"count": _Key(int, rule.least)} if type(value) is dict
+                      else _Key(float, many=type(value) is list), path)
+    if rule.least is not None and value < rule.least:
+        check, _, key = path.rpartition(".")
+        raise ConfigError(f"{check} check needs at least {rule.least} replications, got {value}"
+                          if check and key == "replications"
+                          else f"{path} must be at least {rule.least}, got {value!r}")
+    return float(value) if rule.kind is float else value
+
+
+def _validate(config):
+    """The whole config checked against the table, whichever command reads it: numbers
+    as floats, an "auto" estimator as {}, and the section of each check the config
+    runs holding the top-level settings that check falls back to."""
+    table = dict(_TABLE)
+    model = config.get("model")
+    if type(model) is dict and not {"preset", "path"} & model.keys():
+        table["model"] = _Key(dict)  # an inline model document: ingest checks it
+    if config.get("estimator") == "auto":
+        config = {**config, "estimator": {}}  # every estimator setting at its default
+    config = _check(config, table, "")
+    for check in config.get("checks", ["imse"]):
+        section = config.setdefault(check, {})
+        for key, rule in _TABLE[check].items():
+            if rule.fallback and key in config and key not in section:
+                section[key] = _check(config[key], rule, f"{check}.{key}")
+    return config
+
+
+def _get(config, path, default=None):
+    """Value at the dotted ``path`` of a validated config, or ``default`` when unset."""
+    section, _, key = path.rpartition(".")
+    return (config.get(section, {}) if section else config).get(key, default)
 
 
 class Run:
     """One command invocation: resolved config, output directory, manifest."""
 
-    def __init__(self, command, args, require_config=False):
+    def __init__(self, command, args):
         self.command = command
-        self.config = {}
         self.config_bytes = b"{}\n"
-        if args.config is not None:
-            try:
+        try:
+            if args.config is not None:
                 with open(args.config, "rb") as fh:
                     self.config_bytes = fh.read()
-                self.config = json.loads(self.config_bytes)
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-            if not isinstance(self.config, dict):
-                raise ConfigError("config must be a JSON object")
-        elif require_config:
-            raise ConfigError(f"{command} requires --config")
-        self.seed = _get(self.config, "seed", "an integer", 0) if args.seed is None else args.seed
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        self.threads = args.threads
-        out = args.out or _get(self.config, "out", "a string") or f"tvfspec-{command}"
-        os.makedirs(out, exist_ok=True)
-        self.out = out
+            config = json.loads(self.config_bytes)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
+        self.config_hash = hashlib.sha256(self.config_bytes).hexdigest()
+        # a bad flag or "out" exits before the output directory exists
+        for flag, rule in (("seed", _TABLE["seed"]), ("T", _TABLE["T"]), ("threads", _Key(int, 1))):
+            if getattr(args, flag, None) is not None:
+                _check(getattr(args, flag), rule, f"--{flag}")
+        self.out = args.out or _check(config.get("out", f"tvfspec-{command}"), _TABLE["out"],
+                                      "out")
+        os.makedirs(self.out, exist_ok=True)
+        self.config = _validate(config)
+        self.seed = _get(self.config, "seed", 0) if args.seed is None else args.seed
+        self.threads = getattr(args, "threads", 1)
         self.inputs = {}
         self.outputs = []
 
     def path(self, name):
         return os.path.join(self.out, name)
-
-    def track_input(self, path):
-        self.inputs[str(path)] = _sha256(path)
 
     def write_json(self, name, payload):
         self.emit(name, partial(ingest.write_json, payload))
@@ -180,32 +253,24 @@ class Run:
             manifest.update(extra)
         ingest.write_json(manifest, self.path("manifest.json"))
 
-    @property
-    def config_hash(self):
-        return hashlib.sha256(self.config_bytes).hexdigest()
-
 
 def _resolve_model(config):
     """Model from a preset name, a document path, or an inline document."""
-    spec = _get(config, "model", "an object")
+    spec = config.get("model")
     if spec is None:
         raise ConfigError("config needs a 'model' entry (preset, path, or document)")
     if "preset" in spec:
-        name = spec["preset"]
-        size = _get(config, "model.size", "an integer", 15)
-        if name in ("far1", "far2"):
-            build, seed = (far1, 0) if name == "far1" else (far2, 1)
-            keys = ("eta", "decay", "knots") if name == "far1" else ("knots",)
-            kwargs = {k: _get(config, f"model.{k}", "an integer" if k == "knots" else "a number")
-                      for k in keys if k in spec}
-            seed = _get(config, "model.seed", "an integer", seed)
-            return build(size=size, seed=seed, **kwargs), seed
+        name, size = spec["preset"], _get(config, "model.size", 15)
         if name == "white":
-            sigma = _get(config, "model.sigma", "a number", np.ones(size), many=True)
+            sigma = _get(config, "model.sigma", np.ones(size))
             return TvFarmaModel(innovations=InnovationSpec(np.asarray(sigma, dtype=float))), None
-        raise ConfigError(f"unknown model preset {name!r}")
+        build, seed = (far1, 0) if name == "far1" else (far2, 1)
+        keys = ("eta", "decay", "knots") if name == "far1" else ("knots",)
+        kwargs = {k: _get(config, f"model.{k}") for k in keys if k in spec}
+        seed = _get(config, "model.seed", seed)
+        return build(size=size, seed=seed, **kwargs), seed
     if "path" in spec:
-        path = _get(config, "model.path", "a string")
+        path = spec["path"]
         try:
             return ingest.read_model(path)
         except (OSError, ValueError) as exc:
@@ -217,20 +282,11 @@ def _resolve_model(config):
 
 
 def _resolve_estimator(config, T):
-    if config.get("estimator") == "auto":
-        config = {}  # every estimator setting at its default
-    try:
-        taper = TaperSpec(**_get(config, "estimator.taper", "an object", {}))
-        fkernel = FreqKernelSpec(**_get(config, "estimator.kernel", "an object", {}))
-        auto = EstimatorConfig.auto(T, taper=taper, fkernel=fkernel)
-        return EstimatorConfig(
-            N=_get(config, "estimator.segment", "an integer", auto.N),
-            b_f=_get(config, "estimator.half_width", "a number", auto.b_f),
-            taper=taper,
-            fkernel=fkernel,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad estimator config: {exc}") from exc
+    spec = config.get("estimator", {})
+    # the estimator's own ValueErrors exit 2 as config errors
+    auto = EstimatorConfig.auto(T, taper=TaperSpec(**spec.get("taper", {})),
+                                fkernel=FreqKernelSpec(**spec.get("kernel", {})))
+    return replace(auto, N=spec.get("segment", auto.N), b_f=spec.get("half_width", auto.b_f))
 
 
 def _check_band(cfg, T, us):
@@ -239,32 +295,13 @@ def _check_band(cfg, T, us):
         _segment_start(T, float(u), cfg, T, 1)
 
 
-def _axis(config, path, default, grid, least=1, points=True):
-    """Grid axis at ``path``: ``grid(count)`` for a count, else explicit points.
-
-    Absent means ``default`` points.  A count is {"count": n}, or the bare
-    integer n on an axis without explicit ``points`` (the render axis), and
-    must be at least ``least``; explicit points are one number or a list.
-    """
-    spec = _get(config, path, "a number, list or object" if points else "an integer")
-    if points and type(spec) in (int, float, list):
-        values = _get(config, path, "a number", many=type(spec) is list)
-        return np.atleast_1d(np.asarray(values, dtype=float))
-    count = spec if type(spec) is int else _get(config, f"{path}.count", "an integer", default)
-    if count < least:
-        raise ConfigError(f"{path} count must be at least {least}")
-    return grid(count)
-
-
-def _render_axis(config):
-    return _axis(config, "render", 64, ingest.render_grid, least=2, points=False)
-
-
-def _replications(check, count, least=1):
-    """Replication count of one Monte Carlo check, at least ``least``."""
-    if count < least:
-        raise ConfigError(f"{check} check needs at least {least} replications, got {count}")
-    return count
+def _axis(config, path, default, grid):
+    """Grid axis at ``path``: explicit points (one number or a list), else
+    ``grid(n)`` for {"count": n}, or ``grid(default)`` when unset."""
+    spec = _get(config, path, {})
+    if type(spec) is dict:
+        return grid(spec.get("count", default))
+    return np.atleast_1d(np.asarray(spec, dtype=float))
 
 
 def _checked_stability(run, model):
@@ -287,14 +324,12 @@ def _emit_grid(run, stem, grid, basis, render):
 
 
 def cmd_simulate(args):
-    run = Run("simulate", args, require_config=True)
+    run = Run("simulate", args)
     model, model_seed = _resolve_model(run.config)
-    T = args.T if args.T is not None else _get(run.config, "T", "an integer")
+    T = args.T or _get(run.config, "T")  # --T was checked to be at least 1
     if T is None:
         raise ConfigError("sample size T required (config 'T' or --T)")
-    if T < 1:
-        raise ConfigError("T must be positive")
-    grid = _render_axis(run.config)
+    grid = ingest.render_grid(_get(run.config, "render", 64))
     if model.ar:
         _checked_stability(run, model)
     x = simulate(model, T, seed=run.seed, check=False)
@@ -307,11 +342,11 @@ def cmd_simulate(args):
 
 
 def cmd_truth(args):
-    run = Run("truth", args, require_config=True)
+    run = Run("truth", args)
     model, _ = _resolve_model(run.config)
     us = _axis(run.config, "u", 5, partial(np.linspace, 0.1, 0.9))
     omegas = _axis(run.config, "omega", 64, fourier_frequencies)
-    render = _render_axis(run.config)
+    render = ingest.render_grid(_get(run.config, "render", 64))
     _emit_grid(run, "truth", truth_grid(model, us, omegas), model.basis, render)
     run.finish(extra={"u_count": us.size, "omega_count": omegas.size})
     return EXIT_OK
@@ -319,14 +354,15 @@ def cmd_truth(args):
 
 def cmd_estimate(args):
     run = Run("estimate", args)
-    run.track_input(args.series)
+    run.inputs[args.series] = _sha256(args.series)
     raw = ingest.read_series(args.series)
     if "model" in run.config:
         model, _ = _resolve_model(run.config)
         basis = model.basis
     else:
-        basis = BasisSpec(size=_get(run.config, "basis_size", "an integer", 15))
-    render = _render_axis(run.config) if _get(run.config, "kernel", "a boolean") else None
+        basis = BasisSpec(size=_get(run.config, "basis_size", 15))
+    kernel = _get(run.config, "kernel")
+    render = ingest.render_grid(_get(run.config, "render", 64)) if kernel else None
     projection = ingest.project_to_basis(raw, basis)
     x = projection.coefficients
     T = x.shape[0]
@@ -365,11 +401,8 @@ def cmd_estimate(args):
 
 def _resolve_imse(run, model):
     config = run.config
-    R = _replications("imse", _get(config, _own(config, "imse", "replications"), "an integer",
-                                   20))
-    t_list = sorted(_get(config, "imse.T_list", "an integer", [2**9, 2**12], many=True))
-    if len(t_list) < 2:
-        raise ConfigError("imse check needs at least two sample sizes")
+    R = _get(config, "imse.replications", 20)
+    t_list = sorted(set(_get(config, "imse.T_list", [2**9, 2**12])))
     cfgs = {T: _resolve_estimator(config, T) for T in t_list}
     lo = max(cfgs[T].valid_band(T)[0] for T in t_list)
     hi = min(cfgs[T].valid_band(T)[1] for T in t_list)
@@ -378,7 +411,7 @@ def _resolve_imse(run, model):
     us = _axis(config, "imse.u", 3, partial(np.linspace, lo, hi))
     for T in t_list:
         _check_band(cfgs[T], T, us)
-    omegas = _axis(config, _own(config, "imse", "omega"), 64, fourier_frequencies)
+    omegas = _axis(config, "imse.omega", 64, fourier_frequencies)
     return partial(_imse_report, model, t_list, cfgs, us, omegas, R, run.seed, run.threads)
 
 
@@ -413,40 +446,36 @@ def _imse_report(model, t_list, cfgs, us, omegas, R, seed, workers):
 def _resolve_estimating(run, model, check):
     """Bias, covariance or normality check of the smoother at one (T, u)."""
     config = run.config
-    # these checks take sample deviations (ddof=1)
-    R = _replications(check, _get(config, _own(config, check, "replications"), "an integer", 200),
-                      least=2)
-    T = _get(config, _own(config, check, "T"), "an integer", 2**12)
+    R = _get(config, f"{check}.replications", 200)
+    T = _get(config, f"{check}.T", 2**12)
     cfg = _resolve_estimator(config, T)
-    number = partial(_get, config, kind="a number")
-    u = number(f"{check}.u", default=0.5)
+    u = _get(config, f"{check}.u", 0.5)
     _check_band(cfg, T, [u])
     common = {"seed": run.seed, "workers": run.threads}
     if check == "bias":
-        projection = tuple(_get(config, "bias.projection", "an integer", (0, 0), many=True))
-        if len(projection) != 2 or not all(0 <= i < model.dim for i in projection):
+        projection = tuple(_get(config, "bias.projection", (0, 0)))
+        if len(projection) != 2 or not all(i < model.dim for i in projection):
             raise ConfigError(f"bias projection must be two indices in [0, {model.dim}), "
                               f"got {list(projection)}")
-        return partial(evaluate.mc_mean_bias, model, cfg, T, u, number("bias.omega", default=0.0),
+        return partial(evaluate.mc_mean_bias, model, cfg, T, u, _get(config, "bias.omega", 0.0),
                        R, projection=projection, **common)
     if check == "covariance":
         return partial(evaluate.mc_covariance, model, cfg, T, u,
-                       number("covariance.omega1", default=np.pi / 2),
-                       number("covariance.omega2", default=np.pi / 4), R, **common)
+                       _get(config, "covariance.omega1", np.pi / 2),
+                       _get(config, "covariance.omega2", np.pi / 4), R, **common)
     return partial(evaluate.mc_normality, model, cfg, T, u,
-                   number("normality.omega", default=np.pi / 2), R, **common)
+                   _get(config, "normality.omega", np.pi / 2), R, **common)
 
 
-def _resolve_stationarity(run, model, replications):
-    """Local stationarity diagnostic; ``replications`` is the command's default count."""
+def _resolve_stationarity(run, model):
+    """Local stationarity diagnostic, of 16 replications under ``check`` unless set, else 32."""
     config = run.config
     return partial(
         evaluate.local_stationarity_check,
         model,
-        u=_get(config, "stationarity.u", "a number", 0.25),
-        T_list=_get(config, "stationarity.T_list", "an integer", [2**8, 2**10, 2**12], many=True),
-        R=_replications("stationarity",
-                        _get(config, "stationarity.replications", "an integer", replications)),
+        u=_get(config, "stationarity.u", 0.25),
+        T_list=_get(config, "stationarity.T_list", [2**8, 2**10, 2**12]),
+        R=_get(config, "stationarity.replications", 16 if run.command == "check" else 32),
         seed=run.seed,
         workers=run.threads,
     )
@@ -457,51 +486,44 @@ _RESOLVERS = {
     "bias": partial(_resolve_estimating, check="bias"),
     "covariance": partial(_resolve_estimating, check="covariance"),
     "normality": partial(_resolve_estimating, check="normality"),
-    "stationarity": partial(_resolve_stationarity, replications=32),
+    "stationarity": _resolve_stationarity,
 }
 
 
-def _emit_report(run, check, call):
-    """Run one resolved check and write ``<check>.json``, config hash as last note."""
-    report = call()
-    report.notes.append(f"config_sha256={run.config_hash}")
-    run.emit(f"{check}.json", lambda p: ingest.write_report(report, p))
-    return report
+def _run_checks(run, model, checks, gate):
+    """Resolve every check, gate on stability, then write each report, config hash last."""
+    calls = [(check, _RESOLVERS[check](run, model)) for check in checks]
+    if gate:
+        _checked_stability(run, model)
+    reports = []
+    for check, call in calls:
+        reports.append(call())
+        reports[-1].notes.append(f"config_sha256={run.config_hash}")
+        run.emit(f"{check}.json", partial(ingest.write_report, reports[-1]))
+    run.finish()
+    return reports
 
 
 def cmd_evaluate(args):
-    run = Run("evaluate", args, require_config=True)
+    run = Run("evaluate", args)
     model, _ = _resolve_model(run.config)
-    checks = _get(run.config, "checks", "a string", ["imse"], many=True)
-    bad = [c for c in checks if c not in _RESOLVERS]
-    if bad:
-        raise ConfigError(f"unknown checks {bad}; available: {sorted(_RESOLVERS)}")
-    calls = [(check, _RESOLVERS[check](run, model)) for check in checks]
-    if model.ar:
-        _checked_stability(run, model)
-    overall = True
-    for check, call in calls:
-        report = _emit_report(run, check, call)
+    checks = _get(run.config, "checks", ["imse"])
+    reports = _run_checks(run, model, checks, gate=bool(model.ar))
+    for check, report in zip(checks, reports):
         print(f"{check}: {'pass' if report.passed else 'FAIL'}")
-        overall = overall and report.passed
-    run.finish()
-    return EXIT_OK if overall else 1
+    return EXIT_OK if all(report.passed for report in reports) else 1
 
 
 def cmd_reproduce(args):
     run = Run("reproduce", args)
-    T = args.T if args.T is not None else _get(run.config, "T", "an integer", 2**9)
-    if T not in REPRODUCE_LENGTHS:
-        raise ConfigError(
-            f"reproduce supports T in {REPRODUCE_LENGTHS}, got {T}"
-        )
+    T = _check(args.T or _get(run.config, "T", 2**9), _Key(REPRODUCE_LENGTHS), "T")
     if args.figure == "far1":
         model = far1(size=15)
         slices = list(FAR1_SLICES)
     else:
         model = far2(size=15)
         slices = [(u, 1.5 - np.cos(np.pi * u)) for u in FAR2_SLICE_US]
-    render = _render_axis(run.config)
+    render = ingest.render_grid(_get(run.config, "render", 64))
     _checked_stability(run, model)
     # Figure presets taper with sqrt-Epanechnikov so the induced time kernel
     # is the same Epanechnikov kernel the frequency smoother uses.
@@ -517,13 +539,8 @@ def cmd_reproduce(args):
         ],
     )
     for i, (u, omega) in enumerate(slices):
-        truth = truth_grid(model, [u], [omega])
-        run.emit(
-            f"slice{i}_truth.csv",
-            lambda p, g=truth: ingest.write_spectral_grid(
-                g, p, mode="kernel", basis=basis, taus=render
-            ),
-        )
+        run.emit(f"slice{i}_truth.csv", partial(ingest.write_spectral_grid, truth_grid(
+            model, [u], [omega]), mode="kernel", basis=basis, taus=render))
     R = REPRODUCE_REPLICATIONS
     estimates = evaluate.replicate(
         model, T, [replication_seed(run.seed, r) for r in range(R)],
@@ -540,12 +557,9 @@ def cmd_reproduce(args):
                 values=mats[i][None, None],
                 provenance="smoothed",
             )
-            run.emit(
-                f"slice{i}_rep{r}.csv",
-                lambda p, g=grid, ker=kernels[i]: ingest.write_spectral_grid(
-                    g, p, mode="kernel", taus=render, kernels=ker[None, None]
-                ),
-            )
+            run.emit(f"slice{i}_rep{r}.csv", partial(ingest.write_spectral_grid, grid,
+                                                     mode="kernel", taus=render,
+                                                     kernels=kernels[i][None, None]))
     lower, upper = np.percentile(amplitudes, [25, 75], axis=1)
     iqr = upper - lower
     dispersion = {
@@ -560,14 +574,31 @@ def cmd_reproduce(args):
 
 
 def cmd_check(args):
-    run = Run("check", args, require_config=True)
+    run = Run("check", args)
     model, _ = _resolve_model(run.config)
-    call = _resolve_stationarity(run, model, replications=16)
-    _checked_stability(run, model)
-    stat = _emit_report(run, "stationarity", call)
-    run.finish()
+    (stat,) = _run_checks(run, model, ["stationarity"], gate=True)
     print(f"stability: pass; local stationarity: {'pass' if stat.passed else 'FAIL'}")
     return EXIT_OK if stat.passed else 1
+
+
+# subcommand: its function and its help line
+_COMMANDS = {
+    "simulate": (cmd_simulate, "simulate a series and write it on a render grid"),
+    "truth": (cmd_truth, "exact spectral density grid for a model"),
+    "estimate": (cmd_estimate, "estimate the spectral density of a series file"),
+    "evaluate": (cmd_evaluate, "run Monte Carlo checks from a config"),
+    "reproduce": (cmd_reproduce, "figure-data pipeline for the built-in presets"),
+    "check": (cmd_check, "stability and local stationarity report"),
+}
+
+# exit code and stderr message of each error a command may raise; first match wins
+_FAILURES = (
+    ((StabilityError, TransferSingularError), EXIT_STABILITY, "stability: FAIL ({})"),
+    (BoundaryError, EXIT_BOUNDARY, "boundary error: {}"),
+    (ingest.ParseError, EXIT_IO, "parse error: {}"),
+    (OSError, EXIT_IO, "i/o error: {}"),
+    (ValueError, EXIT_CONFIG, "config error: {}"),  # ConfigError is a ValueError
+)
 
 
 def build_parser():
@@ -576,65 +607,32 @@ def build_parser():
         description="Simulation, exact spectra, and spectral estimation pipelines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", metavar="PATH", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="master seed (default: config, then 0)")
-        p.add_argument("--threads", type=int, default=1, help="number of worker processes for "
-                       "Monte Carlo replications (evaluate, reproduce, check); outputs are "
-                       "byte-identical for every value")
         p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--T", type=int, help="sample size override")
-
-    p = sub.add_parser("simulate", help="simulate a series and write it on a render grid")
-    common(p)
-    p = sub.add_parser("truth", help="exact spectral density grid for a model")
-    common(p)
-    p = sub.add_parser("estimate", help="estimate the spectral density of a series file")
-    p.add_argument("series", help="series file written by simulate (or same format)")
-    common(p)
-    p = sub.add_parser("evaluate", help="run Monte Carlo checks from a config")
-    common(p)
-    p = sub.add_parser("reproduce", help="figure-data pipeline for the built-in presets")
-    p.add_argument("figure", choices=("far1", "far2"))
-    common(p)
-    p = sub.add_parser("check", help="stability and local stationarity report")
-    common(p)
+    # the arguments only some subcommands read
+    for name in ("evaluate", "reproduce", "check"):
+        sub.choices[name].add_argument("--threads", type=int, default=1, help="number of worker "
+                                       "processes for Monte Carlo replications; outputs are "
+                                       "byte-identical for every value")
+    for name in ("simulate", "reproduce"):
+        sub.choices[name].add_argument("--T", type=int, help="sample size override")
+    sub.choices["estimate"].add_argument("series", help="series file written by simulate "
+                                         "(or same format)")
+    sub.choices["reproduce"].add_argument("figure", choices=("far1", "far2"))
     return parser
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "truth": cmd_truth,
-    "estimate": cmd_estimate,
-    "evaluate": cmd_evaluate,
-    "reproduce": cmd_reproduce,
-    "check": cmd_check,
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (StabilityError, TransferSingularError) as exc:
-        print(f"stability: FAIL ({exc})", file=sys.stderr)
-        return EXIT_STABILITY
-    except BoundaryError as exc:
-        print(f"boundary error: {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
-    except ingest.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _COMMANDS[args.command][0](args)
+    except (StabilityError, TransferSingularError, OSError, ValueError) as exc:
+        code, message = next((c, m) for kinds, c, m in _FAILURES if isinstance(exc, kinds))
+        print(message.format(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -482,3 +484,146 @@ def test_estimate_names_the_bad_series_line(tmp_path, capsys):
     out = tmp_path / "est"
     assert cli.main(["estimate", str(series), "--out", str(out)]) == 5
     assert f"parse error: {series}:5: non-numeric field" in capsys.readouterr().err
+
+
+def table_entries(table=cli._TABLE, path=""):
+    """(dotted path, entry) of every leaf of the config key table."""
+    for key, rule in table.items():
+        inner = f"{path}.{key}" if path else key
+        if type(rule) is dict:
+            yield from table_entries(rule, inner)
+        else:
+            yield inner, rule
+
+
+def bad_values(path, rule):
+    """(value, start of its error) pairs: wrong types, then values out of the entry's bounds."""
+    wrong = {int: 1.5, float: "x", str: 1, bool: 1, "axis": None}.get(rule.kind, 1)
+    at = f"{path}[0]" if rule.many else path  # where a scalar check lands
+    if rule.many:
+        cases = [("x", f"{path} must be a list"), ([wrong], f"{at} must be "),
+                 ([], f"{path} needs {rule.many} or more distinct entries, got []")]
+    else:
+        cases = [(wrong, f"{path} must be ")]
+    if rule.many > 1:
+        cases.append(([256, 256], f"{path} needs {rule.many} or more distinct entries"))
+    if type(rule.kind) is tuple:
+        cases.append((["nope"] if rule.many else "nope", f"{at} must be one of "))
+    if rule.least is not None:
+        low = rule.least - 1
+        check, _, key = path.rpartition(".")
+        if key == "replications" and check:
+            message = f"{check} check needs at least {rule.least} replications, got {low}"
+        elif rule.kind == "axis":
+            low, message = {"count": low}, f"{path}.count must be at least {rule.least}, got "
+        else:
+            message = f"{at} must be at least {rule.least}, got "
+        cases.append(([low] if rule.many else low, message))
+    return cases
+
+
+def config_with(path, value):
+    config = {"model": {"preset": "far1", "size": 3}}
+    *sections, key = path.split(".")
+    inner = config
+    for name in sections:
+        inner = inner.setdefault(name, {})
+    inner[key] = value
+    return config
+
+
+TABLE_CASES = [(path, value, message) for path, rule in table_entries()
+               for value, message in bad_values(path, rule)]
+
+
+@pytest.mark.parametrize("path, value, message", TABLE_CASES,
+                         ids=[f"{path}={value!r}" for path, value, _ in TABLE_CASES])
+def test_every_table_entry_rejects_wrong_types_and_values_out_of_bounds(
+        tmp_path, capsys, path, value, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    config = write_config(tmp_path, "bad.json", config_with(path, value))
+    assert cli.main(["truth", "--config", config, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_every_table_entry_is_covered():
+    assert {path for path, _, _ in TABLE_CASES} == {path for path, _ in table_entries()}
+    # and every entry with bounds has a case out of them
+    bounded = {path for path, rule in table_entries()
+               if rule.least is not None or rule.many or type(rule.kind) is tuple}
+    assert bounded == {path for path, _, message in TABLE_CASES
+                       if re.search("at least|one of|distinct", message)}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"rendr": 8}, "unknown key rendr; did you mean render?"),
+    ({"imse": {"replicatons": 20}}, "unknown key imse.replicatons; did you mean replications?"),
+    ({"model": {"preset": "far1", "sise": 3}}, "unknown key model.sise; did you mean size?"),
+    ({"u": {"cuont": 3}}, "unknown key u.cuont; did you mean count?"),
+    ({"xyzzy": 1}, "unknown key xyzzy; known keys: seed, out, T, "),
+], ids=["top-level", "check-section", "model", "axis", "no-close-key"])
+def test_unknown_key_exits_2_naming_the_closest_known_key(tmp_path, capsys, config, message):
+    config = write_config(tmp_path, "typo.json", {**far1_config(checks=["imse"]), **config})
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["evaluate"], far1_config(checks=["stationarity"], stationarity={"T_list": [0, 256]}),
+     "stationarity.T_list[0] must be at least 1, got 0"),
+    (["evaluate"], far1_config(imse={"T_list": [512, 512]}),
+     "imse.T_list needs 2 or more distinct entries, got [512, 512]"),
+    (["check"], far1_config(stationarity={"T_list": [256]}),
+     "stationarity.T_list needs 2 or more distinct entries, got [256]"),
+    (["truth"], {"model": {"preset": "far1", "size": 3, "knots": 0}},
+     "model.knots must be at least 1, got 0"),
+    (["truth"], {"model": {"preset": "white", "size": 0}}, "model.size must be at least 1, got 0"),
+    (["evaluate"], far1_config(checks=["bias"], replications=1),
+     "bias check needs at least 2 replications, got 1"),
+], ids=["T_list-zero", "imse-one-distinct-T", "stationarity-one-T", "knots-zero", "size-zero",
+        "top-level-replications"])
+def test_out_of_range_setting_exits_2_before_any_write(tmp_path, capsys, argv, config, message):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", write_config(tmp_path, "bad.json", config),
+                     "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_top_level_settings_are_bounded_only_by_the_checks_that_read_them():
+    # imse takes one replication; the bias check, which needs two, does not run
+    assert cli._validate(far1_config(checks=["imse"], replications=1))["imse"]["replications"] == 1
+    # a check's own setting wins over the top level, and numbers come back as floats
+    config = cli._validate(far1_config(checks=["bias"], replications=1, T=512,
+                                       bias={"replications": 2, "omega": 1}))
+    assert config["bias"] == {"replications": 2, "T": 512, "omega": 1.0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--T", "99999"], ["truth", "--T", "64"], ["check", "--T", "64"],
+    ["estimate", "series.csv", "--T", "64"], ["simulate", "--threads", "2"],
+    ["truth", "--threads", "2"], ["estimate", "series.csv", "--threads", "2"],
+], ids=["evaluate-T", "truth-T", "check-T", "estimate-T", "simulate-threads", "truth-threads",
+        "estimate-threads"])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_documented_configs_validate():
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```json\n(.*?)```", (root / "README.md").read_text(), re.S)
+    assert blocks
+    # the benchmark's imse config, whose top-level "u" no evaluate check reads
+    source = ast.parse((root / "perfbench" / "run.py").read_text())
+    bench = [ast.literal_eval(node.value) for node in source.body if isinstance(node, ast.Assign)
+             and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["IMSE_CONFIG"]]
+    assert len(bench) == 1
+    for config in [*map(json.loads, blocks), *bench]:
+        cli._validate(config)
