@@ -55,6 +55,7 @@ from .model import (
     far1,
     far2,
     replication_seed,
+    require_stable,
     simulate,
 )
 from .spectrum import SpectralGrid, TransferSingularError, truth_grid
@@ -305,14 +306,14 @@ def _axis(config, path, default, grid):
 
 
 def _checked_stability(run, model):
-    """Write ``stability.json``; on failure finish the run and raise."""
+    """Write ``stability.json``; on failure finish the run, then let the gate raise."""
     report = check_stability(model)
     worst_u, worst_radius = report.worst()
     run.write_json("stability.json", {**asdict(report), "passed": report.passed,
                                       "worst_u": worst_u, "worst_radius": worst_radius})
     if not report.passed:
         run.finish()
-        raise StabilityError(f"radius {worst_radius:.6g} at u = {worst_u:.6g}")
+    require_stable(model)
 
 
 def _emit_grid(run, stem, grid, basis, render):
@@ -332,7 +333,7 @@ def cmd_simulate(args):
     grid = ingest.render_grid(_get(run.config, "render", 64))
     if model.ar:
         _checked_stability(run, model)
-    x = simulate(model, T, seed=run.seed, check=False)
+    x = simulate(model, T, seed=run.seed)
     data = x @ model.basis.evaluate(grid).T
     raw = ingest.RawSeries(grid=grid, data=data)
     run.emit("series.csv", lambda p: ingest.write_series(raw, p))
@@ -451,12 +452,10 @@ def _resolve_estimating(run, model, check):
     cfg = _resolve_estimator(config, T)
     u = _get(config, f"{check}.u", 0.5)
     _check_band(cfg, T, [u])
+    projection = tuple(_get(config, "bias.projection", (0, 0)))
+    evaluate.require_projections(check, model.dim, projection)
     common = {"seed": run.seed, "workers": run.threads}
     if check == "bias":
-        projection = tuple(_get(config, "bias.projection", (0, 0)))
-        if len(projection) != 2 or not all(i < model.dim for i in projection):
-            raise ConfigError(f"bias projection must be two indices in [0, {model.dim}), "
-                              f"got {list(projection)}")
         return partial(evaluate.mc_mean_bias, model, cfg, T, u, _get(config, "bias.omega", 0.0),
                        R, projection=projection, **common)
     if check == "covariance":

@@ -9,7 +9,8 @@ projections, integrated squared error decay, and the coupled bound defining
 local stationarity.  Replication r of a run with master seed s draws its
 innovations from the sub-stream (2, r) of s, so reports are reproducible and
 independent of worker count; reductions always run in replication order.
-``replicate`` is the one function that simulates replications.  Its tasks
+``replicate`` is the one function that simulates replications, and it runs
+the stability gate ``model.require_stable`` before it simulates.  Its tasks
 declare the time windows they read, and each pass of replications runs one
 time loop that holds only the open windows and hands each window to its
 task as soon as the window closes.
@@ -35,10 +36,10 @@ from .ingest import write_json
 from .model import (
     DEFAULT_BURN_IN,
     TvFarmaModel,
-    _require_stable,
     _simulate_rows,
     _whole,
     replication_seed,
+    require_stable,
 )
 from .spectrum import SpectralGrid, TWO_PI, true_spectral_density
 
@@ -101,18 +102,31 @@ COVARIANCE_PAIRS = (((0, 0), (0, 0)),)
 NORMALITY_PROJECTIONS = ((0, 1), (0, 2), (1, 2))
 
 
+def require_projections(check, dim, projection=(0, 0)):
+    """The one projection rule: raise ValueError unless every coefficient
+    projection (m, n) that ``check`` reads indexes a dim x dim matrix.
+    ``projection`` is the bias check's own."""
+    wanted = {"bias": [projection], "covariance": [p for pair in COVARIANCE_PAIRS for p in pair],
+              "normality": NORMALITY_PROJECTIONS}[check]
+    for p in wanted:
+        if len(p) != 2 or not all(0 <= i < dim for i in p):
+            raise ValueError(f"{check} projection must be two indices in [0, {dim}), "
+                             f"got {list(p)}")
+
+
 def replicate(model, T, seeds, task, workers=1, t_start=1):
     """Per-row results of ``task`` over replications, one row per seed, in seed order.
 
-    Row r is, bit for bit, ``simulate(model, T, seed=seeds[r],
-    t_start=t_start, t_end=stop, check=False)`` for any stop, but no row is
-    ever held whole.  ``task`` declares the absolute time windows it reads,
-    ``task.windows``, a list of inclusive (start, stop) pairs at or after
-    ``t_start``.  The seeds are split into passes; each pass runs one time
-    loop for all its rows, hands window i to ``task.reduce(i, xs, seeds)``
-    as a (c, stop - start + 1, K) array as soon as the loop has passed its
-    stop, and returns ``task.combine(parts)``, the c per-row results built
-    from the reductions in window order.
+    Runs the stability gate ``require_stable`` first.  Row r is, bit for
+    bit, ``simulate(model, T, seed=seeds[r], t_start=t_start, t_end=stop)``
+    for any stop, but no row is ever held whole.  ``task`` declares the
+    absolute time windows it reads, ``task.windows``, a list of inclusive
+    (start, stop) pairs at or after ``t_start``.  The seeds are split into
+    passes; each pass runs one time loop for all its rows, hands window i to
+    ``task.reduce(i, xs, seeds)`` as a (c, stop - start + 1, K) array as
+    soon as the loop has passed its stop, and returns
+    ``task.combine(parts)``, the c per-row results built from the reductions
+    in window order.
 
     A pass holds at most ``WINDOW_BYTES`` of open windows (at least one
     row) and at most ceil(len(seeds) / workers) rows, and the passes are as
@@ -122,6 +136,7 @@ def replicate(model, T, seeds, task, workers=1, t_start=1):
     pickle.  The output is the same for every ``workers``, because rows do
     not depend on how they are grouped.
     """
+    require_stable(model)
     windows = task.windows
     first = t_start - DEFAULT_BURN_IN
     if min(start for start, _ in windows) < t_start:
@@ -233,6 +248,7 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0), workers=
     prediction is strictly closer to the Monte Carlo mean than the truth
     itself.
     """
+    require_projections("bias", model.dim, projection)
     m, n = projection
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
                      _EstimatePoints(cfg, T, [(u, omega)]), workers)
@@ -299,6 +315,7 @@ def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0, workers=1):
     criterion is |cov| < 3 SE, else relative agreement within
     ``COVARIANCE_RTOL``.
     """
+    require_projections("covariance", model.dim)
     points = [(u, omega1), (u, omega2)]
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
                      _EstimatePoints(cfg, T, points), workers)
@@ -360,6 +377,7 @@ def mc_normality(model, cfg, T, u, omega, R, seed=0, workers=1):
     When those degrees of freedom fall below ``NORMALITY_MIN_DOF`` the
     outcome is recorded as informational rather than pass/fail.
     """
+    require_projections("normality", model.dim)
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
                      _EstimatePoints(cfg, T, [(u, omega)]), workers)
     scale = np.sqrt(cfg.b_t(T) * cfg.b_f * T)
@@ -512,7 +530,7 @@ def local_stationarity_check(model, u, T_list, R, seed=0, workers=1):
     """
     T_list = [int(t) for t in T_list]
     frozen = model.frozen(u)
-    _require_stable(frozen)  # once, here; the passes simulate it unchecked
+    require_stable(frozen)  # once, here; the passes simulate it unchecked
     means = []
     maxima = []
     for ti, T in enumerate(T_list):

@@ -23,8 +23,10 @@ rescaled times, walks back over lags on the top block row of the companion
 product for all anchors at once and composes the moving-average part on top;
 ``simulate_ma`` carries the forward responses of all innovation rows at once.
 The stability report on the default grid is computed once per model
-(``TvFarmaModel.stability``) and read by the simulation gate and the
-truncation heuristic.
+(``TvFarmaModel.stability``).  ``require_stable``, the one stability gate,
+reads it; ``simulate``, ``evaluate.replicate`` and ``choose_ma_order`` (the
+one user of the truncation heuristic) call the gate before they simulate or
+filter.
 
 Simulation.  One private simulator carries R replications through one
 time loop over a rolling buffer of short spans of steps, evaluates the
@@ -93,8 +95,8 @@ class OperatorCurve:
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if knots.ndim != 1 or values.ndim != 3 or values.shape[0] != knots.size:
-            raise ValueError("need knots (G,) and values (G, K, K)")
+        if knots.ndim != 1 or not knots.size or values.ndim != 3 or values.shape[0] != knots.size:
+            raise ValueError("need knots (G,) with G >= 1 and values (G, K, K)")
         if values.shape[1] != values.shape[2]:
             raise ValueError("curve values must be square matrices")
         if knots.size > 1 and np.any(np.diff(knots) <= 0):
@@ -143,8 +145,8 @@ class InnovationSpec:
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 1 or np.any(sigma < 0):
-            raise ValueError("sigma must be a nonnegative vector")
+        if sigma.ndim != 1 or sigma.size == 0 or np.any(sigma < 0):
+            raise ValueError("sigma must be a nonempty nonnegative vector")
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -202,11 +204,6 @@ class TvFarmaModel:
     def basis(self):
         return BasisSpec(self.dim)
 
-    def c_at(self, u):
-        if self.c is None:
-            return np.eye(self.dim)
-        return self.c(u)
-
     @cached_property
     def stability(self):
         """``check_stability`` on its default grid, computed once per model."""
@@ -251,18 +248,10 @@ class StabilityReport:
     delta: float
 
     @property
-    def sum_criterion(self):
-        return self.norm_sums < 1.0
-
-    @property
-    def radius_criterion(self):
-        return self.radii < 1.0 - self.delta
-
-    @property
     def passed(self):
         # The radius criterion is authoritative; the norm sum is reported
         # because it is the easy sufficient condition.
-        return bool(np.all(self.radius_criterion))
+        return bool(np.all(self.radii < 1.0 - self.delta))
 
     def worst(self):
         i = int(np.argmax(self.radii))
@@ -304,14 +293,12 @@ class StabilityError(RuntimeError):
     """AR part fails the spectral-radius criterion somewhere on [0, 1]."""
 
 
-def _require_stable(model):
-    report = model.stability
-    if not report.passed:
-        u, radius = report.worst()
-        raise StabilityError(
-            f"companion spectral radius {radius:.6f} at u={u:.4f} violates < 1 - {report.delta}"
-        )
-    return report
+def require_stable(model):
+    """The one stability gate: raise ``StabilityError`` unless the model's cached
+    report passes.  A model without AR part is causal and is not checked."""
+    if model.ar and not model.stability.passed:
+        u, radius = model.stability.worst()
+        raise StabilityError(f"radius {radius:.6g} at u = {u:.6g}")
 
 
 def simulate(model, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None,
@@ -339,7 +326,7 @@ def simulate(model, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None,
         Also return the innovation draws, rows aligned with
         t = t_start - burn_in, ..., t_end.
     check : bool
-        Verify stability first and raise StabilityError on failure.
+        Run the stability gate ``require_stable`` first.
 
     Returns
     -------
@@ -348,8 +335,8 @@ def simulate(model, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None,
     """
     if t_end is None:
         t_end = T
-    if check and model.ar:
-        _require_stable(model)
+    if check:
+        require_stable(model)
     first = t_start - burn_in
     x = _simulate_rows(model, T, [seed], first, [(t_start, t_end)], _whole)[0][0]
     if return_innovations:
@@ -473,11 +460,7 @@ def ma_coefficients(model, t, T, lags):
 
     Returns
     -------
-    coeffs : ndarray, shape (lags + 1, K, K), or (len(t), lags + 1, K, K)
-    tail : float, or ndarray of shape (len(t),)
-        Heuristic estimate of the operator-norm l1 tail sum beyond ``lags``:
-        a geometric envelope with ratio (companion radius + 0.05), not a
-        bound.
+    ndarray, shape (lags + 1, K, K), or (len(t), lags + 1, K, K)
     """
     ts = np.asarray(t)
     k = model.dim
@@ -507,22 +490,16 @@ def ma_coefficients(model, t, T, lags):
         coeffs[:, i:] += g[:, :lags + 1 - i] @ cv.batch(us)[idx[:, :lags + 1 - i]]
     if model.c is not None:
         coeffs = coeffs @ model.c.batch(us)[idx]
-    tail = _ma_tail_estimate(model, coeffs, lags)
-    if ts.ndim:
-        return coeffs, tail
-    return coeffs[0], float(tail[0])
+    return coeffs if ts.ndim else coeffs[0]
 
 
 def _ma_tail_estimate(model, coeffs, lags):
-    """Tail estimates for a stack of filters, shape (anchors, lags + 1, K, K)."""
+    """Operator-norm l1 tail sums beyond ``lags`` of a stable model's filters,
+    shape (anchors, lags + 1, K, K): a geometric envelope of the last filters
+    with ratio companion radius + 0.05, a heuristic estimate, not a bound."""
     if model.ar_order == 0:
         return np.zeros(len(coeffs))
     rho = float(np.max(model.stability.radii))
-    if rho >= 1.0:
-        return np.full(len(coeffs), np.inf)
-    # Geometric envelope fit on the last computed filters; the companion
-    # radius plus a 0.05 margin stands in for the asymptotic ratio.  This is
-    # a heuristic estimate, not a bound.
     ratio = min(rho + 0.05, 0.999)
     last = np.linalg.norm(coeffs[:, max(0, lags - model.ar_order):], 2, axis=(2, 3)).max(axis=1)
     return last * ratio / (1.0 - ratio)
@@ -531,17 +508,18 @@ def _ma_tail_estimate(model, coeffs, lags):
 def choose_ma_order(model, T, tol=1e-10):
     """Smallest lag count whose estimated tail falls below ``tol``.
 
-    The tail is the heuristic estimate of ``ma_coefficients`` (a geometric
-    envelope with ratio companion radius + 0.05), not a bound.  The filters
-    depend on the anchor time: products walking into the clamped region
-    below t = 1 can decay with a longer transient than mid-sample ones.
-    The estimate is therefore taken as the worst case over anchors spread
-    across [1, T], all filtered in one call per doubling of the lag count.
+    Runs the stability gate first; the tail is ``_ma_tail_estimate``, a
+    heuristic, not a bound.  The filters depend on the anchor time: products
+    walking into the clamped region below t = 1 can decay with a longer
+    transient than mid-sample ones.  The estimate is therefore taken as the
+    worst case over anchors spread across [1, T], all filtered in one call
+    per doubling of the lag count.
     """
+    require_stable(model)
     anchors = np.array(sorted({1, T // 4, T // 2, (3 * T) // 4, T} - {0}))
     lags = max(4 * model.ar_order + model.ma_order, 8)
     while lags <= MAX_MA_LAGS:
-        if ma_coefficients(model, anchors, T, lags)[1].max() < tol:
+        if _ma_tail_estimate(model, ma_coefficients(model, anchors, T, lags), lags).max() < tol:
             return lags
         lags *= 2
     raise RuntimeError(f"no truncation below tol={tol} within {MAX_MA_LAGS} lags")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funspace import adjoint
-from .model import choose_ma_order, ma_coefficients
+from .model import _shaping, choose_ma_order, ma_coefficients
 
 PROVENANCES = ("truth", "wigner_ville", "smoothed")
 
@@ -91,7 +91,7 @@ def _ma_symbol(model, u, omegas):
     phi = np.broadcast_to(np.eye(k, dtype=complex), (omegas.size, k, k)).copy()
     for l, curve in enumerate(model.ma, start=1):
         phi += np.exp(-1j * omegas * l)[:, None, None] * curve(u)
-    return phi @ model.c_at(u).astype(complex)
+    return phi @ _shaping(model, [u])[0].astype(complex)
 
 
 def transfer_operator(model, u, omegas):
@@ -165,7 +165,7 @@ def _local_autocovs(model, u, s, T, lags):
     earlier = np.floor(u * T - s / 2.0).astype(int)
     later = np.floor(u * T + s / 2.0).astype(int)
     anchors, idx = np.unique(np.concatenate([later, earlier]), return_inverse=True)
-    filters = ma_coefficients(model, anchors, T, lags)[0]
+    filters = ma_coefficients(model, anchors, T, lags)
     cov = model.innovations.covariance
     out = np.zeros((s.size, model.dim, model.dim))
     for p, (a, b) in enumerate(zip(idx[:s.size], idx[s.size:])):

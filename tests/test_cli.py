@@ -432,14 +432,28 @@ def white_series(tmp_path):
     (["evaluate"], far1_config(checks=["bias"], bias={"projection": [3, 0]}), 2),
     (["evaluate"], far1_config(checks=["imse"], imse={"T_list": [256, 512]},
                                estimator={"segment": 512}), 2),
+    (["evaluate"], {"model": {"preset": "far1", "size": 2}, "checks": ["normality"],
+                    "normality": {"replications": 4, "T": 512}}, 2),
+    (["evaluate"], {"model": {"preset": "white", "size": 2}, "checks": ["normality"],
+                    "normality": {"replications": 4, "T": 512}}, 2),
 ], ids=["simulate-render", "reproduce-render", "estimate-render", "imse-one-T",
-        "bias-taper", "bias-band", "bias-projection", "imse-no-common-band"])
+        "bias-taper", "bias-band", "bias-projection", "imse-no-common-band",
+        "normality-projection", "normality-projection-white"])
 def test_bad_setting_writes_nothing(tmp_path, argv, config, code):
     argv = [white_series(tmp_path) if a is None else a for a in argv]
     path = write_config(tmp_path, "bad.json", config)
     out = tmp_path / "out"
     assert cli.main([*argv, "--config", path, "--out", str(out)]) == code
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "check"])
+def test_stability_failure_names_the_worst_radius_and_u(tmp_path, capsys, command):
+    config = write_config(tmp_path, "bad.json", {"model": unstable_document(), "T": 64})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "stability: FAIL (radius 1.2 at u = 0)\n"
+    assert sorted(os.listdir(out)) == ["config.json", "manifest.json", "stability.json"]
 
 
 def test_singular_ar_symbol_exits_3(tmp_path, capsys):

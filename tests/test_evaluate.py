@@ -21,16 +21,25 @@ from tvfspec.evaluate import (
     predicted_covariance,
     replicate,
 )
+from tvfspec import spectrum as spectrum_module
 from tvfspec.model import (
     InnovationSpec,
     OperatorCurve,
+    StabilityError,
     TvFarmaModel,
+    choose_ma_order,
     far1,
     far2,
     replication_seed,
     simulate,
 )
-from tvfspec.spectrum import SpectralGrid, truth_grid
+from tvfspec.spectrum import (
+    SpectralGrid,
+    autocov_sequence,
+    local_autocov,
+    truth_grid,
+    wigner_ville,
+)
 
 from test_model import looped_simulate
 
@@ -464,3 +473,89 @@ class TestLocalStationarity:
                 acc += (np.linalg.norm(x - y, axis=1) / denom) ** 2
             means.append(float((acc / 10).mean()))
         assert rep.quantities["mean_p2"] == means
+
+
+def explosive_ar1():
+    # 3 x 3 AR(1) at 1.05 I: unstable at every u
+    return TvFarmaModel(ar=(OperatorCurve.constant(1.05 * np.eye(3)),),
+                        innovations=InnovationSpec(np.ones(3)))
+
+
+def unstable_ramp():
+    # 3 x 3 AR(1) rising from 0.2 I to 1.3 I: stable where the stationarity
+    # check freezes it (u = 0.25), unstable from u = 8/11 on
+    curve = OperatorCurve(np.array([0.0, 1.0]), np.stack([0.2 * np.eye(3), 1.3 * np.eye(3)]))
+    return TvFarmaModel(ar=(curve,), innovations=InnovationSpec(np.ones(3)))
+
+
+def _entries(model):
+    """Every library path that simulates or picks a truncation, as a call of ``model``."""
+    T = 64
+    cfg = EstimatorConfig(N=16, b_f=0.5)
+    seeds = [1, 2]
+    truth = SpectralGrid([0.5], [0.3], np.zeros((1, 1, 3, 3)), "truth")
+    return {
+        "simulate": lambda: simulate(model, T),
+        "replicate": lambda: replicate(model, T, seeds,
+                                       evaluate_module._EstimatePoints(cfg, T, [(0.5, 0.3)])),
+        "imse": lambda: replicate(model, T, seeds, evaluate_module._ImseTask(cfg, T, truth)),
+        "mean_bias": lambda: mc_mean_bias(model, cfg, T, 0.5, 0.3, R=2),
+        "covariance": lambda: mc_covariance(model, cfg, T, 0.5, 0.6, 0.3, R=2),
+        "normality": lambda: mc_normality(model, cfg, T, 0.5, 0.3, R=2),
+        "stationarity": lambda: local_stationarity_check(model, u=0.25, T_list=(64, 128), R=2),
+        "choose_ma_order": lambda: choose_ma_order(model, T),
+        "wigner_ville": lambda: wigner_ville(model, [0.5], [0.3], T, s_max=2),
+        "autocov_sequence": lambda: autocov_sequence(model, 0.5, T, 2),
+        "local_autocov": lambda: local_autocov(model, 0.5, 1, T),
+    }
+
+
+class TestStabilityGate:
+    @pytest.mark.parametrize("entry", list(_entries(None)))
+    @pytest.mark.parametrize("build, message", [
+        (explosive_ar1, "radius 1.05 at u = 0"), (unstable_ramp, "radius 1.3 at u = 1"),
+    ], ids=["explosive", "ramp"])
+    def test_unstable_model_raises_before_any_simulation_or_filter(
+        self, monkeypatch, entry, build, message
+    ):
+        calls = []
+
+        def spy(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran on an unstable model")
+            return record
+
+        for module in (model_module, evaluate_module):
+            monkeypatch.setattr(module, "_simulate_rows", spy("_simulate_rows"))
+        for module in (model_module, spectrum_module):
+            monkeypatch.setattr(module, "ma_coefficients", spy("ma_coefficients"))
+        with pytest.raises(StabilityError) as err:
+            _entries(build())[entry]()
+        assert str(err.value) == message
+        assert calls == []
+
+    def test_frozen_model_is_gated_too(self):
+        # stable as a whole, unstable where it is frozen
+        with pytest.raises(StabilityError, match="radius 1.19 at u = 0"):
+            local_stationarity_check(unstable_ramp(), u=0.9, T_list=(64, 128), R=2)
+
+    @pytest.mark.parametrize("check, kwargs, message", [
+        ("normality", {}, r"normality projection must be two indices in \[0, 2\), got \[0, 2\]"),
+        ("bias", {"projection": (0, 2)},
+         r"bias projection must be two indices in \[0, 2\), got \[0, 2\]"),
+    ])
+    def test_projection_outside_the_model_is_rejected_before_simulating(
+        self, monkeypatch, check, kwargs, message
+    ):
+        monkeypatch.setattr(evaluate_module, "_simulate_rows", None)
+        model = white(dim=2)
+        cfg = EstimatorConfig(N=16, b_f=0.5)
+        run = {"normality": mc_normality, "bias": mc_mean_bias}[check]
+        with pytest.raises(ValueError, match=message):
+            run(model, cfg, 64, 0.5, 0.3, 2, **kwargs)
+
+    def test_projections_inside_the_model_pass(self):
+        evaluate_module.require_projections("covariance", 1)
+        evaluate_module.require_projections("normality", 3)
+        evaluate_module.require_projections("bias", 2, (1, 0))

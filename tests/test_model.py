@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def impulse_response_filters(model, t, T, lags, magnitudes=False):
     out = np.empty((lags + 1, k, k))
     for lag in range(lags + 1):
         r = t - lag
-        c_r = op(model.c_at(r / T))
+        c_r = op(np.eye(k) if model.c is None else model.c(r / T))
         ys = [c_r]
         for j in range(1, lag + 1):
             u_j = (r + j) / T
@@ -126,7 +127,8 @@ def truncated_ma_rows(model, T, innovations, lags, t_start, t_end, eps_t_start):
         horizon = min(t_end, r + lags)
         if horizon < max(r, t_start):
             continue
-        shock = model.c_at(r / T) @ innovations[row]
+        c_r = np.eye(k) if model.c is None else model.c(r / T)
+        shock = c_r @ innovations[row]
         ys = [shock]
         if r >= t_start:
             x[r - t_start] += shock
@@ -290,6 +292,8 @@ class TestBatchedSimulation:
                       max_size=5),
         rows=st.integers(1, 4),
     )
+    # more rows than K make the span shorter than ``steps``
+    @example(seed=0, k=1, m=0, n=0, with_c=False, steps=9, cuts=[(0, 51), (0, 48)], rows=2)
     def test_windows_are_slices_of_the_whole_rows(self, seed, k, m, n, with_c, steps, cuts,
                                                   rows):
         # overlapping, nested and repeated windows, spans of any length cut
@@ -311,8 +315,10 @@ class TestBatchedSimulation:
             patch.setattr(model_module, "_SPAN_ELEMENTS", steps * k * k)
             parts = model_module._simulate_rows(model, 40, seeds, first, windows, reduce)
         assert sorted(handed) == list(range(len(windows)))
-        # a window closes in the span that holds its stop
-        closing = [(windows[i][1] - first) // steps for i in handed]
+        # a window closes in the span that holds its stop; the simulator's
+        # span is _SPAN_ELEMENTS // (K max(K, R)) steps
+        span = max(1, steps * k * k // (k * max(k, rows)))
+        closing = [(windows[i][1] - first) // span for i in handed]
         assert closing == sorted(closing)
         for (a, b), part in zip(windows, parts):
             assert np.array_equal(part, whole[:, a - t_start:b - t_start + 1])
@@ -444,6 +450,12 @@ class TestStability:
         assert check_stability(model, delta=1e-3).delta == 1e-3
         assert len(passes) == 3
 
+    def test_one_line_of_the_package_raises_stability_error(self):
+        src = Path(model_module.__file__).parent
+        raising = [line for path in sorted(src.glob("*.py"))
+                   for line in path.read_text().splitlines() if "raise StabilityError" in line]
+        assert raising == ['        raise StabilityError(f"radius {radius:.6g} at u = {u:.6g}")']
+
 
 class TestPresets:
     def test_far1_operator_norm_is_eta_at_knots(self):
@@ -459,7 +471,7 @@ class TestPresets:
 
     def test_far1_stability_sum_criterion(self):
         report = check_stability(far1(size=8))
-        assert np.all(report.sum_criterion)
+        assert np.all(report.norm_sums < 1.0)
         assert report.passed
 
     def test_far1_seeded_draws_reproducible(self):
@@ -482,6 +494,16 @@ class TestPresets:
         report = check_stability(model, u_grid=model.ar[0].knots)
         assert report.passed
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: far1(knots=0), "knots"), (lambda: far2(knots=0), "knots"),
+        (lambda: far1(size=0), "sigma"), (lambda: far2(size=0), "sigma"),
+        (lambda: OperatorCurve(np.zeros(0), np.zeros((0, 2, 2))), "knots"),
+        (lambda: InnovationSpec(np.zeros(0)), "sigma"),
+    ], ids=["far1-knots", "far2-knots", "far1-size", "far2-size", "curve", "innovations"])
+    def test_empty_curves_and_innovations_are_rejected_when_built(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
     def test_far2_peak_frequency_closed_form(self):
         assert far2_peak_frequency(0.5) == pytest.approx(np.arccos(0.3 * np.cos(1.5)))
         assert far2_peak_frequency(0.0) == pytest.approx(np.arccos(0.3 * np.cos(0.5)))
@@ -490,7 +512,8 @@ class TestPresets:
 class TestMovingAverageForm:
     def test_constant_ar_gives_geometric_filters(self):
         model = scalar_ar1(b=0.5)
-        coeffs, tail = ma_coefficients(model, t=50, T=100, lags=10)
+        coeffs = ma_coefficients(model, t=50, T=100, lags=10)
+        tail = model_module._ma_tail_estimate(model, coeffs[None], 10)[0]
         assert np.allclose(coeffs[:, 0, 0], 0.5 ** np.arange(11))
         # reported tail must cover the true tail sum 0.5^11 / (1 - 0.5)
         true_tail = 0.5**10
@@ -498,7 +521,7 @@ class TestMovingAverageForm:
 
     def test_lag_zero_is_shaping_operator(self):
         model = far1(size=3)
-        coeffs, _ = ma_coefficients(model, t=30, T=100, lags=2)
+        coeffs = ma_coefficients(model, t=30, T=100, lags=2)
         assert np.allclose(coeffs[0], np.eye(3))
 
     def test_time_varying_scalar_product_oracle(self):
@@ -506,7 +529,7 @@ class TestMovingAverageForm:
             ar=(scalar_curve(lambda u: 0.3 + 0.4 * u),),
             innovations=InnovationSpec(np.array([1.0])),
         )
-        coeffs, _ = ma_coefficients(model, t=50, T=100, lags=3)
+        coeffs = ma_coefficients(model, t=50, T=100, lags=3)
         # filters multiply the coefficients walking back in time:
         # (0.3 + 0.4*0.50)(0.3 + 0.4*0.49) = 0.5 * 0.496
         assert coeffs[2, 0, 0] == pytest.approx(0.5 * 0.496, abs=1e-12)
@@ -539,7 +562,7 @@ class TestMovingAverageForm:
     ):
         model = random_model(seed, dim, m, n, with_c)
         t = T - offset if near_end else 1 + offset
-        coeffs, _ = ma_coefficients(model, t, T, lags)
+        coeffs = ma_coefficients(model, t, T, lags)
         oracle = impulse_response_filters(model, t, T, lags)
         assert coeffs.shape == oracle.shape
         # rounding scales with the absolute terms that sum to a filter, not
@@ -563,11 +586,13 @@ class TestMovingAverageForm:
         self, seed, dim, m, n, with_c, T, anchors, lags
     ):
         model = random_model(seed, dim, m, n, with_c)
-        coeffs, tails = ma_coefficients(model, np.array(anchors), T, lags)
+        coeffs = ma_coefficients(model, np.array(anchors), T, lags)
+        tails = model_module._ma_tail_estimate(model, coeffs, lags)
         assert coeffs.shape == (len(anchors), lags + 1, dim, dim)
         assert tails.shape == (len(anchors),)
         for i, t in enumerate(anchors):
-            one, tail = ma_coefficients(model, t, T, lags)
+            one = ma_coefficients(model, t, T, lags)
+            tail = model_module._ma_tail_estimate(model, one[None], lags)[0]
             assert np.array_equal(coeffs[i], one)
             assert tails[i] == tail
 
@@ -587,7 +612,8 @@ class TestMovingAverageForm:
     def test_choose_ma_order_tail_below_tol(self):
         model = far1(size=4)
         lags = choose_ma_order(model, 128, tol=1e-10)
-        _, tail = ma_coefficients(model, 64, 128, lags)
+        tail = model_module._ma_tail_estimate(model, ma_coefficients(model, 64, 128, lags)[None],
+                                              lags)[0]
         assert tail < 1e-10
 
 

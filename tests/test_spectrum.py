@@ -38,8 +38,8 @@ def per_lag_autocov(model, t1, t2, T, lags):
     Both filters come from separate per-anchor calls truncated at ``lags``.
     """
     shift = t2 - t1
-    c1 = ma_coefficients(model, t1, T, lags)[0]
-    c2 = ma_coefficients(model, t2, T, lags)[0]
+    c1 = ma_coefficients(model, t1, T, lags)
+    c2 = ma_coefficients(model, t2, T, lags)
     cov = model.innovations.covariance
     out = np.zeros((model.dim, model.dim))
     for l in range(lags + 1):
