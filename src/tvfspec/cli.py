@@ -559,7 +559,10 @@ def cmd_reproduce(args):
             run.emit(f"slice{i}_rep{r}.csv", partial(ingest.write_spectral_grid, grid,
                                                      mode="kernel", taus=render,
                                                      kernels=kernels[i][None, None]))
-    lower, upper = np.percentile(amplitudes, [25, 75], axis=1)
+    # sorted along the replications, the quantiles' partition finds its
+    # order statistics in place instead of partitioning a copy
+    amplitudes.sort(axis=1)
+    lower, upper = np.percentile(amplitudes, [25, 75], axis=1, overwrite_input=True)
     iqr = upper - lower
     dispersion = {
         f"slice{i}": float(np.median(iqr[i])) for i in range(len(slices))

@@ -37,6 +37,7 @@ from .model import (
     DEFAULT_BURN_IN,
     TvFarmaModel,
     _simulate_rows,
+    _span,
     _whole,
     replication_seed,
     require_stable,
@@ -78,17 +79,26 @@ def _cnum(z):
     return {"re": z.real, "im": z.imag}
 
 
-# Bytes of the windows one pass may hold open at a time.  All 20
-# replications of ``reproduce far2 --T 65536`` (two overlapping 25 MB windows
-# of N = 10322 steps) share one time loop, and every run at T <= 4096 with
-# up to ~200 replications keeps all of them in one loop.
+# Bytes one pass may hold at a time in open windows and in the time loop's
+# two rolling (span, R, K) buffers.  All 20 replications of ``reproduce far2
+# --T 65536`` (two overlapping 25 MB windows of N = 10322 steps) share one
+# time loop, and every run at T <= 4096 with up to ~200 replications keeps
+# all of them in one loop.
 WINDOW_BYTES = 64 * 2**20
 
 # Simulated values (rows x steps x K) below which replications stay in one
-# process whatever ``workers`` says: on two cores the pool's start-up costs
-# more than splitting such a run saves (README imse config at T = 512, 0.3 M
-# values: 44-49 ms in one process, 58-90 ms in two).
-POOL_MIN_VALUES = 600_000
+# process whatever ``workers`` says.  On a 2-vCPU Xeon VM the work that grows
+# with the rows (draws, the time loop's arithmetic, the reductions) costs
+# 60-80 ns per value at K = 1, 3 and 15, and a forced two-process split took
+# 0.08-0.16 s longer than half the one-process time: the pool's start-up and
+# each worker's repeat of the per-step interpreter overhead do not divide.
+# Timed in one and in two processes, the split lost every time up to 1.3 M
+# values (README imse config at T = 4096: 0.14-0.16 s in one process,
+# 0.20-0.26 s in two), was mixed at 1.5-1.6 M (``reproduce far2 --T 4096``:
+# 0.25 s in one, 0.21-0.37 s in two) and paid in 21 of 23 timings from 1.8 M
+# on (far1 imse, 30 replications at T = 4096, 2.0 M: 0.18-0.22 s in one,
+# 0.15-0.18 s in two).  BENCH_15.json lists the runs.
+POOL_MIN_VALUES = 1_800_000
 
 # Fixed tolerances of the checks; each report records the ones it applies.
 DERIV_STEP = 1e-3  # finite-difference step of the bias check's derivatives
@@ -128,13 +138,13 @@ def replicate(model, T, seeds, task, workers=1, t_start=1):
     ``task.combine(parts)``, the c per-row results built from the reductions
     in window order.
 
-    A pass holds at most ``WINDOW_BYTES`` of open windows (at least one
-    row) and at most ceil(len(seeds) / workers) rows, and the passes are as
-    even as whole rows allow.  A run of fewer than ``POOL_MIN_VALUES``
-    simulated values counts as one worker.  With ``workers > 1`` the passes
-    run in at most ``min(workers, passes)`` processes; ``task`` must then
-    pickle.  The output is the same for every ``workers``, because rows do
-    not depend on how they are grouped.
+    A pass holds at most ``WINDOW_BYTES`` of open windows and rolling span
+    buffers (at least one row) and at most ceil(len(seeds) / workers) rows,
+    and the passes are as even as whole rows allow.  A run of fewer than
+    ``POOL_MIN_VALUES`` simulated values counts as one worker.  With
+    ``workers > 1`` the passes run in at most ``min(workers, passes)``
+    processes; ``task`` must then pickle.  The output is the same for every
+    ``workers``, because rows do not depend on how they are grouped.
     """
     require_stable(model)
     windows = task.windows
@@ -144,8 +154,8 @@ def replicate(model, T, seeds, task, workers=1, t_start=1):
     steps = max(stop for _, stop in windows) - first + 1
     if len(seeds) * steps * model.dim < POOL_MIN_VALUES:
         workers = 1
-    row_bytes = _open_elements(windows) * model.dim * 8
-    rows = max(1, min(WINDOW_BYTES // row_bytes, math.ceil(len(seeds) / max(workers, 1))))
+    rows = max(1, min(WINDOW_BYTES // _row_bytes(model, windows, steps),
+                      math.ceil(len(seeds) / max(workers, 1))))
     count = math.ceil(len(seeds) / rows)
     # passes as even as whole rows allow, the longer ones last
     edges = [p * len(seeds) // count for p in range(count + 1)]
@@ -162,6 +172,13 @@ def replicate(model, T, seeds, task, workers=1, t_start=1):
     else:
         results = [one(rows) for rows in passes]
     return np.concatenate(results)
+
+
+def _row_bytes(model, windows, steps):
+    """Bytes a row holds in a pass of ``steps`` steps: its open windows and its
+    share of the time loop's two rolling buffers (m states and two spans)."""
+    rolling = model.ar_order + 2 * _span(model.dim, steps)
+    return (_open_elements(windows) + rolling) * model.dim * 8
 
 
 def _open_elements(windows):

@@ -56,14 +56,27 @@ _KEY_REPLICATION = 2
 DEFAULT_BURN_IN = 500
 MAX_MA_LAGS = 100_000  # lag count at which choose_ma_order gives up
 
-# Entries per operator stack and per rolling buffer of the simulator: inside
-# the time loop every curve is batched over spans of
-# _SPAN_ELEMENTS // (K max(K, R)) rescaled times (72 for one K = 15 series,
-# 54 for 20), never over the whole window.  On a 2-vCPU Xeon with numpy 2.4,
-# 72-step K = 15 spans (127 KiB stacks) cost less than one whole-window
-# stack (4.3 against 5.2 ms per 4 596 steps); 128-step spans (256 KiB) cost
-# 11 ms.
+# Entries per operator stack of the simulator: inside the time loop every
+# curve is batched over spans of _SPAN_ELEMENTS // K^2 rescaled times (72 for
+# K = 15, at most _SPAN_STEPS), never over the whole window, and the span
+# does not depend on how many rows share the loop, so each row draws its
+# innovations in the same ceil(steps / span) calls at any R.  On a 2-vCPU
+# Xeon with numpy 2.4, 72-step K = 15 spans (127 KiB stacks) cost less than
+# one whole-window stack (4.3 against 5.2 ms per 4 596 steps); 128-step
+# spans (256 KiB) cost 11 ms.  The two rolling (span, R, K) buffers grow
+# with R and count in the window budget of ``evaluate.replicate``.
 _SPAN_ELEMENTS = 2**14
+# Most steps per span, so that at small K the rolling buffers stay a few
+# hundred steps rather than the whole run.  At K = 1 with 2 000 rows over
+# 3 060 steps (acceptance criterion 06), 256-step spans take 0.37 s and hold
+# 28 MB at peak, 64-step spans 0.48 s and 22 MB, one whole-run span 0.31 s
+# and 60 MB.
+_SPAN_STEPS = 256
+
+
+def _span(k, total):
+    """Steps per span of the time loop for K-variate rows over ``total`` steps."""
+    return max(1, min(total, _SPAN_STEPS, _SPAN_ELEMENTS // (k * k)))
 
 
 def spawn_rng(seed, *key):
@@ -352,7 +365,7 @@ def _simulate_rows(model, T, seeds, first, windows, reduce):
     Row r is the process of ``seeds[r]``'s sub-stream (1,) started from a
     zero state at absolute time ``first``.  One time loop carries every row:
     it draws the innovations span by span into a rolling buffer of the last
-    m states plus one span of ``_SPAN_ELEMENTS // (K max(K, R))`` steps,
+    m states plus one span of ``_span(K, steps)`` steps (whatever R is),
     evaluates the operator curves over the same span, and applies the C, AR
     and MA terms in place one time step at a time.  Each term is a per-row
     ``einsum`` (no BLAS) written into one reused (R, K) buffer, so a row's
@@ -377,7 +390,7 @@ def _simulate_rows(model, T, seeds, first, windows, reduce):
     rngs = [spawn_rng(seed, _KEY_INNOV) for seed in seeds]
     sigma = model.innovations.sigma
     moving = model.c is not None or m or n
-    span = max(1, _SPAN_ELEMENTS // (k * max(k, rows)))
+    span = _span(k, total)
     # time-major, so each step is one contiguous (R, K) block: the last m
     # states, then one span of steps.  The draws come row by row into their
     # own buffer, as one row's stream must fill contiguous memory.

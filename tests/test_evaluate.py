@@ -70,9 +70,10 @@ class RecordRows:
         return np.concatenate(parts, axis=1)
 
 
-def set_budget(monkeypatch, model, task, rows):
+def set_budget(monkeypatch, model, task, rows, t_start=1):
     """A window budget that holds ``rows`` replications of ``task`` (None: any number)."""
-    row_bytes = evaluate_module._open_elements(task.windows) * model.dim * 8
+    steps = max(b for _, b in task.windows) - (t_start - model_module.DEFAULT_BURN_IN) + 1
+    row_bytes = evaluate_module._row_bytes(model, task.windows, steps)
     monkeypatch.setattr(evaluate_module, "WINDOW_BYTES",
                         10**12 if rows is None else rows * row_bytes)
 
@@ -194,7 +195,7 @@ class TestReplicate:
             want.append([estimate_grid(x, cfg, T, [u], [omega], t0=t0).values[0, 0]
                          for u, omega in slices])
         for budget in ROW_BUDGETS:
-            set_budget(monkeypatch, model, task, budget)
+            set_budget(monkeypatch, model, task, budget, t0)
             for workers in (1, 2, 3):
                 got = replicate(model, T, seeds, task, workers=workers, t_start=t0)
                 assert np.array_equal(got, np.array(want))
@@ -215,7 +216,9 @@ class TestReplicate:
         windows = evaluate_module._ImseTask(cfg, T, truth_grid(model, [0.18, 0.5, 0.82],
                                                                [0.0])).windows
         task = Record(windows)
-        row_bytes = cfg.N * 15 * 8
+        # the window and the time loop's two rolling 72-step spans
+        row_bytes = evaluate_module._row_bytes(model, windows, T + 500)
+        assert row_bytes == (cfg.N + 1 + 2 * 72) * 15 * 8
         assert evaluate_module._open_elements(windows) == cfg.N
         replicate(model, T, list(range(20)), task)
         assert shapes == [(20, cfg.N, 15)] * 3
@@ -227,9 +230,10 @@ class TestReplicate:
         assert all(c * row_bytes <= evaluate_module.WINDOW_BYTES for c, _, _ in shapes)
 
     def test_one_pass_per_worker_at_the_readme_scale(self, monkeypatch):
-        # the README imse config: all 20 far1 replications in one time loop;
-        # two workers split them at T = 4096, not at T = 512, where the
-        # pool would cost more than it saves
+        # the README imse config: all 20 far1 replications in one time loop
+        # at both T, also with two workers, as both runs (0.3 M and 1.3 M
+        # values) are too small for a split to pay; 200 replications at
+        # T = 4096 split one pass per worker
         passes = []
         real = evaluate_module._simulate_rows
 
@@ -243,16 +247,61 @@ class TestReplicate:
         model = far1(size=15)
         truth = truth_grid(model, [0.18, 0.5, 0.82], fourier_frequencies(64))
         seeds = [replication_seed(0, r) for r in range(20)]
-        for T, split in ((512, [20]), (4096, [10, 10])):
+        for T in (512, 4096):
             task = evaluate_module._ImseTask(EstimatorConfig.auto(T), T, truth)
             passes.clear()
             out = replicate(model, T, seeds, task)
             assert passes == [20]
             passes.clear()
-            SerialPool.started.clear()
             assert np.array_equal(replicate(model, T, seeds, task, workers=2), out)
-            assert passes == split
-            assert SerialPool.started == ([2] if len(split) > 1 else [])
+            assert passes == [20]
+            assert SerialPool.started == []
+        passes.clear()
+        seeds = [replication_seed(0, r) for r in range(200)]
+        task = evaluate_module._ImseTask(EstimatorConfig.auto(4096), 4096, truth)
+        replicate(model, 4096, seeds, task, workers=2)
+        assert passes == [100, 100]
+        assert SerialPool.started == [2]
+
+    def test_draws_per_row_do_not_depend_on_the_replication_count(self, monkeypatch):
+        # the criterion-06 pass (white noise, K = 1, T = 4096): every row
+        # draws its 3 060 steps in 12 spans of 256, alone or among 2 000 rows
+        calls = []
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                calls.append(1)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        real = model_module.spawn_rng
+        monkeypatch.setattr(model_module, "spawn_rng", lambda *key: CountingRng(real(*key)))
+        T = 4096
+        task = evaluate_module._EstimatePoints(EstimatorConfig.auto(T), T,
+                                               [(0.5, np.pi / 2), (0.5, np.pi / 4)])
+        per_row = []
+        for R in (1, 2000):
+            calls.clear()
+            replicate(white(), T, [replication_seed(0, r) for r in range(R)], task)
+            per_row.append(len(calls) / R)
+        assert per_row == [12, 12]
+
+    def test_rolling_buffers_count_in_the_window_budget(self):
+        # the same pass: 2 000 rows of two 3 060-step rolling buffers would
+        # take 98 MB on their own; the budget splits the rows into passes
+        T = 4096
+        task = evaluate_module._EstimatePoints(EstimatorConfig.auto(T), T,
+                                               [(0.5, np.pi / 2), (0.5, np.pi / 4)])
+        seeds = [replication_seed(0, r) for r in range(2000)]
+        tracemalloc.start()
+        try:
+            replicate(white(), T, seeds, task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= evaluate_module.WINDOW_BYTES
 
     def test_peak_memory_is_the_open_windows_at_any_T(self):
         # one point estimate per row reads one segment of N steps: the

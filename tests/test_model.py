@@ -292,7 +292,7 @@ class TestBatchedSimulation:
                       max_size=5),
         rows=st.integers(1, 4),
     )
-    # more rows than K make the span shorter than ``steps``
+    # two rows; the second window closes one 9-step span before the first
     @example(seed=0, k=1, m=0, n=0, with_c=False, steps=9, cuts=[(0, 51), (0, 48)], rows=2)
     def test_windows_are_slices_of_the_whole_rows(self, seed, k, m, n, with_c, steps, cuts,
                                                   rows):
@@ -316,8 +316,9 @@ class TestBatchedSimulation:
             parts = model_module._simulate_rows(model, 40, seeds, first, windows, reduce)
         assert sorted(handed) == list(range(len(windows)))
         # a window closes in the span that holds its stop; the simulator's
-        # span is _SPAN_ELEMENTS // (K max(K, R)) steps
-        span = max(1, steps * k * k // (k * max(k, rows)))
+        # span is _SPAN_ELEMENTS // K^2 steps whatever R, at most
+        # _SPAN_STEPS and the run's length
+        span = min(steps, model_module._SPAN_STEPS, max(b for _, b in windows) - first + 1)
         closing = [(windows[i][1] - first) // span for i in handed]
         assert closing == sorted(closing)
         for (a, b), part in zip(windows, parts):
