@@ -42,7 +42,6 @@ from .estimator import (
     EstimatorConfig,
     FreqKernelSpec,
     TaperSpec,
-    _segment_start,
     estimate_grid,
     fourier_frequencies,
 )
@@ -290,12 +289,6 @@ def _resolve_estimator(config, T):
     return replace(auto, N=spec.get("segment", auto.N), b_f=spec.get("half_width", auto.b_f))
 
 
-def _check_band(cfg, T, us):
-    """Raise the smoother's ``BoundaryError`` for any u outside its valid band."""
-    for u in us:
-        _segment_start(T, float(u), cfg, T, 1)
-
-
 def _axis(config, path, default, grid):
     """Grid axis at ``path``: explicit points (one number or a list), else
     ``grid(n)`` for {"count": n}, or ``grid(default)`` when unset."""
@@ -411,7 +404,8 @@ def _resolve_imse(run, model):
         raise ConfigError("no common valid band across the requested sample sizes")
     us = _axis(config, "imse.u", 3, partial(np.linspace, lo, hi))
     for T in t_list:
-        _check_band(cfgs[T], T, us)
+        for u in us:
+            cfgs[T].segment(T, u)
     omegas = _axis(config, "imse.omega", 64, fourier_frequencies)
     return partial(_imse_report, model, t_list, cfgs, us, omegas, R, run.seed, run.threads)
 
@@ -451,7 +445,7 @@ def _resolve_estimating(run, model, check):
     T = _get(config, f"{check}.T", 2**12)
     cfg = _resolve_estimator(config, T)
     u = _get(config, f"{check}.u", 0.5)
-    _check_band(cfg, T, [u])
+    cfg.segment(T, u)
     projection = tuple(_get(config, "bias.projection", (0, 0)))
     evaluate.require_projections(check, model.dim, projection)
     common = {"seed": run.seed, "workers": run.threads}

@@ -17,15 +17,15 @@ with frequency distances wrapped into [-pi, pi).  W[b, .] is zero outside
 the kernel support, so the sum runs only over the ~b_f N / 2 pi Fourier
 frequencies inside it, taken straight from the DFTs as
 sum_n W[b, n] D_n D_n^H / (2 pi H_2): the N periodogram operators are
-never formed.  One private smoother does this for a stack of R series at
+never formed.  One private smoother does this for a stack of R segments at
 once; ``estimate_grid`` is its single-series case.  The taper implicitly
 smooths over time with kernel K_t(x) = h(x + 1/2)^2 / int h^2 and bandwidth
 b_t = N / T; the frequency bandwidth b_f scales the frequency kernel's own
 axis.
 
-Segments must lie inside the observation window: u is restricted to
-[N/(2T), 1 - N/(2T)] for a series observed on [1, T], and requests outside
-that band raise ``BoundaryError`` rather than padding.
+``EstimatorConfig.segment`` places every segment: the N times centred at
+floor(uT), which must lie inside the observations (default [1, T]), or
+``BoundaryError`` rather than padding.  The smoother takes the segments.
 """
 
 from __future__ import annotations
@@ -195,8 +195,30 @@ class EstimatorConfig:
     def omega_grid(self):
         return fourier_frequencies(self.N)
 
-    def valid_band(self, T):
-        return self.N / (2.0 * T), 1.0 - self.N / (2.0 * T)
+    def segment(self, T, u, t0=1, t_end=None):
+        """Absolute, inclusive (start, stop) of the N times centred at floor(uT); raises
+        ``BoundaryError`` unless they lie inside [t0, t_end] (default [1, T])."""
+        t_end = T if t_end is None else t_end
+        start = int(np.floor(u * T)) - self.N // 2 + 1
+        stop = start + self.N - 1
+        if start < t0 or stop > t_end:
+            lo, hi = self.valid_band(T, t0, t_end)
+            raise BoundaryError(
+                f"segment [{start}, {stop}] for u={u:.4f} leaves observations "
+                f"[{t0}, {t_end}]; with N={self.N} and T={T} the valid band is "
+                f"u in [{lo:.6f}, {hi:.6f}]"
+            )
+        return start, stop
+
+    def valid_band(self, T, t0=1, t_end=None):
+        """Closed band of u, about [(t0 - 1 + N/2) / T, (t_end - N/2) / T], that the
+        default u axes span: ``segment`` accepts all of it and u up to 1/T above it."""
+        t_end = T if t_end is None else t_end
+        lo = self.N / (2.0 * T) + (t0 - 1) / T
+        hi = 1.0 - self.N / (2.0 * T) + (t_end - T) / T
+        while np.floor(lo * T) < t0 - 1 + self.N // 2:  # floor(uT) rounded it one short
+            lo = float(np.nextafter(lo, np.inf))
+        return lo, hi
 
 
 def default_bandwidths(T):
@@ -212,22 +234,6 @@ def default_bandwidths(T):
     return b_t, b_f, n
 
 
-def _segment_start(length, u, cfg, T, t0):
-    """Index of the first segment row for rescaled time u in a window from ``t0``."""
-    n = cfg.N
-    anchor = int(np.floor(u * T))
-    start = anchor - n // 2 + 1
-    stop = start + n - 1
-    if n > length or start < t0 or stop > t0 + length - 1:
-        lo, hi = cfg.valid_band(T)
-        raise BoundaryError(
-            f"segment [{start}, {stop}] for u={u:.4f} leaves observations "
-            f"[{t0}, {t0 + length - 1}]; with N={n} and T={T} the valid band is "
-            f"u in [{lo:.6f}, {hi:.6f}]"
-        )
-    return start - t0
-
-
 # Bytes of temporaries one row block of the smoother may hold (see
 # _smoothed_blocks): one row of the README imse config (64 frequencies) at
 # T = 512 and 4096, 14 rows of ``reproduce far2`` (one frequency) at T = 512
@@ -239,12 +245,12 @@ def _taper_values(cfg):
 
 
 def _segment(x, u, cfg, T, t0):
-    """Tapered segment rows for rescaled time u."""
+    """Rows of the segment for rescaled time u of a series whose first row is at ``t0``."""
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError("series must be a 2-d array (time, coefficient)")
-    first = _segment_start(x.shape[0], u, cfg, T, t0)
-    return _taper_values(cfg)[:, None] * x[first:first + cfg.N]
+    start, stop = cfg.segment(T, u, t0, t0 + len(x) - 1)
+    return x[start - t0:stop - t0 + 1]
 
 
 def local_fdft(x, u, omega, cfg, T, t0=1):
@@ -255,7 +261,7 @@ def local_fdft(x, u, omega, cfg, T, t0=1):
     calls it; it is the single-point oracle the tests hold the FFT paths
     against.
     """
-    seg = _segment(x, u, cfg, T, t0)
+    seg = _taper_values(cfg)[:, None] * _segment(x, u, cfg, T, t0)
     s = np.arange(cfg.N)
     return np.exp(-1j * float(omega) * s) @ seg
 
@@ -267,7 +273,7 @@ def local_fdft_grid(x, u, cfg, T, t0=1):
     tapered segment; the smoother takes the same FFT inside its row blocks.
     The tests check it against ``local_fdft`` point by point.
     """
-    seg = _segment(x, u, cfg, T, t0)
+    seg = _taper_values(cfg)[:, None] * _segment(x, u, cfg, T, t0)
     return np.fft.fftshift(np.fft.fft(seg, axis=0), axes=0)
 
 
@@ -331,45 +337,43 @@ def _smoothing_band(cfg, omegas):
     return index, w / totals[:, None]
 
 
-def _smoothed_blocks(xs, cfg, T, u, band, t0=1):
-    """Smoothed estimates of every series in ``xs`` at rescaled time u, by row blocks.
+def _smoothed_blocks(segments, cfg, band):
+    """Smoothed estimates of every segment in ``segments``, by row blocks.
 
-    ``xs`` is (R, length, K), its first row at absolute time ``t0``, and
-    ``band`` is ``_smoothing_band(cfg, omegas)``.  One FFT over the tapered
-    segments gives the DFTs D_n; each estimate is one weighted bilinear form
-    over its band,
+    ``segments`` is (R, N, K) and ``band`` is ``_smoothing_band(cfg, omegas)``.
+    One FFT over the tapered segments gives the DFTs D_n; each estimate is
+    one weighted bilinear form over its band,
 
         Fhat(u, omega_b) = sum_{n in band b} W[b, n] D_n D_n^H / (2 pi H_2),
 
     taken as a batched (K x S) @ (S x K) product per row and frequency.
-    Yields ``(rows, estimates)``: a slice of the rows of ``xs`` and their
-    (rows, len(omegas), K, K) estimates, block after block.  A block's
+    Yields ``(rows, estimates)``: a slice of the rows of ``segments`` and
+    their (rows, len(omegas), K, K) estimates, block after block.  A block's
     temporaries stay within ``_BLOCK_BYTES`` (at least one row per block),
     so the working memory does not grow with R, and a row's estimates do
     not depend on its block.
     """
     index, weights = band
-    first = _segment_start(xs.shape[1], u, cfg, T, t0)
-    k = xs.shape[2]
+    k = segments.shape[2]
     taper = _taper_values(cfg)[:, None]
     scale = (weights / _periodogram_norm(cfg))[..., None]
     # per row: the real segment, its complex FFT, the gathered and the
     # weighted band, and the product
     row_bytes = 8 * 3 * cfg.N * k + 16 * (2 * index.size * k + index.shape[0] * k * k)
     step = max(1, _BLOCK_BYTES // row_bytes)
-    for r in range(0, len(xs), step):
-        seg = taper * xs[r:r + step, first:first + cfg.N]
+    for r in range(0, len(segments), step):
+        seg = taper * segments[r:r + step]
         # np.take keeps the gathered DFTs C-contiguous for every block size,
         # so each (r, b) product sees the same memory layout
         d = np.take(np.fft.fft(seg, axis=1), index, axis=1)
         yield slice(r, r + step), np.swapaxes(d * scale, -1, -2) @ np.conjugate(d, out=d)
 
 
-def _smoothed_rows(xs, cfg, T, u, band, t0=1):
+def _smoothed_rows(segments, cfg, band):
     """All the estimates of ``_smoothed_blocks``, shape (R, len(omegas), K, K)."""
-    k = xs.shape[2]
-    out = np.empty((len(xs), band[0].shape[0], k, k), dtype=complex)
-    for rows, est in _smoothed_blocks(xs, cfg, T, u, band, t0):
+    k = segments.shape[2]
+    out = np.empty((len(segments), band[0].shape[0], k, k), dtype=complex)
+    for rows, est in _smoothed_blocks(segments, cfg, band):
         out[rows] = est
     return out
 
@@ -402,5 +406,5 @@ def estimate_grid(x, cfg, T, u_grid, omega_grid=None, t0=1):
     band = _smoothing_band(cfg, omegas)
     values = np.empty((u_grid.size, omegas.size, x.shape[1], x.shape[1]), dtype=complex)
     for a, u in enumerate(u_grid):
-        values[a] = _smoothed_rows(x[None], cfg, T, u, band, t0)[0]
+        values[a] = _smoothed_rows(_segment(x, u, cfg, T, t0)[None], cfg, band)[0]
     return SpectralGrid(u=u_grid, omega=omegas, values=values, provenance="smoothed")

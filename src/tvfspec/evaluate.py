@@ -26,7 +26,6 @@ import numpy as np
 
 from .estimator import (
     EstimatorConfig,
-    _segment_start,
     _smoothed_blocks,
     _smoothed_rows,
     _smoothing_band,
@@ -124,6 +123,13 @@ def require_projections(check, dim, projection=(0, 0)):
                              f"got {list(p)}")
 
 
+def _require_replications(check, R, least=2):
+    """Raise ValueError unless ``check`` runs at least ``least`` replications
+    (two where it takes sample deviations, with ddof=1)."""
+    if R < least:
+        raise ValueError(f"{check} check needs at least {least} replications, got {R}")
+
+
 def replicate(model, T, seeds, task, workers=1, t_start=1):
     """Per-row results of ``task`` over replications, one row per seed, in seed order.
 
@@ -194,12 +200,6 @@ def _run_pass(model, T, task, first, seeds):
     return task.combine(parts)
 
 
-def _segment_window(cfg, T, u, t0, t_end):
-    """Absolute (start, stop) of the segment for rescaled time u, inside [t0, t_end]."""
-    start = t0 + _segment_start(t_end - t0 + 1, u, cfg, T, t0)
-    return start, start + cfg.N - 1
-
-
 @dataclass(frozen=True)
 class _EstimatePoints:
     """Replication task: estimates at (u, omega) points, shape (c, len(points), K, K).
@@ -225,14 +225,15 @@ class _EstimatePoints:
 
     @cached_property
     def windows(self):
-        t_end = self.T if self.t_end is None else self.t_end
-        return [_segment_window(self.cfg, self.T, u, self.t0, t_end) for u, _ in self.groups]
+        return [self.cfg.segment(self.T, u, self.t0, self.t_end) for u, _ in self.groups]
+
+    @cached_property
+    def bands(self):
+        return [_smoothing_band(self.cfg, np.array([self.points[i][1] for i in idxs], dtype=float))
+                for _, idxs in self.groups]
 
     def reduce(self, i, xs, seeds):
-        u, idxs = self.groups[i]
-        band = _smoothing_band(self.cfg, np.array([self.points[idx][1] for idx in idxs],
-                                                  dtype=float))
-        return _smoothed_rows(xs, self.cfg, self.T, u, band, self.windows[i][0])
+        return _smoothed_rows(xs, self.cfg, self.bands[i])
 
     def combine(self, parts):
         k = parts[0].shape[-1]
@@ -266,6 +267,7 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0), workers=
     itself.
     """
     require_projections("bias", model.dim, projection)
+    _require_replications("bias", R)
     m, n = projection
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
                      _EstimatePoints(cfg, T, [(u, omega)]), workers)
@@ -333,6 +335,7 @@ def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0, workers=1):
     ``COVARIANCE_RTOL``.
     """
     require_projections("covariance", model.dim)
+    _require_replications("covariance", R)
     points = [(u, omega1), (u, omega2)]
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
                      _EstimatePoints(cfg, T, points), workers)
@@ -395,6 +398,7 @@ def mc_normality(model, cfg, T, u, omega, R, seed=0, workers=1):
     outcome is recorded as informational rather than pass/fail.
     """
     require_projections("normality", model.dim)
+    _require_replications("normality", R)
     ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
                      _EstimatePoints(cfg, T, [(u, omega)]), workers)
     scale = np.sqrt(cfg.b_t(T) * cfg.b_f * T)
@@ -488,7 +492,7 @@ class _ImseTask:
 
     @cached_property
     def windows(self):
-        return [_segment_window(self.cfg, self.T, u, 1, self.T) for u in self.truth.u]
+        return [self.cfg.segment(self.T, u) for u in self.truth.u]
 
     @cached_property
     def band(self):
@@ -496,8 +500,7 @@ class _ImseTask:
 
     def reduce(self, i, xs, seeds):
         diffsq = np.empty((len(xs), self.truth.omega.size))
-        for rows, est in _smoothed_blocks(xs, self.cfg, self.T, self.truth.u[i], self.band,
-                                          self.windows[i][0]):
+        for rows, est in _smoothed_blocks(xs, self.cfg, self.band):
             est -= self.truth.values[i]
             diffsq[rows] = _squared_errors(est)
         return diffsq
@@ -546,6 +549,9 @@ def local_stationarity_check(model, u, T_list, R, seed=0, workers=1):
     in T).
     """
     T_list = [int(t) for t in T_list]
+    _require_replications("stationarity", R, 1)
+    if len(set(T_list)) < 2:  # the slope needs two sample sizes
+        raise ValueError(f"stationarity T_list needs 2 or more distinct entries, got {T_list}")
     frozen = model.frozen(u)
     require_stable(frozen)  # once, here; the passes simulate it unchecked
     means = []

@@ -84,14 +84,10 @@ def spawn_rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def replication_seed_sequence(seed, *index):
-    """Seed sequence for the replication addressed by integer ``index``."""
-    return np.random.SeedSequence(seed, spawn_key=(_KEY_REPLICATION, *index))
-
-
 def replication_seed(seed, *index):
-    """64-bit master seed for one replication, derived from its sub-stream."""
-    return int(replication_seed_sequence(seed, *index).generate_state(1, np.uint64)[0])
+    """64-bit master seed from the sub-stream of the replication addressed by ``index``."""
+    sequence = np.random.SeedSequence(seed, spawn_key=(_KEY_REPLICATION, *index))
+    return int(sequence.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,15 @@ class TestEstimate:
         assert code == 4
         assert "valid band" in capsys.readouterr().err
 
+    def test_default_band_edges_are_estimated(self, tmp_path):
+        # at T = 539, N/(2T) T rounds below N/2; the band's lower edge is still in it
+        series = self.simulate_white(tmp_path, T=539)
+        out = tmp_path / "est"
+        assert cli.main(["estimate", str(series), "--out", str(out)]) == 0
+        report = json.loads((out / "estimate_report.json").read_text())
+        assert report["u"][0] == report["valid_band"][0]
+        assert report["u"][-1] == report["valid_band"][1]
+
     def test_missing_series_exits_5(self, tmp_path):
         code = cli.main(["estimate", str(tmp_path / "none.csv"),
                          "--out", str(tmp_path / "est")])

@@ -170,6 +170,29 @@ class TestLocalFdft:
         # just inside the band is fine
         local_fdft(x, 64.0 / 512.0, 0.0, cfg, 256)
 
+    def test_boundary_error_names_the_window_band(self):
+        # a window [t0, t_end] wider than [1, T] has its own band, [0, 1] here
+        cfg = EstimatorConfig(N=64, b_f=0.3)
+        x = np.zeros((320, 1))
+        assert cfg.valid_band(256, -31, 288) == (0.0, 1.0)
+        assert cfg.segment(256, 1.0, -31, 288) == (225, 288)
+        local_fdft(x, 1.0, 0.0, cfg, 256, t0=-31)
+        with pytest.raises(BoundaryError, match=r"observations \[-31, 288\].*"
+                           r"u in \[0\.000000, 1\.000000\]"):
+            local_fdft(x, 1.01, 0.0, cfg, 256, t0=-31)
+
+    def test_both_ends_of_the_valid_band_are_accepted_at_every_T(self):
+        for T in range(8, 20001):
+            cfg = EstimatorConfig.auto(T)
+            half = cfg.N // 2
+            lo, hi = cfg.valid_band(T)
+            assert cfg.segment(T, lo) == (1, cfg.N)
+            assert cfg.segment(T, hi)[1] in (T - 1, T)
+            # half a step outside the first and the last accepted anchor
+            for u in ((half - 0.5) / T, (T - half + 1.5) / T):
+                with pytest.raises(BoundaryError):
+                    cfg.segment(T, u)
+
 
 class TestPeriodogram:
     def test_rank_one_psd(self):
@@ -231,6 +254,12 @@ def dense_estimate(x, cfg, T, u, omegas, t0=1):
     return np.einsum("bn,nij->bij", w, per)
 
 
+def segments(xs, cfg, T, u, t0=1):
+    """The (R, N, K) segments for u of the series ``xs``, whose first row is at ``t0``."""
+    start, stop = cfg.segment(T, u, t0, t0 + xs.shape[1] - 1)
+    return xs[:, start - t0:stop - t0 + 1]
+
+
 class TestSmoothing:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -287,7 +316,8 @@ class TestSmoothing:
         u = lo + (hi - lo) * u
         omegas = ([fourier_frequencies(n)[j % n] for j in fourier_idx] + off_grid
                   + [np.pi - 1e-3, -np.pi])
-        est = _smoothed_rows(xs, cfg, T, u, _smoothing_band(cfg, np.array(omegas)), t0)
+        est = _smoothed_rows(segments(xs, cfg, T, u, t0), cfg,
+                             _smoothing_band(cfg, np.array(omegas)))
         assert est.shape == (rows, len(omegas), k, k)
         for vals, x in zip(est, xs):
             ref = dense_estimate(x, cfg, T, u, omegas, t0)
@@ -307,7 +337,7 @@ class TestSmoothing:
         assert np.allclose(weights.sum(axis=1), 1.0)
         rng = np.random.default_rng(3)
         xs = rng.standard_normal((3, 128, 2))
-        est = _smoothed_rows(xs, cfg, 128, 0.5, (index, weights))
+        est = _smoothed_rows(segments(xs, cfg, 128, 0.5), cfg, (index, weights))
         for vals, x in zip(est, xs):
             ref = dense_estimate(x, cfg, 128, 0.5, omegas)
             assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -318,9 +348,9 @@ class TestSmoothing:
         lo, hi = cfg.valid_band(128)
         band = _smoothing_band(cfg, np.array([0.0]))
         with pytest.raises(BoundaryError, match="valid band"):
-            _smoothed_rows(xs, cfg, 128, lo - 0.01, band)
+            _smoothed_rows(segments(xs, cfg, 128, lo - 0.01), cfg, band)
         with pytest.raises(BoundaryError, match="valid band"):
-            _smoothed_rows(xs, cfg, 128, hi + 0.01, band)
+            _smoothed_rows(segments(xs, cfg, 128, hi + 0.01), cfg, band)
 
     def test_explicit_weights_match_convolution_path(self):
         rng = np.random.default_rng(11)

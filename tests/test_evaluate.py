@@ -608,3 +608,28 @@ class TestStabilityGate:
         evaluate_module.require_projections("covariance", 1)
         evaluate_module.require_projections("normality", 3)
         evaluate_module.require_projections("bias", 2, (1, 0))
+
+    @pytest.mark.parametrize("check, kwargs, message", [
+        ("bias", {"R": 1}, "bias check needs at least 2 replications, got 1"),
+        ("covariance", {"R": 1}, "covariance check needs at least 2 replications, got 1"),
+        ("normality", {"R": 1}, "normality check needs at least 2 replications, got 1"),
+        ("stationarity", {"T_list": (64,)}, "needs 2 or more distinct entries, got"),
+        ("stationarity", {"T_list": (64, 64)}, "needs 2 or more distinct entries, got"),
+        ("stationarity", {"R": 0}, "stationarity check needs at least 1 replications, got 0"),
+    ], ids=["bias-R1", "covariance-R1", "normality-R1", "stationarity-one-T",
+            "stationarity-repeated-T", "stationarity-R0"])
+    def test_meaningless_sample_sizes_are_rejected_before_simulating(
+        self, monkeypatch, check, kwargs, message
+    ):
+        monkeypatch.setattr(evaluate_module, "_simulate_rows", None)
+        model = white(dim=3)
+        cfg = EstimatorConfig(N=16, b_f=0.5)
+        run = {
+            "bias": lambda R=2: mc_mean_bias(model, cfg, 64, 0.5, 0.3, R),
+            "covariance": lambda R=2: mc_covariance(model, cfg, 64, 0.5, 0.6, 0.3, R),
+            "normality": lambda R=2: mc_normality(model, cfg, 64, 0.5, 0.3, R),
+            "stationarity": lambda R=2, T_list=(64, 128): local_stationarity_check(
+                model, 0.25, T_list, R),
+        }[check]
+        with pytest.raises(ValueError, match=message):
+            run(**kwargs)
