@@ -93,6 +93,7 @@ class _Key(NamedTuple):
     least: float | None = None  # bound of the value, of each list entry, or of an axis count
     many: int = 0  # a list of at least this many distinct entries
     fallback: bool = False  # a check setting that reads the top-level key if its section lacks it
+    unit: bool = False  # a rescaled time: the value, or each point of an axis, lies in [0, 1]
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
@@ -108,13 +109,13 @@ _ESTIMATING = {"replications": _Key(int, 2, fallback=True), "T": _Key(int, 1, fa
 # preset section unless it is an inline model document (see ``_validate``).
 _TABLE = {
     "seed": _Key(int, 0), "out": _Key(str), "T": _Key(int, 1), "replications": _Key(int, 1),
-    "u": _Key("axis", 1), "omega": _Key("axis", 1), "render": _Key(int, 2),
+    "u": _Key("axis", 1, unit=True), "omega": _Key("axis", 1), "render": _Key(int, 2),
     "basis_size": _Key(int, 1), "kernel": _Key(bool),
     "checks": _Key(("imse", "bias", "covariance", "normality", "stationarity"), many=1),
     "model": {"preset": _Key(("far1", "far2", "white")), "path": _Key(str),
               "size": _Key(int, 1), "seed": _Key(int, 0), "eta": _Key(float),
               "decay": _Key(float), "knots": _Key(int, 1), "sigma": _Key(float, 0, many=1)},
-    # the estimator's own classes bound these values
+    # the estimator's own classes bound these values; _resolve_estimator names a rejected key
     "estimator": {"segment": _Key(int), "half_width": _Key(float),
                   "taper": {"name": _Key(str), "rho": _Key(float)},
                   "kernel": {"name": _Key(str), "half_width": _Key(float)}},
@@ -123,7 +124,7 @@ _TABLE = {
     "bias": {**_ESTIMATING, "omega": _Key(float), "projection": _Key(int, 0, many=1)},
     "covariance": {**_ESTIMATING, "omega1": _Key(float), "omega2": _Key(float)},
     "normality": {**_ESTIMATING, "omega": _Key(float)},
-    "stationarity": {"u": _Key(float), "T_list": _Key(int, 1, many=2),
+    "stationarity": {"u": _Key(float, unit=True), "T_list": _Key(int, 1, many=2),
                      "replications": _Key(int, 1)},
 }
 
@@ -159,12 +160,14 @@ def _check(value, rule, path):
         raise ConfigError(f"{path} must be {_KIND_NAMES[rule.kind]}, got {value!r}")
     if rule.kind == "axis":
         return _check(value, {"count": _Key(int, rule.least)} if type(value) is dict
-                      else _Key(float, many=type(value) is list), path)
+                      else _Key(float, many=type(value) is list, unit=rule.unit), path)
     if rule.least is not None and value < rule.least:
         check, _, key = path.rpartition(".")
         raise ConfigError(f"{check} check needs at least {rule.least} replications, got {value}"
                           if check and key == "replications"
                           else f"{path} must be at least {rule.least}, got {value!r}")
+    if rule.unit and not 0 <= value <= 1:
+        raise ConfigError(f"{path} must lie in [0, 1], got {value!r}")
     return float(value) if rule.kind is float else value
 
 
@@ -281,12 +284,27 @@ def _resolve_model(config):
         raise ConfigError(f"bad inline model document: {exc}") from exc
 
 
+def _configured(settings, section, spec, fields):
+    """``settings`` with the keys of config ``section`` set one at a time, in the
+    order of ``fields`` (config key -> field); a value the estimator's own classes
+    reject is a ConfigError that names its key."""
+    for key, name in fields.items():
+        if key in spec:
+            try:
+                settings = replace(settings, **{name: spec[key]})
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+    return settings
+
+
 def _resolve_estimator(config, T):
     spec = config.get("estimator", {})
-    # the estimator's own ValueErrors exit 2 as config errors
-    auto = EstimatorConfig.auto(T, taper=TaperSpec(**spec.get("taper", {})),
-                                fkernel=FreqKernelSpec(**spec.get("kernel", {})))
-    return replace(auto, N=spec.get("segment", auto.N), b_f=spec.get("half_width", auto.b_f))
+    taper = _configured(TaperSpec(), "estimator.taper", spec.get("taper", {}),
+                        {"name": "name", "rho": "rho"})
+    fkernel = _configured(FreqKernelSpec(), "estimator.kernel", spec.get("kernel", {}),
+                          {"name": "name", "half_width": "half_width"})
+    auto = EstimatorConfig.auto(T, taper=taper, fkernel=fkernel)
+    return _configured(auto, "estimator", spec, {"segment": "N", "half_width": "b_f"})
 
 
 def _axis(config, path, default, grid):
@@ -538,29 +556,29 @@ def cmd_reproduce(args):
     estimates = evaluate.replicate(
         model, T, [replication_seed(run.seed, r) for r in range(R)],
         evaluate._EstimatePoints(cfg, T, slices, t0, t_end), workers=run.threads, t_start=t0)
-    amplitudes = np.empty((len(slices), R, render.size, render.size))
-    for r, mats in enumerate(estimates):
-        # one render of the replication's slices serves its files and amplitudes
-        kernels = kernel_grid(mats, basis, render, render)
-        amplitudes[:, r] = np.abs(kernels)
-        for i, (u, omega) in enumerate(slices):
+    # one slice at a time: its R surfaces, one buffer reused for every slice
+    amplitudes = np.empty((R, render.size, render.size))
+    dispersion = {}
+    for i, (u, omega) in enumerate(slices):
+        # one render of the slice's replications serves its files and amplitudes
+        kernels = kernel_grid(estimates[:, i], basis, render, render)
+        np.abs(kernels, out=amplitudes)
+        for r in range(R):
             grid = SpectralGrid(
                 u=np.array([u]),
                 omega=np.array([omega]),
-                values=mats[i][None, None],
+                values=estimates[r, i][None, None],
                 provenance="smoothed",
             )
             run.emit(f"slice{i}_rep{r}.csv", partial(ingest.write_spectral_grid, grid,
                                                      mode="kernel", taus=render,
-                                                     kernels=kernels[i][None, None]))
-    # sorted along the replications, the quantiles' partition finds its
-    # order statistics in place instead of partitioning a copy
-    amplitudes.sort(axis=1)
-    lower, upper = np.percentile(amplitudes, [25, 75], axis=1, overwrite_input=True)
-    iqr = upper - lower
-    dispersion = {
-        f"slice{i}": float(np.median(iqr[i])) for i in range(len(slices))
-    }
+                                                     kernels=kernels[r][None, None]))
+        # sorted along the replications, the quantiles' partition finds its
+        # order statistics in place instead of partitioning a copy
+        amplitudes.sort(axis=0)
+        lower, upper = np.percentile(amplitudes, [25, 75], axis=0, overwrite_input=True)
+        dispersion[f"slice{i}"] = float(np.median(upper - lower))
+        del kernels  # freed before the next render, so two never coexist
     run.write_json(
         "dispersion.json",
         {"T": T, "replications": R, "median_pointwise_iqr": dispersion},

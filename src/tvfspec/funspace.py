@@ -44,7 +44,7 @@ class BasisSpec:
         ndarray, shape (len(tau), K)
         """
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        _check_unit_interval(tau, "tau")
+        check_unit_interval(tau, "tau")
         out = np.empty((tau.size, self.size))
         out[:, 0] = 1.0
         for col in range(1, self.size):
@@ -57,9 +57,12 @@ class BasisSpec:
         return out
 
 
-def _check_unit_interval(x, name):
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError(f"{name} must lie in [0, 1]")
+def check_unit_interval(x, name):
+    """Raise ``ValueError`` unless every point of ``x`` (a number or an array) lies in [0, 1]."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    outside = x[~((x >= 0.0) & (x <= 1.0))]
+    if outside.size:
+        raise ValueError(f"{name} must lie in [0, 1], got {float(outside[0])}")
 
 
 def adjoint(mat):

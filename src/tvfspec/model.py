@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .funspace import BasisSpec, op_norm
+from .funspace import BasisSpec, check_unit_interval, op_norm
 
 _KEY_MATRIX = 0
 _KEY_INNOV = 1
@@ -219,7 +219,8 @@ class TvFarmaModel:
         return _stability_report(self)
 
     def frozen(self, u):
-        """Stationary model with every curve fixed at rescaled time ``u``."""
+        """Stationary model with every curve fixed at rescaled time ``u`` in [0, 1]."""
+        check_unit_interval(u, "u")
         return TvFarmaModel(
             ar=tuple(OperatorCurve.constant(cv(u)) for cv in self.ar),
             innovations=self.innovations,

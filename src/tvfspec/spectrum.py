@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funspace import adjoint
+from .funspace import adjoint, check_unit_interval
 from .model import _shaping, choose_ma_order, ma_coefficients
 
 PROVENANCES = ("truth", "wigner_ville", "smoothed")
@@ -118,6 +118,7 @@ def true_spectral_density(model, u, omega):
 def truth_grid(model, u_grid, omega_grid):
     """Exact spectral density operators on a (u, omega) product grid."""
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
+    check_unit_interval(u_grid, "u")
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     k = model.dim
     cov = model.innovations.covariance.astype(complex)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,36 @@ class TestReproduce:
         assert cli.main(["reproduce", "far1", "--T", "100",
                          "--out", str(tmp_path / "x")]) == 2
 
+    def test_dispersion_matches_its_replication_files(self, tmp_path):
+        # per slice, the median over the render grid of the interquartile
+        # range of the 20 amplitude surfaces, recomputed from the abs columns
+        config = write_config(tmp_path, "rep.json", {"render": 8})
+        out = tmp_path / "run"
+        assert cli.main(["reproduce", "far1", "--config", config,
+                         "--T", "512", "--out", str(out)]) == 0
+        dispersion = json.loads((out / "dispersion.json").read_text())["median_pointwise_iqr"]
+        for i in range(3):
+            amplitudes = np.stack([read_kernel_table(out / f"slice{i}_rep{r}.csv")[:, 6]
+                                   for r in range(20)])
+            assert amplitudes.shape == (20, 64)
+            lower, upper = np.percentile(amplitudes, [25, 75], axis=0)
+            # the files hold np.hypot, the dispersion np.abs: equal up to the last digit
+            assert dispersion[f"slice{i}"] == pytest.approx(float(np.median(upper - lower)),
+                                                            rel=1e-12, abs=0)
+
+    def test_peak_memory_holds_one_slice_of_surfaces(self, tmp_path):
+        # far2 at the default render of 64: all 7 slices' 20 amplitude
+        # surfaces at once are 4.6 MB; one slice's surfaces, its complex
+        # render and the estimates stay near 6 MB
+        tracemalloc.start()
+        try:
+            code = cli.main(["reproduce", "far2", "--T", "512", "--out", str(tmp_path / "run")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8e6
+
 
 class TestCheck:
     def test_far1_passes(self, tmp_path, capsys):
@@ -445,14 +476,32 @@ def white_series(tmp_path):
                     "normality": {"replications": 4, "T": 512}}, 2),
     (["evaluate"], {"model": {"preset": "white", "size": 2}, "checks": ["normality"],
                     "normality": {"replications": 4, "T": 512}}, 2),
+    (["truth"], far1_config(u=[1.7, -0.5], omega=[0.3]), 2),
+    (["check"], far1_config(stationarity={"u": 1.7}), 2),
 ], ids=["simulate-render", "reproduce-render", "estimate-render", "imse-one-T",
         "bias-taper", "bias-band", "bias-projection", "imse-no-common-band",
-        "normality-projection", "normality-projection-white"])
+        "normality-projection", "normality-projection-white", "truth-u-outside",
+        "stationarity-u-outside"])
 def test_bad_setting_writes_nothing(tmp_path, argv, config, code):
     argv = [white_series(tmp_path) if a is None else a for a in argv]
     path = write_config(tmp_path, "bad.json", config)
     out = tmp_path / "out"
     assert cli.main([*argv, "--config", path, "--out", str(out)]) == code
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("estimator, key, message", [
+    ({"segment": 7}, "estimator.segment", "segment length N must be even"),
+    ({"half_width": -1}, "estimator.half_width", "frequency bandwidth must be positive"),
+    ({"taper": {"name": "nope"}}, "estimator.taper.name", "unknown taper 'nope'"),
+    ({"taper": {"rho": 0.9}}, "estimator.taper.rho", "cosine_flat rise fraction"),
+    ({"kernel": {"half_width": 0}}, "estimator.kernel.half_width", "half_width must be positive"),
+], ids=["segment", "half_width", "taper-name", "taper-rho", "kernel-half_width"])
+def test_estimator_error_names_its_config_key(tmp_path, capsys, estimator, key, message):
+    config = write_config(tmp_path, "bad.json", far1_config(checks=["bias"], estimator=estimator))
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: {message}")
     assert list(out.iterdir()) == []
 
 

@@ -490,6 +490,15 @@ class TestLocalStationarity:
         again = local_stationarity_check(model, u=0.25, T_list=(64, 128), R=4, seed=11)
         assert rep.to_json() == again.to_json()
 
+    def test_rescaled_time_outside_the_unit_interval_raises_before_any_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("replications ran")
+
+        monkeypatch.setattr(evaluate_module, "replicate", fail)
+        for u in (1.7, -0.5):
+            with pytest.raises(ValueError, match=r"u must lie in \[0, 1\], got " + str(u)):
+                local_stationarity_check(far1(size=3), u=u, T_list=(64, 128), R=2)
+
     def test_worker_count_does_not_change_report(self):
         kwargs = dict(u=0.25, T_list=(64, 128), R=4, seed=11)
         serial = local_stationarity_check(far1(size=3), workers=1, **kwargs)

@@ -118,6 +118,17 @@ class TestDensitySymmetries:
         near = grid.at(0.49, OMEGAS[3] + 0.01)
         assert np.array_equal(near, grid.values[0, 3])
 
+    def test_truth_grid_rejects_rescaled_times_outside_the_unit_interval(self, monkeypatch):
+        # the operator curves live on [0, 1]; a point outside raises before
+        # any transfer operator is computed
+        def fail(*args):
+            raise AssertionError("transfer operator computed")
+
+        monkeypatch.setattr(spectrum, "transfer_operator", fail)
+        for us in ([0.5, 1.7], [-0.5], [np.nan]):
+            with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
+                truth_grid(scalar_ar1(), us, OMEGAS)
+
 
 class TestLocalAutocovariance:
     def test_constant_ar1_matches_stationary_solution(self):
