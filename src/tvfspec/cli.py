@@ -9,6 +9,12 @@ evaluate   Monte Carlo checks -> one report document per check
 reproduce  figure presets (far1 | far2) -> truth and replicated estimates
 check      stability report plus the local stationarity diagnostic
 
+Each check of ``evaluate`` and ``check`` is one call of a check in the
+``evaluate`` module (``mc_imse``, ``mc_mean_bias``, ``mc_covariance``,
+``mc_normality``, ``local_stationarity_check``), which builds the report;
+``cli`` resolves the call's settings and writes the report through
+``ingest.write_report``.
+
 Every run copies its configuration into the output directory and writes a
 manifest recording input and output SHA-256 hashes, the package version, and
 the seed.  Nothing written depends on wall-clock time, so rerunning a command
@@ -424,36 +430,12 @@ def _resolve_imse(run, model):
     for T in t_list:
         for u in us:
             cfgs[T].segment(T, u)
-    omegas = _axis(config, "imse.omega", 64, fourier_frequencies)
-    return partial(_imse_report, model, t_list, cfgs, us, omegas, R, run.seed, run.threads)
-
-
-def _imse_report(model, t_list, cfgs, us, omegas, R, seed, workers):
-    """Paired-seed integrated-squared-error comparison across sample sizes."""
-    truth = truth_grid(model, us, omegas)
-    seeds = [replication_seed(seed, r) for r in range(R)]
-    values = {
-        T: evaluate.replicate(model, T, seeds, evaluate._ImseTask(cfgs[T], T, truth),
-                              workers=workers)
-        for T in t_list
-    }
-    t_lo, t_hi = t_list[0], t_list[-1]
-    wins = int(np.sum(values[t_hi] < values[t_lo]))
-    need = int(np.ceil(0.9 * R))
-    return evaluate.McReport(
-        name="imse_consistency",
-        seed=seed,
-        replications=R,
-        quantities={
-            **{f"imse_mean_T{T}": float(values[T].mean()) for T in t_list},
-            **{f"imse_per_rep_T{T}": values[T] for T in t_list},
-            "wins": wins,
-            "wins_needed": need,
-        },
-        tolerances={"win_fraction": 0.9},
-        passes={"direction": wins >= need},
-        notes=["paired seeds: replication r uses sub-seed (2, r) at every T"],
-    )
+    # the trapezoid integral runs over the sorted distinct frequencies (not
+    # np.unique, whose import of numpy.ma adds 1.2 MB to every run's peak)
+    omegas = np.array(sorted(set(_axis(config, "imse.omega", 64, fourier_frequencies))))
+    evaluate.require_frequency_axis(omegas, "imse.omega")
+    return partial(evaluate.mc_imse, model, cfgs, us, omegas, R, seed=run.seed,
+                   workers=run.threads)
 
 
 def _resolve_estimating(run, model, check):
@@ -562,7 +544,8 @@ def cmd_reproduce(args):
     for i, (u, omega) in enumerate(slices):
         # one render of the slice's replications serves its files and amplitudes
         kernels = kernel_grid(estimates[:, i], basis, render, render)
-        np.abs(kernels, out=amplitudes)
+        # the amplitudes the files' abs column holds (np.abs differs in the last bit)
+        np.hypot(kernels.real, kernels.imag, out=amplitudes)
         for r in range(R):
             grid = SpectralGrid(
                 u=np.array([u]),

@@ -2,13 +2,17 @@
 
 Every check here runs R seeded replications of simulate-then-estimate and
 compares moments of the estimates against the corresponding population
-quantity: the smoothed mean expansion (second-order bias in both
-bandwidths), the scaled variance limit 2 pi |K_t|^2 |K_f|^2 with its
-frequency-degeneracy terms, joint Gaussianity of the centred and scaled
-projections, integrated squared error decay, and the coupled bound defining
-local stationarity.  Replication r of a run with master seed s draws its
-innovations from the sub-stream (2, r) of s, so reports are reproducible and
-independent of worker count; reductions always run in replication order.
+quantity, and returns an ``McReport``: the smoothed mean expansion
+(``mc_mean_bias``, second-order bias in both bandwidths), the scaled variance
+limit 2 pi |K_t|^2 |K_f|^2 with its frequency-degeneracy terms
+(``mc_covariance``), joint Gaussianity of the centred and scaled projections
+(``mc_normality``), integrated squared error decay (``mc_imse``), and the
+coupled bound defining local stationarity (``local_stationarity_check``).
+The checks build reports and never serialise them; that is left to the file
+formats module, and ``cli`` connects the two.  Replication r of a run with
+master seed s draws its innovations from the sub-stream (2, r) of s, so
+reports are reproducible and independent of worker count; reductions always
+run in replication order.
 ``replicate`` is the one function that simulates replications, and it runs
 the stability gate ``model.require_stable`` before it simulates.  Its tasks
 declare the time windows they read, and each pass of replications runs one
@@ -31,7 +35,6 @@ from .estimator import (
     _smoothing_band,
     kernel_constants,
 )
-from .ingest import write_json
 from .model import (
     DEFAULT_BURN_IN,
     TvFarmaModel,
@@ -41,7 +44,7 @@ from .model import (
     replication_seed,
     require_stable,
 )
-from .spectrum import SpectralGrid, TWO_PI, true_spectral_density
+from .spectrum import SpectralGrid, TWO_PI, true_spectral_density, truth_grid
 
 
 @dataclass
@@ -68,9 +71,6 @@ class McReport:
     def document(self):
         """JSON-ready dict of the report: its fields and ``passed``."""
         return {**asdict(self), "passed": self.passed}
-
-    def to_json(self):
-        return write_json(self.document())
 
 
 def _cnum(z):
@@ -105,6 +105,7 @@ COVARIANCE_RTOL = 0.25  # relative agreement of a nonzero covariance limit
 NORMALITY_Z = 2.576  # two-sided 1% level of the moment z tests
 NORMALITY_MIN_DOF = 12.0  # below this effective dof normality is informational
 STATIONARITY_SLOPE_TOL = 0.15  # |slope| of log mean P_t^2 against log T
+IMSE_WIN_FRACTION = 0.9  # share of paired replications whose IMSE falls from least to most T
 
 # Coefficient projections (m, n) of the covariance and normality checks
 COVARIANCE_PAIRS = (((0, 0), (0, 0)),)
@@ -446,12 +447,14 @@ def imse(estimates, truth):
         Estimates on the same (u, omega) grid; with several grids the
         squared error is averaged across them pointwise.
     truth : SpectralGrid
+        Its omega axis must pass ``require_frequency_axis``.
 
     Returns
     -------
     ImseResult
         ``value`` averages the per-u trapezoid integrals over omega.
     """
+    require_frequency_axis(truth.omega)
     if isinstance(estimates, SpectralGrid):
         estimates = [estimates]
     if not estimates:
@@ -468,6 +471,15 @@ def imse(estimates, truth):
     diffsq /= len(estimates)
     per_u = np.trapezoid(diffsq, truth.omega, axis=1)
     return ImseResult(value=float(per_u.mean()), per_u=per_u, mse=diffsq)
+
+
+def require_frequency_axis(omega, name="omega"):
+    """The IMSE's frequency rule: raise ValueError unless ``omega`` strictly
+    increases over two or more points, the axis a trapezoid integral needs."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    if omega.ndim != 1 or omega.size < 2 or not np.all(np.diff(omega) > 0):
+        raise ValueError(f"{name} needs 2 or more distinct frequencies in increasing order, "
+                         f"got {omega.tolist()}")
 
 
 def _squared_errors(diff):
@@ -510,6 +522,41 @@ class _ImseTask:
         return np.trapezoid(diffsq, self.truth.omega, axis=-1).mean(axis=-1)
 
 
+def mc_imse(model, cfgs, us, omegas, R, seed=0, workers=1):
+    """Integrated squared error across sample sizes, on paired seeds.
+
+    ``cfgs`` maps each sample size T to its ``EstimatorConfig``.  Every T
+    estimates the truth grid over ``us`` x ``omegas`` (``omegas`` must pass
+    ``require_frequency_axis``) from the same R replications: replication r
+    uses sub-seed (2, r) at every T.  Reports each replication's ``imse``
+    value per T; passes when it falls from the least to the most T in at
+    least ``IMSE_WIN_FRACTION`` of the replications.
+    """
+    t_list = sorted(cfgs)
+    _require_replications("imse", R, 1)
+    if len(t_list) < 2:  # the comparison needs two sample sizes
+        raise ValueError(f"imse T_list needs 2 or more distinct entries, got {t_list}")
+    require_frequency_axis(omegas)
+    require_stable(model)  # before the truth grid inverts the AR symbol
+    truth = truth_grid(model, us, omegas)
+    seeds = [replication_seed(seed, r) for r in range(R)]
+    values = {T: replicate(model, T, seeds, _ImseTask(cfgs[T], T, truth), workers)
+              for T in t_list}
+    wins = int(np.sum(values[t_list[-1]] < values[t_list[0]]))
+    need = int(np.ceil(IMSE_WIN_FRACTION * R))
+    report = McReport(name="imse_consistency", seed=seed, replications=R)
+    report.quantities = {
+        **{f"imse_mean_T{T}": float(values[T].mean()) for T in t_list},
+        **{f"imse_per_rep_T{T}": values[T] for T in t_list},
+        "wins": wins,
+        "wins_needed": need,
+    }
+    report.tolerances = {"win_fraction": IMSE_WIN_FRACTION}
+    report.passes = {"direction": wins >= need}
+    report.notes.append("paired seeds: replication r uses sub-seed (2, r) at every T")
+    return report
+
+
 @dataclass(frozen=True)
 class _CouplingTask:
     """Replication task: P_t^2 against the frozen process on the same seeds, shape (c, T).
@@ -546,7 +593,9 @@ def local_stationarity_check(model, u, T_list, R, seed=0, workers=1):
     maximum over t of the replication mean of P_t^2 and its average over t;
     the pass criterion is that the slope of log average versus log T stays
     within ``STATIONARITY_SLOPE_TOL`` of zero (the second moment is bounded
-    in T).
+    in T).  A model that does not vary in time equals its frozen copy, so
+    every average is zero: that passes with slope 0.  Averages that vanish
+    at some T only have no log-log slope, and fail.
     """
     T_list = [int(t) for t in T_list]
     _require_replications("stationarity", R, 1)
@@ -561,8 +610,16 @@ def local_stationarity_check(model, u, T_list, R, seed=0, workers=1):
                         _CouplingTask(frozen, T, u), workers).mean(axis=0)
         means.append(float(acc.mean()))
         maxima.append(float(acc.max()))
-    slope = float(np.polyfit(np.log(T_list), np.log(means), 1)[0])
     report = McReport(name="local_stationarity", seed=seed, replications=R)
+    if all(means):
+        slope = float(np.polyfit(np.log(T_list), np.log(means), 1)[0])
+    elif any(means):
+        slope = math.nan
+        report.notes.append("mean P_t^2 is zero at some T only: no log-log slope")
+    else:
+        slope = 0.0
+        report.notes.append("the coupled distance is identically zero: the model equals "
+                            "its frozen copy, so its second moment is bounded")
     report.quantities = {
         "u": u, "T": T_list, "mean_p2": means, "max_p2": maxima, "slope": slope,
     }

@@ -13,14 +13,14 @@ import pytest
 
 import tvfspec
 from tvfspec import cli, evaluate, ingest
-from tvfspec.estimator import fourier_frequencies
+from tvfspec.estimator import EstimatorConfig, fourier_frequencies
 from tvfspec.ingest import (
     model_document,
     read_kernel_table,
     read_series,
     read_spectral_grid,
 )
-from tvfspec.model import InnovationSpec, OperatorCurve, TvFarmaModel
+from tvfspec.model import InnovationSpec, OperatorCurve, TvFarmaModel, far1
 from tvfspec.spectrum import TWO_PI
 
 
@@ -269,12 +269,7 @@ class TestEvaluate:
         # the README imse config in fresh processes whose BLAS and OpenMP
         # thread counts are left at their defaults; two workers split the
         # 20 replications of each T into two passes of 10
-        config = write_config(
-            tmp_path, "imse.json",
-            {"model": {"preset": "far1", "size": 15}, "estimator": "auto",
-             "u": {"count": 5}, "omega": {"count": 64},
-             "imse": {"T_list": [512, 4096], "replications": 20}, "checks": ["imse"]},
-        )
+        config = write_config(tmp_path, "imse.json", README_IMSE)
         src = os.path.dirname(os.path.dirname(os.path.abspath(tvfspec.__file__)))
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -290,6 +285,53 @@ class TestEvaluate:
             reports.append((out / "imse.json").read_bytes())
         assert reports[1] == reports[0]
         assert json.loads(reports[0])["passed"] is True
+
+    def test_library_check_writes_the_cli_report(self, tmp_path):
+        # the README imse config at seed 7: the CLI's imse.json is
+        # evaluate.mc_imse's report with the config hash note, as written by
+        # ingest.write_report
+        config = write_config(tmp_path, "imse.json", README_IMSE)
+        out = tmp_path / "run"
+        assert cli.main(["evaluate", "--config", config, "--seed", "7", "--out", str(out)]) == 0
+        cfgs = {T: EstimatorConfig.auto(T) for T in (512, 4096)}
+        lo = max(cfg.valid_band(T)[0] for T, cfg in cfgs.items())
+        hi = min(cfg.valid_band(T)[1] for T, cfg in cfgs.items())
+        report = evaluate.mc_imse(far1(size=15), cfgs, np.linspace(lo, hi, 3),
+                                  fourier_frequencies(64), 20, seed=7)
+        config_hash = hashlib.sha256(Path(config).read_bytes()).hexdigest()
+        report.notes.append(f"config_sha256={config_hash}")
+        ingest.write_report(report, tmp_path / "library.json")
+        assert (tmp_path / "library.json").read_bytes() == (out / "imse.json").read_bytes()
+
+    @pytest.mark.parametrize("omega", [[0.5, 1.0, 2.0], [2.0, 1.0, 0.5], [0.5, 2.0, 1.0]],
+                             ids=["sorted", "descending", "unsorted"])
+    def test_imse_integrates_over_the_sorted_frequencies(self, tmp_path, omega):
+        # the trapezoid integral runs over the sorted axis whatever order the
+        # config lists it in; the report is the library check's on that axis
+        us = [0.3, 0.5, 0.7]
+        config = write_config(tmp_path, "eval.json", {
+            "model": {"preset": "far1", "size": 3}, "checks": ["imse"],
+            "imse": {"T_list": [256, 512], "replications": 4, "u": us, "omega": omega}})
+        out = tmp_path / "run"
+        assert cli.main(["evaluate", "--config", config, "--seed", "3", "--out", str(out)]) == 0
+        report = json.loads((out / "imse.json").read_text())
+        want = evaluate.mc_imse(far1(size=3), {T: EstimatorConfig.auto(T) for T in (256, 512)},
+                                us, [0.5, 1.0, 2.0], 4, seed=3)
+        assert report["quantities"] == json.loads(ingest.write_json(want.quantities))
+        assert report["passed"] is True
+        assert all(v > 0.0 for T in (256, 512) for v in report["quantities"][f"imse_per_rep_T{T}"])
+
+    @pytest.mark.parametrize("omega", [0.3, [0.3, 0.3], {"count": 1}],
+                             ids=["one-number", "repeated", "count-one"])
+    def test_imse_on_fewer_than_two_frequencies_exits_2(self, tmp_path, capsys, omega):
+        config = write_config(tmp_path, "eval.json", {
+            "model": {"preset": "far1", "size": 3}, "checks": ["imse"],
+            "imse": {"T_list": [256, 512], "replications": 4, "omega": omega}})
+        out = tmp_path / "run"
+        assert cli.main(["evaluate", "--config", config, "--seed", "3", "--out", str(out)]) == 2
+        assert ("config error: imse.omega needs 2 or more distinct frequencies"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("check, count, least", [
         ("imse", 0, 1), ("stationarity", 0, 1),
@@ -370,20 +412,19 @@ class TestReproduce:
 
     def test_dispersion_matches_its_replication_files(self, tmp_path):
         # per slice, the median over the render grid of the interquartile
-        # range of the 20 amplitude surfaces, recomputed from the abs columns
-        config = write_config(tmp_path, "rep.json", {"render": 8})
+        # range of the 20 amplitude surfaces, recomputed exactly from the abs
+        # columns of the replication files
         out = tmp_path / "run"
-        assert cli.main(["reproduce", "far1", "--config", config,
-                         "--T", "512", "--out", str(out)]) == 0
+        assert cli.main(["reproduce", "far2", "--T", "512", "--seed", "7",
+                         "--out", str(out)]) == 0
         dispersion = json.loads((out / "dispersion.json").read_text())["median_pointwise_iqr"]
-        for i in range(3):
+        assert len(dispersion) == 7
+        for i in range(7):
             amplitudes = np.stack([read_kernel_table(out / f"slice{i}_rep{r}.csv")[:, 6]
                                    for r in range(20)])
-            assert amplitudes.shape == (20, 64)
+            assert amplitudes.shape == (20, 64 * 64)
             lower, upper = np.percentile(amplitudes, [25, 75], axis=0)
-            # the files hold np.hypot, the dispersion np.abs: equal up to the last digit
-            assert dispersion[f"slice{i}"] == pytest.approx(float(np.median(upper - lower)),
-                                                            rel=1e-12, abs=0)
+            assert dispersion[f"slice{i}"] == float(np.median(upper - lower))
 
     def test_peak_memory_holds_one_slice_of_surfaces(self, tmp_path):
         # far2 at the default render of 64: all 7 slices' 20 amplitude
@@ -432,6 +473,20 @@ class TestCheck:
         assert loops == [(kind, T, 16) for T in (256, 1024, 4096)
                          for kind in ("model", "frozen")]
 
+    def test_time_invariant_model_passes_with_slope_zero(self, tmp_path, capsys):
+        # white noise equals its frozen copy: every mean P_t^2 is 0.0, a
+        # bounded second moment, and no log of zero is taken (warnings are errors)
+        config = write_config(tmp_path, "check.json", {
+            "model": {"preset": "white", "size": 2},
+            "stationarity": {"replications": 2, "T_list": [64, 128]}})
+        out = tmp_path / "run"
+        assert cli.main(["check", "--config", config, "--out", str(out)]) == 0
+        assert "local stationarity: pass" in capsys.readouterr().out
+        report = json.loads((out / "stationarity.json").read_text())
+        assert report["quantities"]["mean_p2"] == [0.0, 0.0]
+        assert report["quantities"]["slope"] == 0.0
+        assert report["passed"] is True
+
     def test_unstable_model_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path, "check.json", {"model": unstable_document()})
         code = cli.main(["check", "--config", config, "--out", str(tmp_path / "x")])
@@ -448,6 +503,12 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "config error: stationarity check needs at least 1 replications, got 0" in err
         assert not (out / "stability.json").exists()
+
+
+# the README's imse config
+README_IMSE = {"model": {"preset": "far1", "size": 15}, "estimator": "auto",
+               "u": {"count": 5}, "omega": {"count": 64},
+               "imse": {"T_list": [512, 4096], "replications": 20}, "checks": ["imse"]}
 
 
 def far1_config(**extra):

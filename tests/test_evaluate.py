@@ -16,12 +16,14 @@ from tvfspec.evaluate import (
     imse,
     local_stationarity_check,
     mc_covariance,
+    mc_imse,
     mc_mean_bias,
     mc_normality,
     predicted_covariance,
     replicate,
 )
 from tvfspec import spectrum as spectrum_module
+from tvfspec.ingest import write_json
 from tvfspec.model import (
     InnovationSpec,
     OperatorCurve,
@@ -366,6 +368,55 @@ class TestImse:
         with pytest.raises(ValueError, match="at least one"):
             imse([], truth)
 
+    @pytest.mark.parametrize("omegas", [[2.0, 1.0, 0.5], [0.5, 2.0, 1.0], [0.3]],
+                             ids=["descending", "unsorted", "one-point"])
+    def test_frequencies_must_increase_over_two_points(self, omegas):
+        # a trapezoid integral over a reversed axis is negative, over an
+        # unsorted one wrong, and over one point zero
+        truth = truth_grid(white(dim=2), [0.5], omegas)
+        with pytest.raises(ValueError, match="omega needs 2 or more distinct frequencies "
+                                             "in increasing order"):
+            imse(truth, truth)
+
+
+class TestMcImse:
+    def test_report_pairs_the_seeds_across_sample_sizes(self):
+        model = far1(size=3)
+        us, omegas = [0.3, 0.5, 0.7], fourier_frequencies(16)
+        cfgs = {T: EstimatorConfig.auto(T) for T in (512, 256)}
+        rep = mc_imse(model, cfgs, us, omegas, R=4, seed=3)
+        assert rep.name == "imse_consistency"
+        assert rep.tolerances == {"win_fraction": evaluate_module.IMSE_WIN_FRACTION}
+        q = rep.quantities
+        assert q["wins_needed"] == 4  # ceil(0.9 * 4)
+        truth = truth_grid(model, us, omegas)
+        for T in (256, 512):
+            # replication r at each T is the estimate grid of seed (2, r)
+            want = [imse(estimate_grid(simulate(model, T, seed=replication_seed(3, r)),
+                                       cfgs[T], T, us, omegas), truth).value
+                    for r in range(4)]
+            assert q[f"imse_per_rep_T{T}"] == pytest.approx(want, rel=1e-12)
+            assert q[f"imse_mean_T{T}"] == pytest.approx(np.mean(want), rel=1e-12)
+        wins = int(np.sum(q["imse_per_rep_T512"] < q["imse_per_rep_T256"]))
+        assert q["wins"] == wins
+        assert rep.passes == {"direction": wins >= 4}
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"omegas": [2.0, 1.0, 0.5]}, "omega needs 2 or more distinct frequencies"),
+        ({"omegas": [0.5, 2.0, 1.0]}, "omega needs 2 or more distinct frequencies"),
+        ({"omegas": [0.3]}, "omega needs 2 or more distinct frequencies"),
+        ({"R": 0}, "imse check needs at least 1 replications, got 0"),
+        ({"Ts": (256,)}, r"imse T_list needs 2 or more distinct entries, got \[256\]"),
+    ], ids=["descending", "unsorted", "one-point", "R0", "one-T"])
+    def test_meaningless_settings_are_rejected_before_simulating(
+        self, monkeypatch, kwargs, message
+    ):
+        monkeypatch.setattr(evaluate_module, "_simulate_rows", None)
+        settings = {"omegas": [0.5, 1.0, 2.0], "R": 2, "Ts": (256, 512), **kwargs}
+        cfgs = {T: EstimatorConfig.auto(T) for T in settings["Ts"]}
+        with pytest.raises(ValueError, match=message):
+            mc_imse(far1(size=3), cfgs, [0.5], settings["omegas"], settings["R"])
+
 
 class TestSecondDerivative:
     def test_sine_curvature(self):
@@ -391,8 +442,8 @@ class TestMeanBias:
         q = rep.quantities
         assert q["abs_error_order0"] >= 0.0 and q["se"] > 0.0
         again = mc_mean_bias(ramp_ar1(), cfg, **kwargs)
-        assert rep.to_json() == again.to_json()
-        json.loads(rep.to_json())
+        assert write_json(rep.document()) == write_json(again.document())
+        json.loads(write_json(rep.document()))
 
 
 class TestCovariance:
@@ -419,7 +470,7 @@ class TestCovariance:
         kwargs = dict(T=256, u=0.5, omega1=np.pi / 2, omega2=np.pi / 2, R=8, seed=5)
         serial = mc_covariance(white(), cfg, workers=1, **kwargs)
         pooled = mc_covariance(white(), cfg, workers=2, **kwargs)
-        assert serial.to_json() == pooled.to_json()
+        assert write_json(serial.document()) == write_json(pooled.document())
 
 
 class TestNormality:
@@ -430,7 +481,7 @@ class TestNormality:
         keys = set(rep.passes)
         assert "proj_01_re" in keys and "proj_01_im" in keys
         assert rep.quantities["effective_dof"] > 0.0
-        json.loads(rep.to_json())
+        json.loads(write_json(rep.document()))
 
     def test_low_dof_is_informational(self):
         cfg = EstimatorConfig(N=16, b_f=0.5)
@@ -457,7 +508,7 @@ class TestMcReport:
             "flag": np.bool_(True), "count": np.int64(3),
             "z": np.complex128(1 + 2j), "arr": np.arange(3),
         }
-        decoded = json.loads(rep.to_json())
+        decoded = json.loads(write_json(rep.document()))
         assert decoded["quantities"]["z"] == {"re": 1.0, "im": 2.0}
         assert decoded["quantities"]["arr"] == [0, 1, 2]
 
@@ -471,7 +522,7 @@ class TestMcReport:
         def reject(token):
             raise ValueError(f"bare {token} is not JSON")
 
-        decoded = json.loads(rep.to_json(), parse_constant=reject)
+        decoded = json.loads(write_json(rep.document()), parse_constant=reject)
         assert decoded["quantities"] == {
             "nan": "NaN", "scalar": "-Infinity", "arr": ["Infinity", 1.5],
             "z": {"re": "NaN", "im": "-Infinity"},
@@ -488,7 +539,32 @@ class TestLocalStationarity:
         assert isinstance(rep.quantities["slope"], float)
         assert set(rep.passes) == {"bounded_second_moment"}
         again = local_stationarity_check(model, u=0.25, T_list=(64, 128), R=4, seed=11)
-        assert rep.to_json() == again.to_json()
+        assert write_json(rep.document()) == write_json(again.document())
+
+    def test_time_invariant_model_passes_with_slope_zero(self):
+        # a constant AR(1) equals its frozen copy: every P_t is exactly zero,
+        # so the second moment is bounded and no log of zero is taken
+        model = TvFarmaModel(ar=(OperatorCurve.constant(np.array([[0.5]])),),
+                             innovations=InnovationSpec(np.ones(1)))
+        rep = local_stationarity_check(model, u=0.25, T_list=(64, 128), R=2, seed=3)
+        assert rep.quantities["mean_p2"] == [0.0, 0.0]
+        assert rep.quantities["slope"] == 0.0
+        assert rep.passes == {"bounded_second_moment": True}
+        assert any("identically zero" in note for note in rep.notes)
+
+    def test_mean_vanishing_at_one_T_only_fails_without_a_slope(self):
+        # a scalar AR(1) at 0.5 except for a bump on (0.5, 0.502): no time
+        # t/T of T = 64 falls inside it, so that run equals its frozen copy,
+        # while T = 1024 has 513/1024 there; no log-log slope exists, and
+        # the report says so instead of taking the log of zero
+        curve = OperatorCurve(np.array([0.0, 0.5, 0.501, 0.502, 1.0]),
+                              np.array([0.5, 0.5, 0.9, 0.5, 0.5]).reshape(5, 1, 1))
+        model = TvFarmaModel(ar=(curve,), innovations=InnovationSpec(np.ones(1)))
+        rep = local_stationarity_check(model, u=0.25, T_list=(64, 1024), R=1)
+        assert rep.quantities["mean_p2"][0] == 0.0 < rep.quantities["mean_p2"][1]
+        assert np.isnan(rep.quantities["slope"])
+        assert rep.passes == {"bounded_second_moment": False}
+        assert any("zero at some T only" in note for note in rep.notes)
 
     def test_rescaled_time_outside_the_unit_interval_raises_before_any_work(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -503,7 +579,7 @@ class TestLocalStationarity:
         kwargs = dict(u=0.25, T_list=(64, 128), R=4, seed=11)
         serial = local_stationarity_check(far1(size=3), workers=1, **kwargs)
         pooled = local_stationarity_check(far1(size=3), workers=2, **kwargs)
-        assert serial.to_json() == pooled.to_json()
+        assert write_json(serial.document()) == write_json(pooled.document())
 
     def test_one_stability_check_per_model(self, monkeypatch):
         calls = []
@@ -557,6 +633,7 @@ def _entries(model):
         "replicate": lambda: replicate(model, T, seeds,
                                        evaluate_module._EstimatePoints(cfg, T, [(0.5, 0.3)])),
         "imse": lambda: replicate(model, T, seeds, evaluate_module._ImseTask(cfg, T, truth)),
+        "mc_imse": lambda: mc_imse(model, {T: cfg, 2 * T: cfg}, [0.5], [0.3, 0.6], R=2),
         "mean_bias": lambda: mc_mean_bias(model, cfg, T, 0.5, 0.3, R=2),
         "covariance": lambda: mc_covariance(model, cfg, T, 0.5, 0.6, 0.3, R=2),
         "normality": lambda: mc_normality(model, cfg, T, 0.5, 0.3, R=2),
