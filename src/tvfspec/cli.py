@@ -372,7 +372,8 @@ def cmd_truth(args):
 
 def cmd_estimate(args):
     run = Run("estimate", args)
-    run.inputs[args.series] = _sha256(args.series)
+    # keyed by role, so the manifest does not depend on how the path was typed
+    run.inputs["series"] = _sha256(args.series)
     raw = ingest.read_series(args.series)
     if "model" in run.config:
         model, _ = _resolve_model(run.config)

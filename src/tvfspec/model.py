@@ -17,11 +17,17 @@ reproducible bit for bit.  Keys: (0, j, g) for the g-th knot of the j-th
 random operator curve, (1,) for a simulation's innovations, (2, r) for
 replication r of a Monte Carlo run.
 
-Causal filters.  ``ma_coefficients`` is the one filter recursion: for an
-array of anchor times it evaluates every curve once over the union of their
-rescaled times, walks back over lags on the top block row of the companion
-product for all anchors at once and composes the moving-average part on top;
-``simulate_ma`` carries the forward responses of all innovation rows at once.
+Causal filters.  ``_filter_blocks`` is the one filter recursion: for an
+array of anchor times it walks back over lags on the top block row of the
+companion product for all anchors at once, one block of lags after another,
+and composes the moving-average part on top.  ``ma_coefficients`` assembles
+its blocks, ``choose_ma_order`` continues it from one doubling of the lag
+count to the next, and the autocovariances of ``spectrum`` run it per group
+of anchor times.  ``simulate_ma`` carries the forward responses of a block
+of innovation rows at once, latest block first.  Each of these stacks (a lag
+block, an anchor group, a row block's operators) stays within
+``_FILTER_BYTES``, so no working memory grows with anchors x lags or with
+the window.
 The stability report on the default grid is computed once per model
 (``TvFarmaModel.stability``).  ``require_stable``, the one stability gate,
 reads it; ``simulate``, ``evaluate.replicate`` and ``choose_ma_order`` (the
@@ -41,7 +47,6 @@ replication is bitwise the same however the replications are grouped.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -72,6 +77,14 @@ _SPAN_ELEMENTS = 2**14
 # 28 MB at peak, 64-step spans 0.48 s and 22 MB, one whole-run span 0.31 s
 # and 60 MB.
 _SPAN_STEPS = 256
+# Bytes of filters or operators the causal-filter layer holds at a time: a
+# lag block of ``_filter_blocks`` (anchors x lags filters), an anchor group
+# of the autocovariances, the operator stacks of a row block of
+# ``simulate_ma``.  For far2 (K = 15, T = 512, L = 64) on a 2-vCPU Xeon, 1 MiB
+# takes ``wigner_ville`` (3 u, s_max 32) and ``simulate_ma`` from 5.7 and
+# 3.3 MB of traced heap to 2.7 and 1.6 MB in 1.0-1.08 times the time of
+# whole stacks; 512 KiB saves 0.5 MB more but takes 1.17 and 1.35 times it.
+_FILTER_BYTES = 2**20
 
 
 def _span(k, total):
@@ -453,6 +466,104 @@ def _shaping(model, us):
     return model.c.batch(us)
 
 
+def _curves_at(model, times, T):
+    """Every operator curve at the integer times ``times``: the AR stack
+    (len(times), m, K, K), the list of MA stacks and the shaping stack, or
+    None without C."""
+    us = times / T
+    ar = np.zeros((us.size, model.ar_order, model.dim, model.dim))
+    for j, cv in enumerate(model.ar):
+        ar[:, j] = cv.batch(us)
+    return ar, [cv.batch(us) for cv in model.ma], None if model.c is None else model.c.batch(us)
+
+
+def _curve_table(model, T, start, stop):
+    """Every operator curve at the times start, ..., stop, for ``_filters``
+    calls whose anchors and lags read no other time."""
+    return start, _curves_at(model, np.arange(start, stop + 1), T)
+
+
+def _filter_blocks(model, ts, T, ends, table=None):
+    """The causal-filter recursion, lag block after lag block.
+
+    Walks lags 0, 1, ..., ``ends[-1]`` for every anchor time in the 1-D
+    array ``ts`` and yields ``(lo, filters)``: the filters A_{t,T}(l) of
+    lags lo, ..., lo + w - 1, shape (len(ts), w, K, K).  A block never
+    straddles a lag count in ``ends`` (ascending), so a caller can stop at
+    any of them and the recursion is never restarted.  A block holds at
+    most ``_FILTER_BYTES`` of filters (at least one lag), so the memory
+    grows with the anchors, not with anchors x lags.  Its operators
+    come from ``table`` (see ``_curve_table``) or else from every curve
+    evaluated once over the union of the block's rescaled times.  The
+    state carried between blocks is the top block row of the companion
+    product and the last n pure-AR filters.  A filter's arithmetic does
+    not depend on its block, its table or the other anchors.
+    """
+    k = model.dim
+    m = model.ar_order
+    n = model.ma_order
+    count = ts.size
+    width = max(1, _FILTER_BYTES // (count * k * k * 8))
+    # top block rows 1..m, double-buffered; block m + 1 stays zero and is
+    # shifted in per lag as row_j <- row_{j+1} + row_1 B_{u_{l-1}, j}
+    row = np.zeros((count, m + 1, k, k))
+    spare = np.zeros((count, m + 1, k, k))
+    row[:, 0] = np.eye(k)
+    past = np.empty((count, n, k, k))  # pure-AR filters of the n lags before lo
+    lo = 0
+    for end in ends:
+        while lo <= end:
+            hi = min(end + 1, lo + width)
+            # lags whose operators the block reads: u_{l-1} for the AR step,
+            # u_{l-i} for the MA terms, u_l for the shaping
+            first = max(0, lo - max(n, 1))
+            times = ts[:, None] - np.arange(first, hi)
+            if table is None:
+                times, idx = np.unique(times, return_inverse=True)
+                ar, ma, c = _curves_at(model, times, T)
+                idx = idx.reshape(count, hi - first)
+            else:
+                start, (ar, ma, c) = table
+                idx = times - start
+            g = np.empty((count, n + hi - lo, k, k))
+            g[:, :n] = past
+            if lo == 0:
+                g[:, n] = row[:, 0]
+            if m:
+                for l in range(max(lo, 1), hi):
+                    step = row[:, :1] @ ar[idx[:, l - 1 - first]]
+                    np.add(row[:, 1:], step, out=spare[:, :m])
+                    row, spare = spare, row
+                    g[:, n + l - lo] = row[:, 0]
+            else:
+                g[:, n + max(lo, 1) - lo:] = 0.0
+            coeffs = g[:, n:].copy() if n else g
+            for i, phi in enumerate(ma, start=1):
+                a = max(lo, i)
+                if a < hi:
+                    coeffs[:, a - lo:] += (g[:, n + a - i - lo:n + hi - i - lo]
+                                           @ phi[idx[:, a - i - first:hi - i - first]])
+            if c is not None:
+                coeffs = coeffs @ c[idx[:, lo - first:]]
+            past = g[:, g.shape[1] - n:].copy()
+            del ar, ma, c, times, idx, g  # freed while the caller reads the block
+            yield lo, coeffs
+            lo = hi
+
+
+def _filters(model, ts, T, lags, table=None):
+    """Filters of lags 0, ..., ``lags`` of the anchor times ``ts`` (1-D),
+    shape (len(ts), lags + 1, K, K), assembled from ``_filter_blocks``."""
+    coeffs = None
+    for lo, block in _filter_blocks(model, ts, T, [lags], table):
+        if lo == 0 and block.shape[1] == lags + 1:
+            return block
+        if coeffs is None:
+            coeffs = np.empty((ts.size, lags + 1) + block.shape[2:])
+        coeffs[:, lo:lo + block.shape[1]] = block
+    return coeffs
+
+
 def ma_coefficients(model, t, T, lags):
     """Causal moving-average filters A_{t,T}(l) for l = 0, ..., lags.
 
@@ -465,53 +576,28 @@ def ma_coefficients(model, t, T, lags):
         A_{t,T}(l) = sum_{i <= min(l, n)} G(l - i) Phi_{u_{l-i}, i} C_{u_l}
 
     with Phi_0 = I.  An array of anchor times ``t`` runs the recursion once
-    for all anchors; every curve is evaluated once over the union of their
-    rescaled times, and each lag step gathers its operators from there.
+    for all anchors, in the lag blocks of ``_filter_blocks``; the result is
+    the whole stack, so the caller bounds it by the anchors it passes.
 
     Returns
     -------
     ndarray, shape (lags + 1, K, K), or (len(t), lags + 1, K, K)
     """
     ts = np.asarray(t)
-    k = model.dim
-    m = model.ar_order
-    times = np.atleast_1d(ts)[:, None] - np.arange(lags + 1)
-    times, idx = np.unique(times, return_inverse=True)
-    idx = idx.reshape(-1, lags + 1)
-    us = times / T
-    count = idx.shape[0]
-    # ar[i, j - 1] = B_{us[i], j}; step l gathers the rows at u_{l-1}
-    ar = np.zeros((us.size, m, k, k))
-    for j, cv in enumerate(model.ar):
-        ar[:, j] = cv.batch(us)
-    # blocks 1..m of the top block row, plus a zero block shifted in per lag
-    row = np.zeros((count, m + 1, k, k))
-    row[:, 0] = np.eye(k)
-    g = np.empty((count, lags + 1, k, k))
-    g[:, 0] = row[:, 0]
-    for l in range(1, lags + 1):
-        step = row[:, :1] @ ar[idx[:, l - 1]]
-        row[:, :-1] = row[:, 1:]
-        row[:, -1] = 0.0
-        row[:, :m] += step
-        g[:, l] = row[:, 0]
-    coeffs = g.copy() if model.ma else g
-    for i, cv in enumerate(model.ma[:lags], start=1):
-        coeffs[:, i:] += g[:, :lags + 1 - i] @ cv.batch(us)[idx[:, :lags + 1 - i]]
-    if model.c is not None:
-        coeffs = coeffs @ model.c.batch(us)[idx]
+    coeffs = _filters(model, np.atleast_1d(ts), T, lags)
     return coeffs if ts.ndim else coeffs[0]
 
 
-def _ma_tail_estimate(model, coeffs, lags):
-    """Operator-norm l1 tail sums beyond ``lags`` of a stable model's filters,
-    shape (anchors, lags + 1, K, K): a geometric envelope of the last filters
-    with ratio companion radius + 0.05, a heuristic estimate, not a bound."""
+def _ma_tail_estimate(model, coeffs):
+    """Operator-norm l1 tail sums beyond the last of a stable model's filters
+    ``coeffs``, shape (anchors, lags + 1, K, K): a geometric envelope of the
+    last m + 1 filters (all it reads) with ratio companion radius + 0.05, a
+    heuristic estimate, not a bound."""
     if model.ar_order == 0:
         return np.zeros(len(coeffs))
     rho = float(np.max(model.stability.radii))
     ratio = min(rho + 0.05, 0.999)
-    last = np.linalg.norm(coeffs[:, max(0, lags - model.ar_order):], 2, axis=(2, 3)).max(axis=1)
+    last = np.linalg.norm(coeffs[:, -(model.ar_order + 1):], 2, axis=(2, 3)).max(axis=1)
     return last * ratio / (1.0 - ratio)
 
 
@@ -522,16 +608,24 @@ def choose_ma_order(model, T, tol=1e-10):
     heuristic, not a bound.  The filters depend on the anchor time: products
     walking into the clamped region below t = 1 can decay with a longer
     transient than mid-sample ones.  The estimate is therefore taken as the
-    worst case over anchors spread across [1, T], all filtered in one call
-    per doubling of the lag count.
+    worst case over anchors spread across [1, T].  One recursion runs for
+    all anchors and is checked at each doubling of the lag count; only the
+    last m + 1 filters are kept between blocks.
     """
     require_stable(model)
     anchors = np.array(sorted({1, T // 4, T // 2, (3 * T) // 4, T} - {0}))
+    keep = model.ar_order + 1
+    checks = []
     lags = max(4 * model.ar_order + model.ma_order, 8)
     while lags <= MAX_MA_LAGS:
-        if _ma_tail_estimate(model, ma_coefficients(model, anchors, T, lags), lags).max() < tol:
-            return lags
+        checks.append(lags)
         lags *= 2
+    tail = np.empty((anchors.size, 0, model.dim, model.dim))
+    for lo, block in _filter_blocks(model, anchors, T, checks):
+        tail = np.concatenate([tail, block[:, -keep:]], axis=1)[:, -keep:]
+        lags = lo + block.shape[1] - 1
+        if lags in checks and _ma_tail_estimate(model, tail).max() < tol:
+            return lags
     raise RuntimeError(f"no truncation below tol={tol} within {MAX_MA_LAGS} lags")
 
 
@@ -550,16 +644,22 @@ def simulate_ma(model, T, innovations, lags, t_start=1, t_end=None, eps_t_start=
 
     Notes
     -----
-    Carries, for all innovation times r at once, their forward responses
-    through the recursion for L steps, which reproduces the filters
-    A_{t,T}(l) without forming them per time point.  Each curve is evaluated
-    once over the window.
+    Carries, for a block of innovation times r at once, their forward
+    responses through the recursion for L steps, which reproduces the
+    filters A_{t,T}(l) without forming them per time point.  A block's
+    operator curves are evaluated once over the times its rows reach, and
+    its stacks together hold at most ``_FILTER_BYTES`` unless L alone needs
+    more.  Blocks run latest first, so every output time gains
+    its terms in ascending order of their lag, as with one block, and the
+    result does not depend on the block size.  Each step writes into
+    buffers allocated once per call.
     """
     if t_end is None:
         t_end = T
     count = t_end - t_start + 1
     k = model.dim
     m = model.ar_order
+    n = model.ma_order
     if eps_t_start is None:
         eps_t_start = t_end - innovations.shape[0] + 1
     x = np.zeros((count, k))
@@ -568,28 +668,41 @@ def simulate_ma(model, T, innovations, lags, t_start=1, t_end=None, eps_t_start=
     hi = min(innovations.shape[0], t_end - eps_t_start + 1)
     if hi <= lo:
         return x
-    r0 = eps_t_start + lo
-    us = np.arange(r0, t_end + 1) / T
-    ar = [cv.batch(us) for cv in model.ar]
-    ma = [cv.batch(us) for cv in model.ma]
-    shock = np.einsum("rij,rj->ri", _shaping(model, us[:hi - lo]), innovations[lo:hi])
-    history = deque(maxlen=m)
-    for j in range(lags + 1):
-        # row i sits at time r0 + i + j; rows past t_end are done
-        active = min(hi - lo, t_end - r0 - j + 1)
-        if active <= 0:
-            break
-        if j == 0:
-            y = shock
-        else:
-            y = np.zeros((active, k))
-            for i in range(1, min(j, m) + 1):
-                y = y + np.einsum("rab,rb->ra", ar[i - 1][j:j + active], history[-i][:active])
-            if j <= len(ma):
-                y = y + np.einsum("rab,rb->ra", ma[j - 1][j:j + active], shock[:active])
-        history.append(y)
-        first = max(0, t_start - r0 - j)
-        x[r0 + first + j - t_start:r0 + active + j - t_start] += y[first:active]
+    curves = m + n + (model.c is not None)
+    rows = max(_FILTER_BYTES // (8 * k * k * max(curves, 1)) - lags, lags + 1)
+    rows = -(-(hi - lo) // -(-(hi - lo) // rows))  # equal blocks
+    # responses of the last m + 1 steps, and one step's product
+    hist = np.empty((m + 1, rows, k))
+    term = np.empty((rows, k))
+    for b0 in range(lo + (hi - lo - 1) // rows * rows, lo - 1, -rows):
+        b1 = min(b0 + rows, hi)
+        r0 = eps_t_start + b0
+        us = np.arange(r0, min(r0 + b1 - b0 - 1 + lags, t_end) + 1) / T
+        ar = [cv.batch(us) for cv in model.ar]
+        ma = [cv.batch(us) for cv in model.ma]
+        shock = np.einsum("rij,rj->ri", _shaping(model, us[:b1 - b0]), innovations[b0:b1])
+        for j in range(lags + 1):
+            # row i sits at time r0 + i + j; rows past t_end are done
+            active = min(b1 - b0, t_end - r0 - j + 1)
+            if active <= 0:
+                break
+            y = hist[j % (m + 1), :active]
+            if j == 0:
+                y[...] = shock
+            elif not m and j > n:
+                break  # a pure MA(n) response ends after n steps
+            else:
+                y[...] = 0.0
+                for i in range(1, min(j, m) + 1):
+                    y += np.einsum("rab,rb->ra", ar[i - 1][j:j + active],
+                                   hist[(j - i) % (m + 1), :active], out=term[:active])
+                if j <= n:
+                    y += np.einsum("rab,rb->ra", ma[j - 1][j:j + active], shock[:active],
+                                   out=term[:active])
+            first = max(0, t_start - r0 - j)  # rows not yet at t_start
+            if first < active:
+                x[r0 + first + j - t_start:r0 + active + j - t_start] += y[first:active]
+        del ar, ma  # freed before the next block's stacks are built
     return x
 
 

@@ -11,8 +11,9 @@ A(u, omega) C_eps A(u, omega)* with C_eps the innovation covariance; the
 factor 1/(2 pi) lives entirely in the transfer operator.  Local
 autocovariances pair the filters of the two time points straddling uT, and
 their truncated Fourier sum is the finite-T spectral density operator.  One
-private pass computes them: the causal filters of every time point it needs
-come from a single call of ``ma_coefficients`` batched over anchor times.
+private pass computes them from the causal filters of the time points it
+needs, filtered in groups of anchor times within the filter layer's byte
+budget ``model._FILTER_BYTES``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funspace import adjoint, check_unit_interval
-from .model import _shaping, choose_ma_order, ma_coefficients
+from .model import _FILTER_BYTES, _curve_table, _filters, _shaping, choose_ma_order
 
 PROVENANCES = ("truth", "wigner_ville", "smoothed")
 
@@ -157,25 +158,50 @@ def _local_autocovs(model, u, s, T, lags):
 
         sum_l A_{t2,T}(l) C_eps A_{t1,T}(l - d)',  0 <= l, l - d <= L,
 
-    which is exactly zero for |d| > L.  The filters of all distinct times
-    come from one batched ``ma_coefficients`` call, and each lag is one
-    matrix product over the stacked filter pairs.
+    which is exactly zero for |d| > L, so only the times of pairs with
+    |d| <= L are filtered.  Every curve is evaluated once over the times
+    those filters read.  The pairs are taken in order, in groups whose new
+    times fit one filter stack of at most ``_FILTER_BYTES``; the filters of
+    a group's last pair are kept for the next group, so along s = 0, 1, ...
+    each time is filtered once.  Each lag is one matrix product over its
+    filter pair, bitwise as from one stack of all the filters.
     """
     if lags is None:
         lags = choose_ma_order(model, T)
+    k = model.dim
     earlier = np.floor(u * T - s / 2.0).astype(int)
     later = np.floor(u * T + s / 2.0).astype(int)
-    anchors, idx = np.unique(np.concatenate([later, earlier]), return_inverse=True)
-    filters = ma_coefficients(model, anchors, T, lags)
+    per_call = max(1, _FILTER_BYTES // ((lags + 1) * k * k * 8))
     cov = model.innovations.covariance
-    out = np.zeros((s.size, model.dim, model.dim))
-    for p, (a, b) in enumerate(zip(idx[:s.size], idx[s.size:])):
-        d = int(later[p] - earlier[p])
-        n = lags + 1 - abs(d)
-        if n > 0:
+    out = np.zeros((s.size, k, k))
+    todo = list(np.flatnonzero(np.abs(later - earlier) <= lags))
+    if not todo:
+        return out
+    # every curve once over all the times the filters read
+    times = np.concatenate([later[todo], earlier[todo]])
+    table = _curve_table(model, T, times.min() - lags, times.max())
+    held = {}  # filters by time: the last group's last pair, then this group's
+    while todo:
+        fresh = []
+        for size, p in enumerate(todo):
+            new = [t for t in dict.fromkeys((later[p], earlier[p]))
+                   if t not in held and t not in fresh]
+            if new and fresh and len(fresh) + len(new) > per_call:
+                break
+            fresh += new
+        else:
+            size = len(todo)
+        if fresh:
+            held.update(zip(fresh, _filters(model, np.array(fresh), T, lags, table)))
+        for p in todo[:size]:
+            d = int(later[p] - earlier[p])
+            n = lags + 1 - abs(d)
             la, lb = max(d, 0), max(-d, 0)
-            out[p] = np.tensordot(filters[a, la:la + n] @ cov, filters[b, lb:lb + n],
-                                  axes=([0, 2], [0, 2]))
+            out[p] = np.tensordot(held[later[p]][la:la + n] @ cov,
+                                  held[earlier[p]][lb:lb + n], axes=([0, 2], [0, 2]))
+        last = todo[size - 1]
+        held = {t: held[t].copy() for t in (later[last], earlier[last])}
+        todo = todo[size:]
     return out
 
 
@@ -195,6 +221,11 @@ def wigner_ville(model, u_grid, omega_grid, T, s_max, lags=None):
     values = np.empty((u_grid.size, omega_grid.size, k, k), dtype=complex)
     for a, u in enumerate(u_grid):
         covs = autocov_sequence(model, u, T, s_max, lags=lags)
-        both = np.concatenate([np.swapaxes(covs[:0:-1], 1, 2), covs])
+        # complex from the start: the product would otherwise cast a copy
+        both = np.empty((2 * s_max + 1, k, k), dtype=complex)
+        both[:s_max] = np.swapaxes(covs[:0:-1], 1, 2)
+        both[s_max:] = covs
+        del covs
         values[a] = (phase @ both.reshape(2 * s_max + 1, k * k)).reshape(-1, k, k) / TWO_PI
+        del both  # freed before the next u's filters
     return SpectralGrid(u=u_grid, omega=omega_grid, values=values, provenance="wigner_ville")

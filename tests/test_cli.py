@@ -211,7 +211,21 @@ class TestEstimate:
         assert grid.values.shape == (1, 64, 2, 2)
         assert (out / "estimate_kernel.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert str(series) in manifest["inputs"]
+        assert manifest["inputs"] == {"series": hashlib.sha256(series.read_bytes()).hexdigest()}
+
+    def test_manifest_does_not_depend_on_how_the_series_path_is_typed(
+        self, tmp_path, monkeypatch
+    ):
+        series = self.simulate_white(tmp_path)
+        config = write_config(tmp_path, "est.json", {"basis_size": 2, "u": [0.5], "render": 8})
+        assert cli.main(["estimate", str(series.resolve()), "--config", config,
+                         "--out", str(tmp_path / "absolute")]) == 0
+        monkeypatch.chdir(series.parent)
+        assert cli.main(["estimate", series.name, "--config", config,
+                         "--out", str(tmp_path / "relative")]) == 0
+        manifests = [(tmp_path / run / "manifest.json").read_bytes()
+                     for run in ("absolute", "relative")]
+        assert manifests[0] == manifests[1]
 
     def test_out_of_band_exits_4(self, tmp_path, capsys):
         series = self.simulate_white(tmp_path)

@@ -663,8 +663,11 @@ class TestStabilityGate:
 
         for module in (model_module, evaluate_module):
             monkeypatch.setattr(module, "_simulate_rows", spy("_simulate_rows"))
-        for module in (model_module, spectrum_module):
-            monkeypatch.setattr(module, "ma_coefficients", spy("ma_coefficients"))
+        # every way into the filter recursion: the public call, the
+        # recursion itself, and the autocovariance pass's own entry
+        for module, name in [(model_module, "ma_coefficients"), (model_module, "_filter_blocks"),
+                             (spectrum_module, "_filters")]:
+            monkeypatch.setattr(module, name, spy(name))
         with pytest.raises(StabilityError) as err:
             _entries(build())[entry]()
         assert str(err.value) == message

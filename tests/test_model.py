@@ -145,6 +145,94 @@ def truncated_ma_rows(model, T, innovations, lags, t_start, t_end, eps_t_start):
     return x
 
 
+def filter_budget(mp, nbytes):
+    """Set the causal-filter layer's byte budget, in every module that reads it."""
+    from tvfspec import spectrum
+
+    mp.setattr(model_module, "_FILTER_BYTES", nbytes)
+    mp.setattr(spectrum, "_FILTER_BYTES", nbytes)
+
+
+def dense_ma_coefficients(model, ts, T, lags):
+    """Reference: the filter recursion over whole stacks, (len(ts), lags + 1, K, K).
+
+    Every curve is evaluated once over the union of all rescaled times and
+    the whole anchors x lags stack is built at once, in the same arithmetic
+    order as the blocked recursion.
+    """
+    k = model.dim
+    m = model.ar_order
+    times, idx = np.unique(np.asarray(ts)[:, None] - np.arange(lags + 1), return_inverse=True)
+    idx = idx.reshape(-1, lags + 1)
+    us = times / T
+    count = idx.shape[0]
+    ar = np.zeros((us.size, m, k, k))
+    for j, cv in enumerate(model.ar):
+        ar[:, j] = cv.batch(us)
+    row = np.zeros((count, m + 1, k, k))
+    row[:, 0] = np.eye(k)
+    g = np.empty((count, lags + 1, k, k))
+    g[:, 0] = row[:, 0]
+    for l in range(1, lags + 1):
+        step = row[:, :1] @ ar[idx[:, l - 1]]
+        row[:, :-1] = row[:, 1:]
+        row[:, -1] = 0.0
+        row[:, :m] += step
+        g[:, l] = row[:, 0]
+    coeffs = g.copy() if model.ma else g
+    for i, cv in enumerate(model.ma[:lags], start=1):
+        coeffs[:, i:] += g[:, :lags + 1 - i] @ cv.batch(us)[idx[:, :lags + 1 - i]]
+    if model.c is not None:
+        coeffs = coeffs @ model.c.batch(us)[idx]
+    return coeffs
+
+
+def dense_simulate_ma(model, T, innovations, lags, t_start, t_end, eps_t_start):
+    """Reference: the truncated MA form for all innovation rows at once, with
+    every curve over the whole window, in the same arithmetic order as the
+    blocked ``simulate_ma``."""
+    k = model.dim
+    m = model.ar_order
+    x = np.zeros((t_end - t_start + 1, k))
+    lo = max(0, t_start - lags - eps_t_start)
+    hi = min(innovations.shape[0], t_end - eps_t_start + 1)
+    if hi <= lo:
+        return x
+    r0 = eps_t_start + lo
+    us = np.arange(r0, t_end + 1) / T
+    ar = [cv.batch(us) for cv in model.ar]
+    ma = [cv.batch(us) for cv in model.ma]
+    shock = np.einsum("rij,rj->ri", model_module._shaping(model, us[:hi - lo]), innovations[lo:hi])
+    history = []
+    for j in range(lags + 1):
+        active = min(hi - lo, t_end - r0 - j + 1)
+        if active <= 0:
+            break
+        if j == 0:
+            y = shock
+        else:
+            y = np.zeros((active, k))
+            for i in range(1, min(j, m) + 1):
+                y = y + np.einsum("rab,rb->ra", ar[i - 1][j:j + active], history[-i][:active])
+            if j <= len(ma):
+                y = y + np.einsum("rab,rb->ra", ma[j - 1][j:j + active], shock[:active])
+        history.append(y)
+        first = max(0, t_start - r0 - j)
+        x[r0 + first + j - t_start:r0 + active + j - t_start] += y[first:active]
+    return x
+
+
+def restarted_ma_order(model, T, tol=1e-10):
+    """Reference: the truncation search that recomputes every filter per doubling."""
+    anchors = np.array(sorted({1, T // 4, T // 2, (3 * T) // 4, T} - {0}))
+    lags = max(4 * model.ar_order + model.ma_order, 8)
+    while True:
+        coeffs = dense_ma_coefficients(model, anchors, T, lags)
+        if model_module._ma_tail_estimate(model, coeffs).max() < tol:
+            return lags
+        lags *= 2
+
+
 class TestOperatorCurve:
     def test_interpolation_is_linear_and_clamped(self):
         curve = OperatorCurve(
@@ -514,7 +602,7 @@ class TestMovingAverageForm:
     def test_constant_ar_gives_geometric_filters(self):
         model = scalar_ar1(b=0.5)
         coeffs = ma_coefficients(model, t=50, T=100, lags=10)
-        tail = model_module._ma_tail_estimate(model, coeffs[None], 10)[0]
+        tail = model_module._ma_tail_estimate(model, coeffs[None])[0]
         assert np.allclose(coeffs[:, 0, 0], 0.5 ** np.arange(11))
         # reported tail must cover the true tail sum 0.5^11 / (1 - 0.5)
         true_tail = 0.5**10
@@ -588,12 +676,12 @@ class TestMovingAverageForm:
     ):
         model = random_model(seed, dim, m, n, with_c)
         coeffs = ma_coefficients(model, np.array(anchors), T, lags)
-        tails = model_module._ma_tail_estimate(model, coeffs, lags)
+        tails = model_module._ma_tail_estimate(model, coeffs)
         assert coeffs.shape == (len(anchors), lags + 1, dim, dim)
         assert tails.shape == (len(anchors),)
         for i, t in enumerate(anchors):
             one = ma_coefficients(model, t, T, lags)
-            tail = model_module._ma_tail_estimate(model, one[None], lags)[0]
+            tail = model_module._ma_tail_estimate(model, one[None])[0]
             assert np.array_equal(coeffs[i], one)
             assert tails[i] == tail
 
@@ -613,9 +701,140 @@ class TestMovingAverageForm:
     def test_choose_ma_order_tail_below_tol(self):
         model = far1(size=4)
         lags = choose_ma_order(model, 128, tol=1e-10)
-        tail = model_module._ma_tail_estimate(model, ma_coefficients(model, 64, 128, lags)[None],
-                                              lags)[0]
+        coeffs = ma_coefficients(model, 64, 128, lags)
+        tail = model_module._ma_tail_estimate(model, coeffs[None])[0]
         assert tail < 1e-10
+
+
+def stable_random_model(seed, dim, m, n, with_c):
+    """``random_model`` draws whose AR part passes the stability gate."""
+    model = random_model(seed, dim, m, n, with_c)
+    if model.ar and not model.stability.passed:
+        model = random_model(seed, dim, 0, n, with_c)
+    return model
+
+
+def spy_blocks(mp):
+    """Record the lag width of every block the filter recursion yields."""
+    widths = []
+    real = model_module._filter_blocks
+
+    def counted(*args, **kwargs):
+        for lo, block in real(*args, **kwargs):
+            widths.append(block.shape[1])
+            yield lo, block
+
+    mp.setattr(model_module, "_filter_blocks", counted)
+    return widths
+
+
+class TestBoundedFilterLayer:
+    """The filter layer, blocked by ``_FILTER_BYTES``, against whole-stack references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 3]),
+        m=st.integers(0, 2),
+        n=st.integers(0, 2),
+        with_c=st.booleans(),
+        T=st.integers(8, 64),
+        anchors=st.lists(st.integers(-4, 72), min_size=1, max_size=6),
+        lags=st.integers(0, 12),
+        budget=st.sampled_from([1, 200, 2**20]),
+    )
+    def test_ma_coefficients_equal_the_whole_stack_recursion(
+        self, seed, dim, m, n, with_c, T, anchors, lags, budget
+    ):
+        model = random_model(seed, dim, m, n, with_c)
+        with pytest.MonkeyPatch.context() as mp:
+            filter_budget(mp, budget)
+            got = ma_coefficients(model, np.array(anchors), T, lags)
+        want = dense_ma_coefficients(model, np.array(anchors), T, lags)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 3]),
+        m=st.integers(0, 2),
+        n=st.integers(0, 2),
+        with_c=st.booleans(),
+        T=st.integers(8, 64),
+        lags=st.integers(0, 12),
+        t_start=st.integers(-3, 20),
+        length=st.integers(1, 40),
+        lead=st.integers(0, 30),
+        budget=st.sampled_from([1, 300, 2**20]),
+    )
+    # a row block that ends before t_start at step 0
+    @example(seed=0, dim=1, m=0, n=0, with_c=False, T=8, lags=4, t_start=0, length=2, lead=4,
+             budget=1)
+    def test_simulate_ma_equals_the_all_rows_form(
+        self, seed, dim, m, n, with_c, T, lags, t_start, length, lead, budget
+    ):
+        model = random_model(seed, dim, m, n, with_c)
+        t_end = t_start + length - 1
+        eps_t_start = t_start - lead
+        innovations = spawn_rng(seed, 1).standard_normal((lead + length, dim))
+        with pytest.MonkeyPatch.context() as mp:
+            filter_budget(mp, budget)
+            got = simulate_ma(model, T, innovations, lags, t_start=t_start, t_end=t_end,
+                              eps_t_start=eps_t_start)
+        want = dense_simulate_ma(model, T, innovations, lags, t_start, t_end, eps_t_start)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("build", [lambda: far1(size=15), lambda: far2(size=15)],
+                             ids=["far1", "far2"])
+    @pytest.mark.parametrize("T", [128, 512])
+    def test_presets_equal_the_whole_window_references(self, build, T):
+        model = build()
+        lags = choose_ma_order(model, T)
+        assert lags == restarted_ma_order(model, T)
+        x, eps = simulate(model, T, seed=2, return_innovations=True)
+        got = simulate_ma(model, T, eps, lags)
+        first = T - eps.shape[0] + 1
+        assert got.tobytes() == dense_simulate_ma(model, T, eps, lags, 1, T, first).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 3]),
+        m=st.integers(0, 2),
+        n=st.integers(0, 2),
+        with_c=st.booleans(),
+        T=st.integers(8, 300),
+    )
+    def test_ma_order_continues_one_recursion(self, seed, dim, m, n, with_c, T):
+        model = stable_random_model(seed, dim, m, n, with_c)
+        with pytest.MonkeyPatch.context() as mp:
+            widths = spy_blocks(mp)
+            lags = choose_ma_order(model, T)
+        assert lags == restarted_ma_order(model, T)
+        # one filter per lag 0..L: L lag steps, never a restart
+        assert sum(widths) == lags + 1
+
+    def test_far2_order_takes_one_step_per_lag(self, monkeypatch):
+        widths = spy_blocks(monkeypatch)
+        assert choose_ma_order(far2(size=15), 512) == 64
+        # a restart at each of 8, 16, 32 and 64 lags took 8 + 16 + 32 + 64 = 120 steps
+        assert sum(widths) - 1 == 64
+
+    def test_simulate_ma_memory_does_not_grow_with_the_window(self):
+        model = far2(size=15)
+        T = 4096
+        x, eps = simulate(model, T, seed=1, return_innovations=True)
+        lags = choose_ma_order(model, T)
+        tracemalloc.start()
+        try:
+            y = simulate_ma(model, T, eps, lags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # whole-window operator stacks took 23 MB
+        assert peak <= 4e6
+        assert np.abs(x - y).max() < 1e-8
 
 
 def test_burn_in_depth_changes_nothing_visible():

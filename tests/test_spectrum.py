@@ -1,12 +1,24 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_model import random_model
+from test_model import dense_ma_coefficients, filter_budget, random_model
 
 from tvfspec import spectrum
 from tvfspec.funspace import op_norm
-from tvfspec.model import InnovationSpec, OperatorCurve, TvFarmaModel, far1, ma_coefficients
+from tvfspec.model import (
+    _FILTER_BYTES,
+    InnovationSpec,
+    OperatorCurve,
+    TvFarmaModel,
+    choose_ma_order,
+    far1,
+    far2,
+    ma_coefficients,
+)
 from tvfspec.spectrum import (
     TWO_PI,
     TransferSingularError,
@@ -200,22 +212,79 @@ class TestWignerVille:
             want = acc / TWO_PI
             assert np.abs(wv.values[a] - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_one_truncation_and_one_filter_call_per_u(self, monkeypatch):
-        calls = {"choose_ma_order": 0, "ma_coefficients": 0}
+    def test_one_truncation_and_every_filter_stack_within_the_budget(self, monkeypatch):
+        truncations = []
+        anchors = []
+        real_order, real_filters = spectrum.choose_ma_order, spectrum._filters
 
-        def spy(name):
-            real = getattr(spectrum, name)
+        def order(*args, **kwargs):
+            truncations.append(real_order(*args, **kwargs))
+            return truncations[-1]
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
+        def filters(model, ts, T, lags, table=None):
+            out = real_filters(model, ts, T, lags, table)
+            assert out.nbytes <= _FILTER_BYTES
+            anchors.extend(ts.tolist())
+            return out
 
-            return counted
+        monkeypatch.setattr(spectrum, "choose_ma_order", order)
+        monkeypatch.setattr(spectrum, "_filters", filters)
+        us = [0.3, 0.5, 0.7]
+        # K = 15 at L = 64 fits 8 anchors in the budget: 33 anchors per u take 5 calls
+        wigner_ville(far2(size=15), us, OMEGAS, T=512, s_max=32)
+        assert truncations == [64]
+        # along s = 0, 1, ... every time of a u is filtered once
+        want = sorted(t for u in us for t in range(int(u * 512) - 16, int(u * 512) + 17))
+        assert sorted(anchors) == want
 
-        for name in calls:
-            monkeypatch.setattr(spectrum, name, spy(name))
-        wigner_ville(far1(size=3), [0.3, 0.5, 0.7], OMEGAS, T=128, s_max=8)
-        assert calls == {"choose_ma_order": 1, "ma_coefficients": 3}
+    def test_only_times_of_nonzero_lags_are_filtered(self, monkeypatch):
+        model = far2(size=15)
+        T, u = 4096, 0.5
+        lags = choose_ma_order(model, T)
+        s = np.arange(257)
+        earlier = np.floor(u * T - s / 2.0).astype(int)
+        later = np.floor(u * T + s / 2.0).astype(int)
+        near = np.abs(later - earlier) <= lags
+        wanted = set(earlier[near]) | set(later[near])
+        seen = []
+        real = spectrum._filters
+
+        def filters(model, ts, T, lags, table=None):
+            seen.extend(ts.tolist())
+            return real(model, ts, T, lags, table)
+
+        monkeypatch.setattr(spectrum, "_filters", filters)
+        covs = autocov_sequence(model, u, T, 256, lags=lags)
+        assert set(seen) <= wanted
+        assert not covs[~near].any()
+
+    def test_lags_past_the_truncation_cost_little(self):
+        model = far2(size=15)
+        T = 4096
+        lags = choose_ma_order(model, T)
+
+        best = {64: np.inf, 256: np.inf}
+        for _ in range(7):  # interleaved, so a busy spell slows both alike
+            for s_max in best:
+                start = time.perf_counter()
+                autocov_sequence(model, 0.5, T, s_max, lags=lags)
+                best[s_max] = min(best[s_max], time.perf_counter() - start)
+        # the filters of s <= 65 decide both; filtering every anchor of
+        # s <= 256 took four times as long
+        assert best[256] <= 1.3 * best[64]
+
+    def test_memory_does_not_grow_with_anchors_times_lags(self):
+        model = far2(size=15)
+        T = 4096
+        lags = choose_ma_order(model, T)
+        tracemalloc.start()
+        try:
+            wigner_ville(model, [0.25, 0.5, 0.75], OMEGAS, T, 256, lags=lags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one stack of every filter the three u read took 38 MB
+        assert peak <= 4e6
 
     def test_hermitian_by_construction(self):
         model = far1(size=4)
@@ -233,3 +302,61 @@ class TestWignerVille:
             wv = wigner_ville(model, us, OMEGAS, T, s_max=40)
             errs[T] = np.mean(np.abs(wv.values - truth) ** 2)
         assert errs[2**12] < errs[2**8]
+
+
+def dense_local_autocovs(model, u, s, T, lags):
+    """Reference: every time's filters in one whole stack, no lag skipped."""
+    earlier = np.floor(u * T - s / 2.0).astype(int)
+    later = np.floor(u * T + s / 2.0).astype(int)
+    anchors, idx = np.unique(np.concatenate([later, earlier]), return_inverse=True)
+    filters = dense_ma_coefficients(model, anchors, T, lags)
+    cov = model.innovations.covariance
+    out = np.zeros((s.size, model.dim, model.dim))
+    for p, (a, b) in enumerate(zip(idx[:s.size], idx[s.size:])):
+        d = int(later[p] - earlier[p])
+        n = lags + 1 - abs(d)
+        if n > 0:
+            la, lb = max(d, 0), max(-d, 0)
+            out[p] = np.tensordot(filters[a, la:la + n] @ cov, filters[b, lb:lb + n],
+                                  axes=([0, 2], [0, 2]))
+    return out
+
+
+class TestBoundedAutocovariances:
+    """Anchor groups within ``_FILTER_BYTES`` against one whole filter stack."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 3]),
+        m=st.integers(0, 2),
+        n=st.integers(0, 2),
+        with_c=st.booleans(),
+        T=st.integers(16, 64),
+        u=st.floats(0.0, 1.0),
+        s_max=st.integers(0, 20),
+        s=st.integers(-20, 20),
+        lags=st.integers(0, 8),
+        budget=st.sampled_from([1, 400, 2**20]),
+    )
+    # rounding at uT = 16 - 2e-15 moves both times of s = 2 at once, and s = 3
+    # needs no new time: a group with nothing to filter
+    @example(seed=0, dim=1, m=0, n=0, with_c=False, T=16, u=0.9999999999999999, s_max=3, s=0,
+             lags=3, budget=1)
+    def test_pass_equals_the_whole_stack(self, seed, dim, m, n, with_c, T, u, s_max, s, lags,
+                                         budget):
+        # s_max and |s| run past L, where the autocovariances are exact zeros
+        model = random_model(seed, dim, m, n, with_c)
+        omegas = OMEGAS[::8]
+        with pytest.MonkeyPatch.context() as mp:
+            filter_budget(mp, budget)
+            seq = autocov_sequence(model, u, T, s_max, lags=lags)
+            one = local_autocov(model, u, s, T, lags=lags)
+            wv = wigner_ville(model, [u], omegas, T, s_max, lags=lags).values[0]
+        want = dense_local_autocovs(model, u, np.arange(s_max + 1), T, lags)
+        assert seq.tobytes() == want.tobytes()
+        assert one.tobytes() == dense_local_autocovs(model, u, np.array([s]), T, lags)[0].tobytes()
+        both = np.concatenate([np.swapaxes(want[:0:-1], 1, 2), want])
+        phase = np.exp(-1j * np.outer(omegas, np.arange(-s_max, s_max + 1)))
+        dense_wv = (phase @ both.reshape(2 * s_max + 1, dim * dim)).reshape(-1, dim, dim) / TWO_PI
+        assert wv.tobytes() == dense_wv.tobytes()
