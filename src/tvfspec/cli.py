@@ -51,7 +51,7 @@ from .estimator import (
     estimate_grid,
     fourier_frequencies,
 )
-from .funspace import BasisSpec, kernel_grid
+from .funspace import BasisSpec, adjoint, kernel_grid
 from .model import (
     InnovationSpec,
     StabilityError,
@@ -391,9 +391,9 @@ def cmd_estimate(args):
     omegas = _axis(run.config, "omega", 64, fourier_frequencies)
     grid = estimate_grid(x, cfg, T, us, omegas)
     _emit_grid(run, "estimate", grid, basis, render)
-    adjoint = np.conj(np.swapaxes(grid.values, -1, -2))
-    herm = float(np.abs(grid.values - adjoint).max())
-    eigs = np.linalg.eigvalsh(0.5 * (grid.values + adjoint))
+    adj = adjoint(grid.values)
+    herm = float(np.abs(grid.values - adj).max())
+    eigs = np.linalg.eigvalsh(0.5 * (grid.values + adj))
     scale = float(np.abs(eigs).max())
     min_eig = float(eigs.min())
     traces = np.einsum("uwkk->uw", grid.values).real

@@ -17,6 +17,10 @@ reproducible bit for bit.  Keys: (0, j, g) for the g-th knot of the j-th
 random operator curve, (1,) for a simulation's innovations, (2, r) for
 replication r of a Monte Carlo run.
 
+Operator curves.  ``_curves_at`` is the one evaluator of B, Phi and C at
+rescaled times, for every path of this module and of ``spectrum``.  A model
+without C gets None, not an identity stack, and is never multiplied by one.
+
 Causal filters.  ``_filter_blocks`` is the one filter recursion: for an
 array of anchor times it walks back over lags on the top block row of the
 companion product for all anchors at once, one block of lags after another,
@@ -147,15 +151,19 @@ class OperatorCurve:
             return np.broadcast_to(self.values[0], us.shape + self.values[0].shape).copy()
         uc = np.clip(us, knots[0], knots[-1])
         idx = np.clip(np.searchsorted(knots, uc, side="right") - 1, 0, knots.size - 2)
-        left = knots[idx]
-        width = knots[idx + 1] - knots[idx]
-        w = (uc - left) / width
-        # (1 - w) A + w B, built in place: two stacks live at a time, not five
+        nxt = idx + 1
+        w = (uc - knots[idx]) / (knots[nxt] - knots[idx])
+        # (1 - w) A + w B in place; past two simulator spans the w B term comes
+        # in quarter-span row chunks, so the result is the one whole stack
+        # (below that, chunks cost more time than the memory is worth)
         out = self.values[idx]
         out *= (1.0 - w)[:, None, None]
-        right = self.values[idx + 1]
-        right *= w[:, None, None]
-        out += right
+        span = max(1, _SPAN_ELEMENTS // self.dim**2)
+        step = max(1, us.size if us.size <= 2 * span else span // 4)
+        for a in range(0, us.size, step):
+            right = self.values[nxt[a:a + step]]
+            right *= w[a:a + step, None, None]
+            out[a:a + step] += right
         return out
 
 
@@ -234,12 +242,11 @@ class TvFarmaModel:
     def frozen(self, u):
         """Stationary model with every curve fixed at rescaled time ``u`` in [0, 1]."""
         check_unit_interval(u, "u")
-        return TvFarmaModel(
-            ar=tuple(OperatorCurve.constant(cv(u)) for cv in self.ar),
-            innovations=self.innovations,
-            ma=tuple(OperatorCurve.constant(cv(u)) for cv in self.ma),
-            c=None if self.c is None else OperatorCurve.constant(self.c(u)),
-        )
+        ar, ma, c = _curves_at(self, np.array([float(u)]))
+        return TvFarmaModel(ar=[OperatorCurve.constant(b[0]) for b in ar],
+                            innovations=self.innovations,
+                            ma=[OperatorCurve.constant(phi[0]) for phi in ma],
+                            c=None if c is None else OperatorCurve.constant(c[0]))
 
 
 def build_companion(model, u):
@@ -254,8 +261,8 @@ def build_companion(model, u):
     k = model.dim
     size = max(model.ar_order, 1) * k
     comp = np.zeros((flat.size, size, size))
-    for j, curve in enumerate(model.ar):
-        comp[:, :k, j * k:(j + 1) * k] = curve.batch(flat)
+    for j, b in enumerate(_curves_at(model, flat)[0]):
+        comp[:, :k, j * k:(j + 1) * k] = b
     if model.ar_order > 1:
         comp[:, k:, :-k] = np.eye(size - k)
     return comp if us.ndim else comp[0]
@@ -422,10 +429,7 @@ def _simulate_rows(model, T, seeds, first, windows, reduce):
             rng.standard_normal(out=row[:count])
         np.multiply(draws[:, :count].transpose(1, 0, 2), sigma, out=buf[m:m + count])
         if moving:
-            us = np.arange(first + start, first + stop) / float(T)
-            c_ops = None if model.c is None else model.c.batch(us)
-            ar_ops = [cv.batch(us) for cv in model.ar]
-            ma_ops = [cv.batch(us) for cv in model.ma]
+            ar_ops, ma_ops, c_ops = _curves_at(model, np.arange(first + start, first + stop) / T)
             for s in range(count):
                 i = start + s
                 now = steps[m + s]
@@ -459,28 +463,21 @@ def _whole(i, xs):
     return xs
 
 
-def _shaping(model, us):
-    """Innovation shaping operators C at rescaled times ``us``, identity if unset."""
-    if model.c is None:
-        return np.broadcast_to(np.eye(model.dim), (len(us), model.dim, model.dim))
-    return model.c.batch(us)
-
-
-def _curves_at(model, times, T):
-    """Every operator curve at the integer times ``times``: the AR stack
-    (len(times), m, K, K), the list of MA stacks and the shaping stack, or
-    None without C."""
-    us = times / T
-    ar = np.zeros((us.size, model.ar_order, model.dim, model.dim))
-    for j, cv in enumerate(model.ar):
-        ar[:, j] = cv.batch(us)
+def _curves_at(model, us, joined=False):
+    """Every operator curve at the 1-D rescaled times ``us``: the lists of AR
+    stacks B_{u, j} and MA stacks Phi_{u, l}, each (len(us), K, K), and the
+    C_u stack, or None when the model has no C (C is the identity).
+    ``joined`` gives the AR stacks as one (len(us), m, K, K) array, which the
+    filter recursion gathers a lag's B_{u, j} from at once."""
+    if joined:
+        # each curve written in as it is evaluated: joined after all were
+        # evaluated, the filter recursion ran up to 10 % slower (page faults)
+        ar = np.empty((len(us), model.ar_order, model.dim, model.dim))
+        for j, cv in enumerate(model.ar):
+            ar[:, j] = cv.batch(us)
+    else:
+        ar = [cv.batch(us) for cv in model.ar]
     return ar, [cv.batch(us) for cv in model.ma], None if model.c is None else model.c.batch(us)
-
-
-def _curve_table(model, T, start, stop):
-    """Every operator curve at the times start, ..., stop, for ``_filters``
-    calls whose anchors and lags read no other time."""
-    return start, _curves_at(model, np.arange(start, stop + 1), T)
 
 
 def _filter_blocks(model, ts, T, ends, table=None):
@@ -493,11 +490,12 @@ def _filter_blocks(model, ts, T, ends, table=None):
     any of them and the recursion is never restarted.  A block holds at
     most ``_FILTER_BYTES`` of filters (at least one lag), so the memory
     grows with the anchors, not with anchors x lags.  Its operators
-    come from ``table`` (see ``_curve_table``) or else from every curve
-    evaluated once over the union of the block's rescaled times.  The
-    state carried between blocks is the top block row of the companion
-    product and the last n pure-AR filters.  A filter's arithmetic does
-    not depend on its block, its table or the other anchors.
+    come from ``table`` (first time, joined ``_curves_at`` of the times
+    from it on) or else from every curve evaluated once over the union of
+    the block's rescaled times.  The state carried between blocks is the
+    top block row of the companion product and the last n pure-AR filters.
+    A filter's arithmetic does not depend on its block, its table or the
+    other anchors.
     """
     k = model.dim
     m = model.ar_order
@@ -520,7 +518,7 @@ def _filter_blocks(model, ts, T, ends, table=None):
             times = ts[:, None] - np.arange(first, hi)
             if table is None:
                 times, idx = np.unique(times, return_inverse=True)
-                ar, ma, c = _curves_at(model, times, T)
+                ar, ma, c = _curves_at(model, times / T, joined=True)
                 idx = idx.reshape(count, hi - first)
             else:
                 start, (ar, ma, c) = table
@@ -677,10 +675,10 @@ def simulate_ma(model, T, innovations, lags, t_start=1, t_end=None, eps_t_start=
     for b0 in range(lo + (hi - lo - 1) // rows * rows, lo - 1, -rows):
         b1 = min(b0 + rows, hi)
         r0 = eps_t_start + b0
-        us = np.arange(r0, min(r0 + b1 - b0 - 1 + lags, t_end) + 1) / T
-        ar = [cv.batch(us) for cv in model.ar]
-        ma = [cv.batch(us) for cv in model.ma]
-        shock = np.einsum("rij,rj->ri", _shaping(model, us[:b1 - b0]), innovations[b0:b1])
+        ar, ma, c = _curves_at(model, np.arange(r0, min(r0 + b1 - b0 - 1 + lags, t_end) + 1) / T)
+        shock = innovations[b0:b1]
+        if c is not None:
+            shock = np.einsum("rij,rj->ri", c[:b1 - b0], shock)
         for j in range(lags + 1):
             # row i sits at time r0 + i + j; rows past t_end are done
             active = min(b1 - b0, t_end - r0 - j + 1)
@@ -702,7 +700,7 @@ def simulate_ma(model, T, innovations, lags, t_start=1, t_end=None, eps_t_start=
             first = max(0, t_start - r0 - j)  # rows not yet at t_start
             if first < active:
                 x[r0 + first + j - t_start:r0 + active + j - t_start] += y[first:active]
-        del ar, ma  # freed before the next block's stacks are built
+        del ar, ma, c  # freed before the next block's stacks are built
     return x
 
 

@@ -8,7 +8,10 @@ operator is
 
 so the time-varying spectral density operator is F(u, omega) =
 A(u, omega) C_eps A(u, omega)* with C_eps the innovation covariance; the
-factor 1/(2 pi) lives entirely in the transfer operator.  Local
+factor 1/(2 pi) lives entirely in the transfer operator.  ``_symbols`` builds
+B(u, omega) and Phi(u, omega) C_u from one call of ``model._curves_at``; a
+model without C skips the product.  ``true_spectral_density`` is the
+one-point case of ``truth_grid``, so both reject u outside [0, 1].  Local
 autocovariances pair the filters of the two time points straddling uT, and
 their truncated Fourier sum is the finite-T spectral density operator.  One
 private pass computes them from the causal filters of the time points it
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funspace import adjoint, check_unit_interval
-from .model import _FILTER_BYTES, _curve_table, _filters, _shaping, choose_ma_order
+from .model import _FILTER_BYTES, _curves_at, _filters, choose_ma_order
 
 PROVENANCES = ("truth", "wigner_ville", "smoothed")
 
@@ -75,24 +78,19 @@ class TransferSingularError(RuntimeError):
         )
 
 
-def _ar_symbol(model, u, omegas):
-    """B(u, omega) stacked over omegas, shape (len(omegas), K, K)."""
-    k = model.dim
-    omegas = np.asarray(omegas, dtype=float)
-    bmat = np.broadcast_to(np.eye(k, dtype=complex), (omegas.size, k, k)).copy()
-    for j, curve in enumerate(model.ar, start=1):
-        bmat -= np.exp(-1j * omegas * j)[:, None, None] * curve(u)
-    return bmat
-
-
-def _ma_symbol(model, u, omegas):
-    """Phi(u, omega) C_u stacked over omegas."""
-    k = model.dim
-    omegas = np.asarray(omegas, dtype=float)
-    phi = np.broadcast_to(np.eye(k, dtype=complex), (omegas.size, k, k)).copy()
-    for l, curve in enumerate(model.ma, start=1):
-        phi += np.exp(-1j * omegas * l)[:, None, None] * curve(u)
-    return phi @ _shaping(model, [u])[0].astype(complex)
+def _symbols(model, u, omegas):
+    """The AR symbol B(u, omega) and the MA symbol Phi(u, omega) C_u over the
+    1-D array ``omegas``, each (len(omegas), K, K), from one evaluation of
+    the curves at ``u``; without C the MA symbol is Phi(u, omega)."""
+    ar, ma, c = _curves_at(model, np.array([float(u)]))
+    eye = np.broadcast_to(np.eye(model.dim, dtype=complex), (omegas.size, model.dim, model.dim))
+    bmat = eye.copy()
+    for j, b in enumerate(ar, start=1):
+        bmat -= np.exp(-1j * omegas * j)[:, None, None] * b[0]
+    phi = eye.copy()
+    for l, p in enumerate(ma, start=1):
+        phi += np.exp(-1j * omegas * l)[:, None, None] * p[0]
+    return bmat, phi if c is None else phi @ c[0].astype(complex)
 
 
 def transfer_operator(model, u, omegas):
@@ -102,18 +100,17 @@ def transfer_operator(model, u, omegas):
     exceeds 1e12 (or is not finite) at any of the frequencies.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    bmat = _ar_symbol(model, u, omegas)
+    bmat, phi = _symbols(model, u, omegas)
     conds = np.linalg.cond(bmat)
     bad = np.flatnonzero(~(conds <= 1e12))
     if bad.size:
         raise TransferSingularError(u, float(omegas[bad[0]]), float(conds[bad[0]]))
-    return np.linalg.solve(bmat, _ma_symbol(model, u, omegas)) / np.sqrt(TWO_PI)
+    return np.linalg.solve(bmat, phi) / np.sqrt(TWO_PI)
 
 
 def true_spectral_density(model, u, omega):
-    """Exact spectral density operator F(u, omega) = A C_eps A*."""
-    a = transfer_operator(model, u, omega)[0]
-    return a @ model.innovations.covariance @ adjoint(a)
+    """F(u, omega) = A C_eps A* at one point: the one-point ``truth_grid``."""
+    return truth_grid(model, [u], [omega]).values[0, 0]
 
 
 def truth_grid(model, u_grid, omega_grid):
@@ -179,7 +176,8 @@ def _local_autocovs(model, u, s, T, lags):
         return out
     # every curve once over all the times the filters read
     times = np.concatenate([later[todo], earlier[todo]])
-    table = _curve_table(model, T, times.min() - lags, times.max())
+    start = times.min() - lags
+    table = start, _curves_at(model, np.arange(start, times.max() + 1) / T, joined=True)
     held = {}  # filters by time: the last group's last pair, then this group's
     while todo:
         fresh = []

@@ -1,3 +1,4 @@
+import ast
 import tracemalloc
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from tvfspec.model import (
     simulate_ma,
     spawn_rng,
 )
-from tvfspec.spectrum import wigner_ville
+from tvfspec.spectrum import transfer_operator, wigner_ville
 
 
 def scalar_curve(fn, knots=65):
@@ -202,7 +203,9 @@ def dense_simulate_ma(model, T, innovations, lags, t_start, t_end, eps_t_start):
     us = np.arange(r0, t_end + 1) / T
     ar = [cv.batch(us) for cv in model.ar]
     ma = [cv.batch(us) for cv in model.ma]
-    shock = np.einsum("rij,rj->ri", model_module._shaping(model, us[:hi - lo]), innovations[lo:hi])
+    shock = innovations[lo:hi]
+    if model.c is not None:
+        shock = np.einsum("rij,rj->ri", model.c.batch(us[:hi - lo]), shock)
     history = []
     for j in range(lags + 1):
         active = min(hi - lo, t_end - r0 - j + 1)
@@ -265,6 +268,106 @@ class TestOperatorCurve:
             OperatorCurve(knots=np.array([0.0, 1.0]), values=np.zeros((3, 1, 1)))
         with pytest.raises(ValueError):
             OperatorCurve(knots=np.array([0.0, 1.0]), values=np.zeros((2, 2, 1)))
+
+    def test_batch_holds_the_result_and_one_chunk(self):
+        curve = far2(size=15).ar[0]
+        us = np.linspace(0.0, 1.0, 256)
+        want = curve.batch(us)
+        tracemalloc.start()
+        try:
+            got = curve.batch(us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        # the left and right stacks side by side took 2.17 results
+        assert peak <= 1.25 * got.nbytes
+
+    def test_chunked_batch_equals_pointwise_calls(self):
+        # 600 times at K = 15 cross many chunks of the right-hand term
+        curve = far2(size=15).ar[1]
+        us = np.linspace(-0.1, 1.1, 600)
+        assert curve.batch(us).tobytes() == np.array([curve(u) for u in us]).tobytes()
+
+
+def knotted_curve(rng, dim, scale, count):
+    """Curve on ``count`` random strictly increasing knots in [0, 1]."""
+    knots = np.sort(rng.choice(np.linspace(0.0, 1.0, 97), count, replace=False))
+    return OperatorCurve(knots, scale * rng.standard_normal((count, dim, dim)))
+
+
+class TestOneEvaluator:
+    """``model._curves_at`` is the one evaluator of the operator curves: every
+    path that reads B, Phi or C agrees with references built from ``curve(u)``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 2, 3]),
+        m=st.integers(0, 2),
+        n=st.integers(0, 2),
+        with_c=st.booleans(),
+        knots=st.lists(st.integers(1, 6), min_size=5, max_size=5),
+        us=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=8),
+    )
+    def test_every_path_reads_the_curves_at_u(self, seed, dim, m, n, with_c, knots, us):
+        rng = np.random.default_rng(seed)
+        model = TvFarmaModel(
+            ar=tuple(knotted_curve(rng, dim, 0.3 / m, knots[j]) for j in range(m)),
+            innovations=InnovationSpec(rng.uniform(0.5, 1.0, dim)),
+            ma=tuple(knotted_curve(rng, dim, 0.5, knots[2 + l]) for l in range(n)),
+            c=knotted_curve(rng, dim, 1.0, knots[4]) if with_c else None,
+        )
+        us = np.array(us)
+        ar, ma, c = model_module._curves_at(model, us)
+        assert len(ar) == m and len(ma) == n and (c is None) == (not with_c)
+        shaping = [] if c is None else [c]
+        for stack, cv in zip(ar + ma + shaping, model.ar + model.ma + (model.c,)):
+            assert stack.tobytes() == np.array([cv(u) for u in us]).tobytes()
+
+        size = max(m, 1) * dim
+        comps = build_companion(model, us)
+        report = check_stability(model, u_grid=us)
+        omegas = np.linspace(-np.pi, np.pi, 5)
+        for i, u in enumerate(us):
+            comp = np.zeros((size, size))
+            for j, cv in enumerate(model.ar):
+                comp[:dim, j * dim:(j + 1) * dim] = cv(u)
+            comp[dim:, :-dim] = np.eye(size - dim)
+            assert comps[i].tobytes() == comp.tobytes()
+            assert report.norm_sums[i] == sum(op_norm(cv(u)) for cv in model.ar)
+
+            bmat = np.empty((omegas.size, dim, dim), dtype=complex)
+            phi = np.empty((omegas.size, dim, dim), dtype=complex)
+            for w, omega in enumerate(omegas):
+                bmat[w] = np.eye(dim)
+                for j, cv in enumerate(model.ar, start=1):
+                    bmat[w] -= np.exp(-1j * omega * j) * cv(u)
+                phi[w] = np.eye(dim)
+                for l, cv in enumerate(model.ma, start=1):
+                    phi[w] += np.exp(-1j * omega * l) * cv(u)
+            if with_c:
+                phi = phi @ model.c(u).astype(complex)
+            want = np.linalg.solve(bmat, phi) / np.sqrt(2.0 * np.pi)
+            assert transfer_operator(model, u, omegas).tobytes() == want.tobytes()
+
+            if 0.0 <= u <= 1.0:
+                frozen = model.frozen(u)
+                assert [cv.values[0].tobytes() for cv in frozen.ar + frozen.ma] == [
+                    cv(u).tobytes() for cv in model.ar + model.ma]
+                assert (frozen.c is None) == (not with_c)
+                assert not with_c or frozen.c.values[0].tobytes() == model.c(u).tobytes()
+
+    def test_only_the_evaluator_batches_curves(self):
+        src = Path(model_module.__file__).parent
+        callers = set()
+        for path in sorted(src.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "batch"):
+                        callers.add((path.name, getattr(top, "name", None)))
+        assert callers == {("model.py", "OperatorCurve"), ("model.py", "_curves_at")}
 
 
 class TestRngDiscipline:

@@ -141,6 +141,18 @@ class TestDensitySymmetries:
             with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
                 truth_grid(scalar_ar1(), us, OMEGAS)
 
+    def test_one_point_density_is_a_c_a_star_and_rejects_u_outside(self):
+        # F at one point is the one-point truth grid, so it rejects the
+        # rescaled times the grid rejects instead of clamping them
+        model = far2(size=4)
+        for u, omega in ((0.0, 0.4), (0.6, -2.0), (1.0, np.pi)):
+            a = transfer_operator(model, u, omega)[0]
+            want = a @ model.innovations.covariance @ np.conj(a.T)
+            got = true_spectral_density(model, u, omega)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\], got 1.2"):
+            true_spectral_density(model, 1.2, 0.5)
+
 
 class TestLocalAutocovariance:
     def test_constant_ar1_matches_stationary_solution(self):
