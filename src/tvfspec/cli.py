@@ -124,7 +124,7 @@ _TABLE = {
     # the estimator's own classes bound these values; _resolve_estimator names a rejected key
     "estimator": {"segment": _Key(int), "half_width": _Key(float),
                   "taper": {"name": _Key(str), "rho": _Key(float)},
-                  "kernel": {"name": _Key(str), "half_width": _Key(float)}},
+                  "kernel": {"half_width": _Key(float)}},
     "imse": {"replications": _Key(int, 1, fallback=True), "T_list": _Key(int, 1, many=2),
              "u": _Key("axis", 1), "omega": _Key("axis", 1, fallback=True)},
     "bias": {**_ESTIMATING, "omega": _Key(float), "projection": _Key(int, 0, many=1)},
@@ -133,6 +133,11 @@ _TABLE = {
     "stationarity": {"u": _Key(float, unit=True), "T_list": _Key(int, 1, many=2),
                      "replications": _Key(int, 1)},
 }
+
+# the ``model`` keys each preset, and the document path form, reads
+_MODEL_FORMS = {"far1": ("preset", "size", "seed", "eta", "decay", "knots"),
+                "far2": ("preset", "size", "seed", "knots"),
+                "white": ("preset", "size", "sigma"), "path": ("path",)}
 
 
 def _check(value, rule, path):
@@ -178,9 +183,10 @@ def _check(value, rule, path):
 
 
 def _validate(config):
-    """The whole config checked against the table, whichever command reads it: numbers
-    as floats, an "auto" estimator as {}, and the section of each check the config
-    runs holding the top-level settings that check falls back to."""
+    """The whole config checked against the table, whichever command reads it, and a
+    preset or path model against ``_MODEL_FORMS``: numbers as floats, an "auto"
+    estimator as {}, and the section of each check the config runs holding the
+    top-level settings that check falls back to."""
     table = dict(_TABLE)
     model = config.get("model")
     if type(model) is dict and not {"preset", "path"} & model.keys():
@@ -188,12 +194,28 @@ def _validate(config):
     if config.get("estimator") == "auto":
         config = {**config, "estimator": {}}  # every estimator setting at its default
     config = _check(config, table, "")
+    if type(table["model"]) is dict and "model" in config:
+        _check_model_form(config["model"])
     for check in config.get("checks", ["imse"]):
         section = config.setdefault(check, {})
         for key, rule in _TABLE[check].items():
             if rule.fallback and key in config and key not in section:
                 section[key] = _check(config[key], rule, f"{check}.{key}")
     return config
+
+
+def _check_model_form(spec):
+    """Reject a key that the preset or path ``model`` does not read, and a white
+    ``sigma`` whose length differs from a given ``size``."""
+    form = spec.get("preset", "path")
+    reads = _MODEL_FORMS[form]
+    name = "a model path" if form == "path" else f"preset {form}"
+    for key in spec:
+        if key not in reads:
+            raise ConfigError(f"model.{key} is not read by {name} (it reads {', '.join(reads)})")
+    if {"sigma", "size"} <= spec.keys() and len(spec["sigma"]) != spec["size"]:
+        raise ConfigError(f"model.sigma has {len(spec['sigma'])} entries, "
+                          f"but model.size is {spec['size']}")
 
 
 def _get(config, path, default=None):
@@ -274,8 +296,8 @@ def _resolve_model(config):
             sigma = _get(config, "model.sigma", np.ones(size))
             return TvFarmaModel(innovations=InnovationSpec(np.asarray(sigma, dtype=float))), None
         build, seed = (far1, 0) if name == "far1" else (far2, 1)
-        keys = ("eta", "decay", "knots") if name == "far1" else ("knots",)
-        kwargs = {k: _get(config, f"model.{k}") for k in keys if k in spec}
+        # _validate has rejected the keys this preset does not read
+        kwargs = {k: spec[k] for k in ("eta", "decay", "knots") if k in spec}
         seed = _get(config, "model.seed", seed)
         return build(size=size, seed=seed, **kwargs), seed
     if "path" in spec:
@@ -308,7 +330,7 @@ def _resolve_estimator(config, T):
     taper = _configured(TaperSpec(), "estimator.taper", spec.get("taper", {}),
                         {"name": "name", "rho": "rho"})
     fkernel = _configured(FreqKernelSpec(), "estimator.kernel", spec.get("kernel", {}),
-                          {"name": "name", "half_width": "half_width"})
+                          {"half_width": "half_width"})
     auto = EstimatorConfig.auto(T, taper=taper, fkernel=fkernel)
     return _configured(auto, "estimator", spec, {"segment": "N", "half_width": "b_f"})
 
@@ -354,7 +376,7 @@ def cmd_simulate(args):
     data = x @ model.basis.evaluate(grid).T
     raw = ingest.RawSeries(grid=grid, data=data)
     run.emit("series.csv", lambda p: ingest.write_series(raw, p))
-    run.emit("model.json", lambda p: ingest.write_model(model, p, seed=model_seed))
+    run.write_json("model.json", ingest.model_document(model, seed=model_seed))
     run.finish(extra={"T": T})
     return EXIT_OK
 
@@ -447,6 +469,10 @@ def _resolve_estimating(run, model, check):
     cfg = _resolve_estimator(config, T)
     u = _get(config, f"{check}.u", 0.5)
     cfg.segment(T, u)
+    reach = 2 * evaluate.DERIV_STEP  # the bias check's finite-difference stencil
+    if check == "bias" and not (u - reach >= 0 and u + reach <= 1):
+        raise ConfigError(f"bias.u must keep the derivative stencil u +- {reach:g} "
+                          f"inside [0, 1], got {u!r}")
     projection = tuple(_get(config, "bias.projection", (0, 0)))
     evaluate.require_projections(check, model.dim, projection)
     common = {"seed": run.seed, "workers": run.threads}

@@ -10,9 +10,10 @@ limit 2 pi |K_t|^2 |K_f|^2 with its frequency-degeneracy terms
 coupled bound defining local stationarity (``local_stationarity_check``).
 The checks build reports and never serialise them; that is left to the file
 formats module, and ``cli`` connects the two.  Replication r of a run with
-master seed s draws its innovations from the sub-stream (2, r) of s, so
-reports are reproducible and independent of worker count; reductions always
-run in replication order.
+master seed s draws its innovations from the sub-stream (2, r) of s (the
+stationarity check's replication r at its ti-th sample size from (2, ti, r)),
+so reports are reproducible and independent of worker count; reductions
+always run in replication order.
 ``replicate`` is the one function that simulates replications, and it runs
 the stability gate ``model.require_stable`` before it simulates.  Its tasks
 declare the time windows they read, and each pass of replications runs one
@@ -263,18 +264,15 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0), workers=
     The second-order prediction adds (b_t^2 kappa_t d^2_u + b_f^2 kappa_f
     d^2_omega) <F> / 2 to the truth, with derivatives taken by finite
     differences on the exact spectral density; the model's curves must be
-    smooth in u for that to make sense.  Passes when the second-order
-    prediction is strictly closer to the Monte Carlo mean than the truth
-    itself.
+    smooth in u for that to make sense, and the stencil u +- 2 ``DERIV_STEP``
+    must lie in [0, 1].  The truth and both derivatives are computed before
+    any replication runs.  Passes when the second-order prediction is
+    strictly closer to the Monte Carlo mean than the truth itself.
     """
     require_projections("bias", model.dim, projection)
     _require_replications("bias", R)
     m, n = projection
-    ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
-                     _EstimatePoints(cfg, T, [(u, omega)]), workers)
-    vals = ests[:, 0, m, n]
-    mc_mean = complex(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(R))
+    require_stable(model)  # before the truth inverts the AR symbol
 
     def proj_u(uu):
         return true_spectral_density(model, uu, omega)[m, n]
@@ -285,6 +283,11 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0), workers=
     truth = proj_u(u)
     d2u, gap_u = _second_derivative(proj_u, u, DERIV_STEP)
     d2w, gap_w = _second_derivative(proj_w, omega, DERIV_STEP)
+    ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
+                     _EstimatePoints(cfg, T, [(u, omega)]), workers)
+    vals = ests[:, 0, m, n]
+    mc_mean = complex(vals.mean())
+    se = float(vals.std(ddof=1) / np.sqrt(R))
     kt = kernel_constants(cfg.taper)
     kf = kernel_constants(cfg.fkernel)
     bt = cfg.b_t(T)
@@ -314,12 +317,17 @@ def _eta(x):
     return 1.0 if abs((x + np.pi) % TWO_PI - np.pi) < 1e-9 else 0.0
 
 
-def predicted_covariance(model, cfg, T, u, omega1, omega2, pair):
-    """Limit of b_t b_f T cov(<Fhat psi pair>) from the sharp variance bound."""
+def predicted_covariance(f1, cfg, omega1, omega2, pair):
+    """Limit of b_t b_f T cov(<Fhat psi pair>) from the sharp variance bound.
+
+    ``f1`` is the spectral density operator F(u, omega1) at the estimates'
+    rescaled time; the limit is 2 pi |K_t|^2 |K_f|^2 (eta(omega1 - omega2)
+    F_mm' conj(F_nn') + eta(omega1 + omega2) F_mn' conj(F_nm')) for the
+    projections ((m, n), (m', n')) of ``pair``.
+    """
     (m, n), (mm, nn) = pair
     kt = kernel_constants(cfg.taper)
     kf = kernel_constants(cfg.fkernel)
-    f1 = true_spectral_density(model, u, omega1)
     lead = TWO_PI * kt.l2 * kf.l2
     term1 = _eta(omega1 - omega2) * f1[m, mm] * np.conj(f1[n, nn])
     term2 = _eta(omega1 + omega2) * f1[m, nn] * np.conj(f1[n, mm])
@@ -347,6 +355,7 @@ def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0, workers=1):
         "scale": scale, "pairs": [],
     }
     report.tolerances = {"relative": COVARIANCE_RTOL, "zero_sigma": 3.0}
+    f1 = true_spectral_density(model, u, omega1)
     for pid, pair in enumerate(COVARIANCE_PAIRS):
         (m, n), (mm, nn) = pair
         z1 = ests[:, 0, m, n]
@@ -357,7 +366,7 @@ def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0, workers=1):
         # moment SE of the scaled covariance from the replication spread
         prods = d1 * np.conj(d2) * scale
         se = float(np.std(prods, ddof=1) / np.sqrt(R))
-        pred = complex(predicted_covariance(model, cfg, T, u, omega1, omega2, pair))
+        pred = complex(predicted_covariance(f1, cfg, omega1, omega2, pair))
         entry = {
             "pair": [[m, n], [mm, nn]],
             "scaled_cov": _cnum(cov), "se": se, "predicted": _cnum(pred),
@@ -435,42 +444,24 @@ class ImseResult:
 
     value: float
     per_u: np.ndarray
-    mse: np.ndarray
 
 
-def imse(estimates, truth):
-    """Mean integrated squared Hilbert-Schmidt error against a truth grid.
+def imse(estimate, truth):
+    """Mean integrated squared Hilbert-Schmidt error of an estimate grid.
 
-    Parameters
-    ----------
-    estimates : SpectralGrid or sequence of SpectralGrid
-        Estimates on the same (u, omega) grid; with several grids the
-        squared error is averaged across them pointwise.
-    truth : SpectralGrid
-        Its omega axis must pass ``require_frequency_axis``.
-
-    Returns
-    -------
-    ImseResult
-        ``value`` averages the per-u trapezoid integrals over omega.
+    ``estimate`` and ``truth`` are ``SpectralGrid``s on the same (u, omega)
+    points; the truth's omega axis must pass ``require_frequency_axis``.
+    ``value`` of the result averages ``per_u``, the trapezoid integrals of
+    the squared errors over omega.
     """
     require_frequency_axis(truth.omega)
-    if isinstance(estimates, SpectralGrid):
-        estimates = [estimates]
-    if not estimates:
-        raise ValueError("need at least one estimate grid")
-    for est in estimates:
-        if est.values.shape != truth.values.shape:
-            raise ValueError("estimate and truth grids have different shapes")
-        if not (np.allclose(est.u, truth.u, atol=1e-12)
-                and np.allclose(est.omega, truth.omega, atol=1e-12)):
-            raise ValueError("estimate and truth grids are on different points")
-    diffsq = np.zeros(truth.values.shape[:2])
-    for est in estimates:
-        diffsq += _squared_errors(est.values - truth.values)
-    diffsq /= len(estimates)
-    per_u = np.trapezoid(diffsq, truth.omega, axis=1)
-    return ImseResult(value=float(per_u.mean()), per_u=per_u, mse=diffsq)
+    if estimate.values.shape != truth.values.shape:
+        raise ValueError("estimate and truth grids have different shapes")
+    if not (np.allclose(estimate.u, truth.u, atol=1e-12)
+            and np.allclose(estimate.omega, truth.omega, atol=1e-12)):
+        raise ValueError("estimate and truth grids are on different points")
+    per_u = np.trapezoid(_squared_errors(estimate.values - truth.values), truth.omega, axis=1)
+    return ImseResult(value=float(per_u.mean()), per_u=per_u)
 
 
 def require_frequency_axis(omega, name="omega"):

@@ -463,10 +463,6 @@ def model_document(model, seed=None):
     }
 
 
-def write_model(model, path, seed=None):
-    write_json(model_document(model, seed=seed), path)
-
-
 def model_from_document(doc):
     """Rebuild a ``TvFarmaModel`` from its document; returns (model, seed)."""
     if doc.get("format") != MODEL_FORMAT:

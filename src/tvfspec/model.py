@@ -15,7 +15,8 @@ Randomness discipline: every stream is derived from one master seed through
 so model draws, innovations and per-replication streams are independent and
 reproducible bit for bit.  Keys: (0, j, g) for the g-th knot of the j-th
 random operator curve, (1,) for a simulation's innovations, (2, r) for
-replication r of a Monte Carlo run.
+replication r of a Monte Carlo run and (2, ti, r) for replication r at the
+ti-th sample size of the stationarity check.
 
 Operator curves.  ``_curves_at`` is the one evaluator of B, Phi and C at
 rescaled times, for every path of this module and of ``spectrum``.  A model
@@ -275,7 +276,7 @@ class StabilityReport:
     u: np.ndarray
     norm_sums: np.ndarray
     radii: np.ndarray
-    delta: float
+    delta: float = 1e-6  # margin of the radius criterion
 
     @property
     def passed(self):
@@ -288,25 +289,20 @@ class StabilityReport:
         return float(self.u[i]), float(self.radii[i])
 
 
-_STABILITY_DELTA = 1e-6
-
-
-def check_stability(model, u_grid=None, delta=_STABILITY_DELTA):
+def check_stability(model, u_grid=None):
     """Evaluate causality diagnostics of the AR part on a grid of u.
 
     Reports, per u, the sum of operator norms of the AR curves (sufficient
     condition when < 1) and the spectral radius of the companion matrix
-    (authoritative pass criterion: radius < 1 - delta everywhere).  All
+    (authoritative pass criterion: radius < 1 - 1e-6 everywhere).  All
     companions are built and decomposed as one stack.  The default grid is
-    65 equispaced u; with it and the default delta the result is the model's
-    cached report, ``TvFarmaModel.stability``.
+    65 equispaced u; on it the result is the model's cached report,
+    ``TvFarmaModel.stability``.
     """
-    if u_grid is None and delta == _STABILITY_DELTA:
-        return model.stability
-    return _stability_report(model, u_grid, delta)
+    return model.stability if u_grid is None else _stability_report(model, u_grid)
 
 
-def _stability_report(model, u_grid=None, delta=_STABILITY_DELTA):
+def _stability_report(model, u_grid=None):
     if u_grid is None:
         u_grid = np.linspace(0.0, 1.0, 65)
     u_grid = np.asarray(u_grid, dtype=float)
@@ -316,7 +312,7 @@ def _stability_report(model, u_grid=None, delta=_STABILITY_DELTA):
     top = comps[:, :k, :m * k].reshape(u_grid.size, k, m, k)
     sums = np.linalg.norm(top, 2, axis=(1, 3)).sum(axis=1)
     radii = np.max(np.abs(np.linalg.eigvals(comps)), axis=1)
-    return StabilityReport(u=u_grid, norm_sums=sums, radii=radii, delta=delta)
+    return StabilityReport(u=u_grid, norm_sums=sums, radii=radii)
 
 
 class StabilityError(RuntimeError):
@@ -743,9 +739,10 @@ def far2(size=15, seed=1, knots=64):
     are 1 / (|l - 2.65| pi).
 
     The scalar second-order heuristic puts the amplitude peak at
-    ``far2_peak_frequency(u)``; whether a realization shows it there depends
-    on the sign of the dominant eigenvalue of the drawn lag-2 operator, so
-    the default seed is pinned to a draw that does (at ``size=15``, u=0.5).
+    omega = arccos(0.3 cos(1.5 - cos(pi u))); whether a realization shows it
+    there depends on the sign of the dominant eigenvalue of the drawn lag-2
+    operator, so the default seed is pinned to a draw that does (at
+    ``size=15``, u=0.5).
     """
 
     def var1(u, i, j):
@@ -763,7 +760,3 @@ def far2(size=15, seed=1, knots=64):
     sigma = 1.0 / (np.abs(l - 2.65) * np.pi)
     return TvFarmaModel(ar=(curve1, curve2), innovations=InnovationSpec(sigma))
 
-
-def far2_peak_frequency(u):
-    """Scalar second-order heuristic for the far2 amplitude peak location."""
-    return float(np.arccos(0.3 * np.cos(1.5 - np.cos(np.pi * u))))

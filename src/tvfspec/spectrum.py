@@ -58,15 +58,6 @@ class SpectralGrid:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
 
-    @property
-    def dim(self):
-        return self.values.shape[-1]
-
-    def at(self, u, omega):
-        a = int(np.argmin(np.abs(self.u - u)))
-        b = int(np.argmin(np.abs(self.omega - omega)))
-        return self.values[a, b]
-
 
 class TransferSingularError(RuntimeError):
     """AR symbol numerically singular at the requested (u, omega)."""

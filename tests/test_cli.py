@@ -553,10 +553,15 @@ def white_series(tmp_path):
                     "normality": {"replications": 4, "T": 512}}, 2),
     (["truth"], far1_config(u=[1.7, -0.5], omega=[0.3]), 2),
     (["check"], far1_config(stationarity={"u": 1.7}), 2),
+    # inside the valid band, but the derivative stencil reaches below u = 0
+    (["evaluate"], far1_config(estimator={"segment": 16}, checks=["bias"],
+                               bias={"T": 4096, "u": 0.001953125, "replications": 2}), 2),
+    (["evaluate"], {"model": {"preset": "far1", "size": 3, "knots": 4, "sigma": [1, 1, 1]},
+                    "checks": ["bias"]}, 2),
 ], ids=["simulate-render", "reproduce-render", "estimate-render", "imse-one-T",
         "bias-taper", "bias-band", "bias-projection", "imse-no-common-band",
         "normality-projection", "normality-projection-white", "truth-u-outside",
-        "stationarity-u-outside"])
+        "stationarity-u-outside", "bias-stencil-outside", "model-key-unread"])
 def test_bad_setting_writes_nothing(tmp_path, argv, config, code):
     argv = [white_series(tmp_path) if a is None else a for a in argv]
     path = write_config(tmp_path, "bad.json", config)
@@ -731,14 +736,46 @@ def test_unknown_key_exits_2_naming_the_closest_known_key(tmp_path, capsys, conf
     (["truth"], {"model": {"preset": "white", "size": 0}}, "model.size must be at least 1, got 0"),
     (["evaluate"], far1_config(checks=["bias"], replications=1),
      "bias check needs at least 2 replications, got 1"),
+    (["evaluate"], far1_config(estimator={"segment": 16}, checks=["bias"],
+                               bias={"T": 4096, "u": 0.998046875}),
+     "bias.u must keep the derivative stencil u +- 0.002 inside [0, 1], got 0.998046875"),
 ], ids=["T_list-zero", "imse-one-distinct-T", "stationarity-one-T", "knots-zero", "size-zero",
-        "top-level-replications"])
+        "top-level-replications", "bias-stencil-above-one"])
 def test_out_of_range_setting_exits_2_before_any_write(tmp_path, capsys, argv, config, message):
     out = tmp_path / "out"
     assert cli.main([*argv, "--config", write_config(tmp_path, "bad.json", config),
                      "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, model, message", [
+    ("truth", {"preset": "far2", "size": 3, "eta": 0.9, "decay": 7, "sigma": [5, 5, 5]},
+     "model.eta is not read by preset far2 (it reads preset, size, seed, knots)"),
+    ("truth", {"preset": "far2", "size": 3, "sigma": [5, 5, 5]},
+     "model.sigma is not read by preset far2"),
+    ("truth", {"preset": "far1", "path": "/nonexistent.json"},
+     "model.path is not read by preset far1"),
+    ("truth", {"preset": "white", "size": 2, "seed": 3}, "model.seed is not read by preset white"),
+    ("truth", {"path": "model.json", "size": 3},
+     "model.size is not read by a model path (it reads path)"),
+    ("simulate", {"preset": "white", "size": 4, "sigma": [1, 2]},
+     "model.sigma has 2 entries, but model.size is 4"),
+], ids=["far2-eta", "far2-sigma", "far1-path", "white-seed", "path-size", "white-sigma-length"])
+def test_model_key_the_model_does_not_read_exits_2(tmp_path, capsys, command, model, message):
+    config = write_config(tmp_path, "bad.json", {"model": model, "T": 64})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_model_keys_each_form_reads_are_accepted():
+    for model in ({"preset": "far1", "size": 2, "seed": 3, "eta": 0.3, "decay": 2, "knots": 4},
+                  {"preset": "far2", "size": 2, "seed": 3, "knots": 4},
+                  {"preset": "white", "size": 2, "sigma": [1, 2]},
+                  {"preset": "white", "sigma": [1, 2, 3]}, {"path": "model.json"}):
+        assert cli._validate({"model": model})["model"] == model
 
 
 def test_top_level_settings_are_bounded_only_by_the_checks_that_read_them():

@@ -39,6 +39,7 @@ from tvfspec.spectrum import (
     SpectralGrid,
     autocov_sequence,
     local_autocov,
+    true_spectral_density,
     truth_grid,
     wigner_ville,
 )
@@ -347,15 +348,6 @@ class TestImse:
         assert got.value == pytest.approx(expected, abs=1e-12)
         assert np.allclose(got.per_u, expected, atol=1e-12)
 
-    def test_average_over_replicate_grids(self):
-        k, delta = 2, 0.1
-        omegas = np.linspace(-np.pi, np.pi, 33)
-        truth = truth_grid(white(dim=k), [0.5], omegas)
-        plus = SpectralGrid(truth.u, truth.omega, truth.values + delta * np.eye(k), "smoothed")
-        minus = SpectralGrid(truth.u, truth.omega, truth.values - delta * np.eye(k), "smoothed")
-        both = imse([plus, minus], truth)
-        assert both.value == pytest.approx(imse(plus, truth).value, abs=1e-12)
-
     def test_misaligned_grids_rejected(self):
         omegas = np.linspace(-np.pi, np.pi, 17)
         truth = truth_grid(white(), [0.5], omegas)
@@ -365,8 +357,6 @@ class TestImse:
         other_points = truth_grid(white(), [0.4], omegas)
         with pytest.raises(ValueError, match="different points"):
             imse(other_points, truth)
-        with pytest.raises(ValueError, match="at least one"):
-            imse([], truth)
 
     @pytest.mark.parametrize("omegas", [[2.0, 1.0, 0.5], [0.5, 2.0, 1.0], [0.3]],
                              ids=["descending", "unsorted", "one-point"])
@@ -445,6 +435,16 @@ class TestMeanBias:
         assert write_json(rep.document()) == write_json(again.document())
         json.loads(write_json(rep.document()))
 
+    def test_stencil_outside_the_unit_interval_raises_before_replicating(self, monkeypatch):
+        # u = N / 2T is inside the valid band, but u - 2 DERIV_STEP < 0
+        def spy(*args, **kwargs):
+            raise AssertionError("replicate ran")
+
+        monkeypatch.setattr(evaluate_module, "replicate", spy)
+        cfg = EstimatorConfig(N=16, b_f=0.5)
+        with pytest.raises(ValueError, match="u must lie in"):
+            mc_mean_bias(far1(size=3), cfg, 4096, 0.001953125, 0.0, R=2)
+
 
 class TestCovariance:
     def test_equal_frequency_uses_relative_criterion(self):
@@ -461,9 +461,48 @@ class TestCovariance:
                             omega1=np.pi / 2, omega2=np.pi / 4, R=16, seed=3)
         entry = rep.quantities["pairs"][0]
         assert entry["criterion"] == "zero_within_3se"
-        pred = predicted_covariance(white(), cfg, 256, 0.5, np.pi / 2, np.pi / 4,
-                                    ((0, 0), (0, 0)))
+        pred = predicted_covariance(true_spectral_density(white(), 0.5, np.pi / 2), cfg,
+                                    np.pi / 2, np.pi / 4, ((0, 0), (0, 0)))
         assert pred == 0.0
+
+    @pytest.mark.parametrize("omega", [1.0, 0.0])
+    def test_limit_from_the_spectral_density_operator(self, omega):
+        # 2 pi |K_t|^2 |K_f|^2 (eta(w1 - w2) F_mm' conj(F_nn') + eta(w1 + w2) F_mn' conj(F_nm'))
+        # with both kernels Epanechnikov (|K|^2 = 6/5); at w = 0 both eta terms are 1
+        cfg = EstimatorConfig(N=64, b_f=0.6, taper=TaperSpec(name="sqrt_epanechnikov"))
+        f = truth_grid(far1(size=3), [0.4], [omega]).values[0, 0]
+        lead = 2.0 * np.pi * (6.0 / 5.0) ** 2
+        for pair in [((0, 0), (0, 0)), ((0, 1), (1, 2)), ((2, 0), (1, 1))]:
+            (m, n), (mm, nn) = pair
+            first = f[m, mm] * np.conj(f[n, nn])
+            second = f[m, nn] * np.conj(f[n, mm])
+            want = lead * (first + second if omega == 0.0 else first)
+            got = predicted_covariance(f, cfg, omega, omega, pair)
+            assert got == pytest.approx(want, rel=1e-12)
+            if omega == 0.0 and pair[0] != pair[1]:
+                assert abs(got - lead * first) > 1e-3 * abs(got)
+                assert abs(got - lead * second) > 1e-3 * abs(got)
+
+    def test_spectral_density_is_evaluated_once(self, monkeypatch):
+        pairs = (((0, 0), (0, 0)), ((0, 1), (0, 1)), ((1, 0), (0, 1)))
+        monkeypatch.setattr(evaluate_module, "COVARIANCE_PAIRS", pairs)
+        calls = []
+        real = spectrum_module.truth_grid
+
+        def spy(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(spectrum_module, "truth_grid", spy)
+        cfg = EstimatorConfig(N=64, b_f=0.6)
+        model = white(dim=2)
+        rep = mc_covariance(model, cfg, T=256, u=0.5, omega1=np.pi / 2, omega2=np.pi / 2,
+                            R=4, seed=3)
+        assert calls == [([0.5], [np.pi / 2])]
+        f1 = real(model, [0.5], [np.pi / 2]).values[0, 0]
+        for pair, entry in zip(pairs, rep.quantities["pairs"]):
+            pred = predicted_covariance(f1, cfg, np.pi / 2, np.pi / 2, pair)
+            assert entry["predicted"] == {"re": pred.real, "im": pred.imag}
 
     def test_worker_count_does_not_change_results(self):
         cfg = EstimatorConfig(N=64, b_f=0.6)

@@ -27,7 +27,7 @@ from tvfspec.ingest import (
     read_series,
     read_spectral_grid,
     render_grid,
-    write_model,
+    write_json,
     write_report,
     write_series,
     write_spectral_grid,
@@ -544,7 +544,7 @@ class TestModelDocuments:
         model = TvFarmaModel(ar=model.ar, ma=model.ma, c=model.c, innovations=InnovationSpec(sigma))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "model.json")
-            write_model(model, path, seed=doc_seed)
+            write_json(model_document(model, seed=doc_seed), path)
             back, back_seed = read_model(path)
         assert back_seed == doc_seed
         assert back.innovations.sigma.tobytes() == sigma.tobytes()
@@ -560,8 +560,8 @@ class TestModelDocuments:
     def test_write_is_deterministic(self, tmp_path):
         model = far1(size=3)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_model(model, a, seed=1)
-        write_model(model, b, seed=1)
+        write_json(model_document(model, seed=1), a)
+        write_json(model_document(model, seed=1), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_document_validation(self, tmp_path):

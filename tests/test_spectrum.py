@@ -127,8 +127,6 @@ class TestDensitySymmetries:
         grid = truth_grid(model, [0.5], OMEGAS)
         assert grid.provenance == "truth"
         assert grid.values.shape == (1, 64, 1, 1)
-        near = grid.at(0.49, OMEGAS[3] + 0.01)
-        assert np.array_equal(near, grid.values[0, 3])
 
     def test_truth_grid_rejects_rescaled_times_outside_the_unit_interval(self, monkeypatch):
         # the operator curves live on [0, 1]; a point outside raises before
