@@ -46,7 +46,6 @@ from . import __version__, evaluate, ingest
 from .estimator import (
     BoundaryError,
     EstimatorConfig,
-    FreqKernelSpec,
     TaperSpec,
     estimate_grid,
     fourier_frequencies,
@@ -123,8 +122,7 @@ _TABLE = {
               "decay": _Key(float), "knots": _Key(int, 1), "sigma": _Key(float, 0, many=1)},
     # the estimator's own classes bound these values; _resolve_estimator names a rejected key
     "estimator": {"segment": _Key(int), "half_width": _Key(float),
-                  "taper": {"name": _Key(str), "rho": _Key(float)},
-                  "kernel": {"half_width": _Key(float)}},
+                  "taper": {"name": _Key(str), "rho": _Key(float)}},
     "imse": {"replications": _Key(int, 1, fallback=True), "T_list": _Key(int, 1, many=2),
              "u": _Key("axis", 1), "omega": _Key("axis", 1, fallback=True)},
     "bias": {**_ESTIMATING, "omega": _Key(float), "projection": _Key(int, 0, many=1)},
@@ -172,6 +170,9 @@ def _check(value, rule, path):
     if rule.kind == "axis":
         return _check(value, {"count": _Key(int, rule.least)} if type(value) is dict
                       else _Key(float, many=type(value) is list, unit=rule.unit), path)
+    # json reads NaN, Infinity and 1e999 as floats; the bounds also stop too large an int
+    if rule.kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     if rule.least is not None and value < rule.least:
         check, _, key = path.rpartition(".")
         raise ConfigError(f"{check} check needs at least {rule.least} replications, got {value}"
@@ -329,9 +330,10 @@ def _resolve_estimator(config, T):
     spec = config.get("estimator", {})
     taper = _configured(TaperSpec(), "estimator.taper", spec.get("taper", {}),
                         {"name": "name", "rho": "rho"})
-    fkernel = _configured(FreqKernelSpec(), "estimator.kernel", spec.get("kernel", {}),
-                          {"half_width": "half_width"})
-    auto = EstimatorConfig.auto(T, taper=taper, fkernel=fkernel)
+    if "rho" in spec.get("taper", {}) and taper.name != "cosine_flat":
+        raise ConfigError(f"estimator.taper.rho: not read by taper {taper.name} "
+                          "(only cosine_flat reads it)")
+    auto = EstimatorConfig.auto(T, taper=taper)
     return _configured(auto, "estimator", spec, {"segment": "N", "half_width": "b_f"})
 
 

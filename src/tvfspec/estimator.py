@@ -20,8 +20,8 @@ sum_n W[b, n] D_n D_n^H / (2 pi H_2): the N periodogram operators are
 never formed.  One private smoother does this for a stack of R segments at
 once; ``estimate_grid`` is its single-series case.  The taper implicitly
 smooths over time with kernel K_t(x) = h(x + 1/2)^2 / int h^2 and bandwidth
-b_t = N / T; the frequency bandwidth b_f scales the frequency kernel's own
-axis.
+b_t = N / T.  K_f is the one frequency kernel ``FREQ_KERNEL``, Epanechnikov
+on [-1/2, 1/2], so b_f alone sets the smoothing support [-b_f/2, b_f/2].
 
 ``EstimatorConfig.segment`` places every segment: the N times centred at
 floor(uT), which must lie inside the observations (default [1, T]), or
@@ -151,6 +151,10 @@ def kernel_constants(obj):
     )
 
 
+# K_f of every estimate and limit; a support other than [-1/2, 1/2] would only rescale b_f
+FREQ_KERNEL = FreqKernelSpec()
+
+
 def fourier_frequencies(count):
     """The ``count`` Fourier frequencies 2 pi j / count, j = -count/2 .. count/2 - 1."""
     return TWO_PI * np.arange(-(count // 2), count - count // 2) / count
@@ -167,27 +171,27 @@ class BoundaryError(ValueError):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Segment length, frequency bandwidth, taper and frequency kernel.
+    """Segment length, frequency bandwidth and taper.
 
     The time bandwidth is implied: b_t = N / T once the sample size is known.
+    The frequency kernel is ``FREQ_KERNEL`` on [-b_f/2, b_f/2].
     """
 
     N: int
     b_f: float
     taper: TaperSpec = TaperSpec()
-    fkernel: FreqKernelSpec = FreqKernelSpec()
 
     def __post_init__(self):
         if self.N < 2 or self.N % 2 != 0:
             raise ValueError("segment length N must be even and >= 2")
-        if not self.b_f > 0:
-            raise ValueError("frequency bandwidth must be positive")
+        if not 0 < self.b_f < np.inf:
+            raise ValueError("frequency bandwidth must be positive and finite")
 
     @classmethod
-    def auto(cls, T, taper=None, fkernel=None):
+    def auto(cls, T, taper=None):
         """Bandwidths from the reference rates b_t = T^(-1/6), b_f = 2 T^(-1/5) - b_t."""
         _, b_f, n = default_bandwidths(T)
-        return cls(N=n, b_f=b_f, taper=taper or TaperSpec(), fkernel=fkernel or FreqKernelSpec())
+        return cls(N=n, b_f=b_f, taper=taper or TaperSpec())
 
     def b_t(self, T):
         return self.N / T
@@ -321,12 +325,12 @@ def _smoothing_band(cfg, omegas):
             f"spacing {spacing:.4g}; the weight sum degenerates",
             stacklevel=3,
         )
-    reach = cfg.fkernel.half_width * cfg.b_f / spacing
+    reach = FREQ_KERNEL.half_width * cfg.b_f / spacing
     width = min(n, 2 * int(np.ceil(reach)) + 3)
     first = np.floor(omegas / spacing - reach).astype(int) - 1
     index = np.mod(first[:, None] + np.arange(width), n)
     freqs = TWO_PI * (index - n * (index >= n - n // 2)) / n
-    w = cfg.fkernel.values(wrap_frequency(omegas[:, None] - freqs) / cfg.b_f)
+    w = FREQ_KERNEL.values(wrap_frequency(omegas[:, None] - freqs) / cfg.b_f)
     totals = w.sum(axis=1)
     empty = np.flatnonzero(totals <= 0)
     if empty.size:
@@ -382,8 +386,8 @@ def estimate_grid(x, cfg, T, u_grid, omega_grid=None, t0=1):
     """Smoothed spectral estimates on a (u, omega) product grid.
 
     The single-series case of the replication-batched smoother that the
-    Monte Carlo checks drive: one FFT per u, and each frequency's weights
-    applied only over the Fourier frequencies inside its kernel support.
+    Monte Carlo checks drive, one row per u: one FFT per u, and each frequency's
+    weights applied only over the Fourier frequencies inside its kernel support.
 
     Parameters
     ----------
@@ -395,16 +399,12 @@ def estimate_grid(x, cfg, T, u_grid, omega_grid=None, t0=1):
     -------
     SpectralGrid with provenance ``smoothed``.
     """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError("series must be a 2-d array (time, coefficient)")
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if omega_grid is None:
         omegas = cfg.omega_grid()
     else:
         omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     band = _smoothing_band(cfg, omegas)
-    values = np.empty((u_grid.size, omegas.size, x.shape[1], x.shape[1]), dtype=complex)
-    for a, u in enumerate(u_grid):
-        values[a] = _smoothed_rows(_segment(x, u, cfg, T, t0)[None], cfg, band)[0]
-    return SpectralGrid(u=u_grid, omega=omegas, values=values, provenance="smoothed")
+    segments = np.stack([_segment(x, u, cfg, T, t0) for u in u_grid])
+    return SpectralGrid(u=u_grid, omega=omegas, values=_smoothed_rows(segments, cfg, band),
+                        provenance="smoothed")

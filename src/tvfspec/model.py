@@ -28,11 +28,11 @@ companion product for all anchors at once, one block of lags after another,
 and composes the moving-average part on top.  ``ma_coefficients`` assembles
 its blocks, ``choose_ma_order`` continues it from one doubling of the lag
 count to the next, and the autocovariances of ``spectrum`` run it per group
-of anchor times.  ``simulate_ma`` carries the forward responses of a block
-of innovation rows at once, latest block first.  Each of these stacks (a lag
-block, an anchor group, a row block's operators) stays within
-``_FILTER_BYTES``, so no working memory grows with anchors x lags or with
-the window.
+of anchor times.  ``simulate_ma`` gives t = 1..T from innovation rows that
+end at T, carrying the forward responses of a block of rows at once, latest
+block first.  Each of these stacks (a lag block, an anchor group, a row
+block's operators) stays within ``_FILTER_BYTES``, so no working memory
+grows with anchors x lags or with T.
 The stability report on the default grid is computed once per model
 (``TvFarmaModel.stability``).  ``require_stable``, the one stability gate,
 reads it; ``simulate``, ``evaluate.replicate`` and ``choose_ma_order`` (the
@@ -126,6 +126,8 @@ class OperatorCurve:
             raise ValueError("need knots (G,) with G >= 1 and values (G, K, K)")
         if values.shape[1] != values.shape[2]:
             raise ValueError("curve values must be square matrices")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ValueError("curve knots and values must be finite")
         if knots.size > 1 and np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)
@@ -176,8 +178,8 @@ class InnovationSpec:
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 1 or sigma.size == 0 or np.any(sigma < 0):
-            raise ValueError("sigma must be a nonempty nonnegative vector")
+        if sigma.ndim != 1 or sigma.size == 0 or not np.all((sigma >= 0) & (sigma < np.inf)):
+            raise ValueError("sigma must be a nonempty nonnegative finite vector")
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -623,16 +625,14 @@ def choose_ma_order(model, T, tol=1e-10):
     raise RuntimeError(f"no truncation below tol={tol} within {MAX_MA_LAGS} lags")
 
 
-def simulate_ma(model, T, innovations, lags, t_start=1, t_end=None, eps_t_start=None):
-    """Simulate by the truncated causal moving-average representation.
+def simulate_ma(model, T, innovations, lags):
+    """The (T, K) rows of t = 1, ..., T by the truncated causal moving-average form.
 
     Parameters
     ----------
     innovations : ndarray, shape (len, K)
-        Innovation rows for consecutive times ending at ``t_end``; the first
-        row sits at ``eps_t_start`` (default ``t_end - len + 1``, which
-        matches the array produced by ``simulate(..., return_innovations=True)``
-        for the same window).
+        Innovation rows for consecutive times ending at t = T, the rows
+        ``simulate(..., return_innovations=True)`` returns.
     lags : int
         Truncation order L; innovations older than L steps are dropped.
 
@@ -648,36 +648,31 @@ def simulate_ma(model, T, innovations, lags, t_start=1, t_end=None, eps_t_start=
     result does not depend on the block size.  Each step writes into
     buffers allocated once per call.
     """
-    if t_end is None:
-        t_end = T
-    count = t_end - t_start + 1
     k = model.dim
     m = model.ar_order
     n = model.ma_order
-    if eps_t_start is None:
-        eps_t_start = t_end - innovations.shape[0] + 1
-    x = np.zeros((count, k))
-    # only rows whose responses reach [t_start, t_end] within ``lags`` steps
-    lo = max(0, t_start - lags - eps_t_start)
-    hi = min(innovations.shape[0], t_end - eps_t_start + 1)
-    if hi <= lo:
+    # only rows whose responses reach t = 1 within ``lags`` steps
+    innovations = innovations[max(0, innovations.shape[0] - T - lags):]
+    count = innovations.shape[0]
+    x = np.zeros((T, k))
+    if not count:
         return x
     curves = m + n + (model.c is not None)
     rows = max(_FILTER_BYTES // (8 * k * k * max(curves, 1)) - lags, lags + 1)
-    rows = -(-(hi - lo) // -(-(hi - lo) // rows))  # equal blocks
+    rows = -(-count // -(-count // rows))  # equal blocks
     # responses of the last m + 1 steps, and one step's product
     hist = np.empty((m + 1, rows, k))
     term = np.empty((rows, k))
-    for b0 in range(lo + (hi - lo - 1) // rows * rows, lo - 1, -rows):
-        b1 = min(b0 + rows, hi)
-        r0 = eps_t_start + b0
-        ar, ma, c = _curves_at(model, np.arange(r0, min(r0 + b1 - b0 - 1 + lags, t_end) + 1) / T)
+    for b0 in range((count - 1) // rows * rows, -1, -rows):
+        b1 = min(b0 + rows, count)
+        r0 = T - count + 1 + b0
+        ar, ma, c = _curves_at(model, np.arange(r0, min(r0 + b1 - b0 - 1 + lags, T) + 1) / T)
         shock = innovations[b0:b1]
         if c is not None:
             shock = np.einsum("rij,rj->ri", c[:b1 - b0], shock)
         for j in range(lags + 1):
-            # row i sits at time r0 + i + j; rows past t_end are done
-            active = min(b1 - b0, t_end - r0 - j + 1)
+            # row i sits at time r0 + i + j; rows past T are done
+            active = min(b1 - b0, T - r0 - j + 1)
             if active <= 0:
                 break
             y = hist[j % (m + 1), :active]
@@ -693,9 +688,9 @@ def simulate_ma(model, T, innovations, lags, t_start=1, t_end=None, eps_t_start=
                 if j <= n:
                     y += np.einsum("rab,rb->ra", ma[j - 1][j:j + active], shock[:active],
                                    out=term[:active])
-            first = max(0, t_start - r0 - j)  # rows not yet at t_start
+            first = max(0, 1 - r0 - j)  # rows not yet at t = 1
             if first < active:
-                x[r0 + first + j - t_start:r0 + active + j - t_start] += y[first:active]
+                x[r0 + first + j - 1:r0 + active + j - 1] += y[first:active]
         del ar, ma, c  # freed before the next block's stacks are built
     return x
 

@@ -13,7 +13,7 @@ import pytest
 
 import tvfspec
 from tvfspec import cli, evaluate, ingest
-from tvfspec.estimator import EstimatorConfig, fourier_frequencies
+from tvfspec.estimator import EstimatorConfig, TaperSpec, fourier_frequencies
 from tvfspec.ingest import (
     model_document,
     read_kernel_table,
@@ -157,6 +157,25 @@ class TestSimulate:
         config = write_config(tmp_path, "sim.json", {"model": {"preset": "nope"}, "T": 64})
         assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x")]) == 2
 
+    def test_missing_sample_size_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, "sim.json", far1_config())
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 2
+        assert "config error: sample size T required" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"), ("[1, 2]\n", "config must be a JSON object"),
+    ], ids=["unreadable", "not-an-object"])
+    def test_config_that_cannot_be_read_as_an_object_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(path), "--T", "64", "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTruth:
     def test_white_noise_grid_is_flat(self, tmp_path):
@@ -178,6 +197,20 @@ class TestTruth:
         assert table.shape == (2 * 8 * 8 * 8, 7)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["u_count"] == 2 and manifest["omega_count"] == 8
+
+    def test_model_path_gives_the_preset_truth(self, tmp_path):
+        # simulate writes the preset's model.json; truth from it matches truth from the preset
+        preset = {"preset": "far1", "size": 3}
+        simulated = tmp_path / "sim"
+        sim = write_config(tmp_path, "sim.json", {"model": preset, "T": 64, "render": 8})
+        assert cli.main(["simulate", "--config", sim, "--out", str(simulated)]) == 0
+        files = []
+        for name, model in (("preset", preset), ("path", {"path": str(simulated / "model.json")})):
+            config = write_config(tmp_path, f"{name}.json", {"model": model, "u": [0.3, 0.6],
+                                                             "omega": {"count": 8}})
+            assert cli.main(["truth", "--config", config, "--out", str(tmp_path / name)]) == 0
+            files.append((tmp_path / name / "truth_coeff.csv").read_bytes())
+        assert files[1] == files[0]
 
 
 class TestEstimate:
@@ -243,6 +276,18 @@ class TestEstimate:
         report = json.loads((out / "estimate_report.json").read_text())
         assert report["u"][0] == report["valid_band"][0]
         assert report["u"][-1] == report["valid_band"][1]
+
+    def test_model_sets_the_basis(self, tmp_path):
+        sim = write_config(tmp_path, "sim.json", far1_config(T=256, render=8))
+        assert cli.main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+        series = str(tmp_path / "sim" / "series.csv")
+        files = []
+        for name, config in (("size", {"basis_size": 3}), ("model", far1_config())):
+            path = write_config(tmp_path, f"{name}.json", {**config, "omega": {"count": 8}})
+            assert cli.main(["estimate", series, "--config", path,
+                             "--out", str(tmp_path / name)]) == 0
+            files.append((tmp_path / name / "estimate_coeff.csv").read_bytes())
+        assert files[1] == files[0]
 
     def test_missing_series_exits_5(self, tmp_path):
         code = cli.main(["estimate", str(tmp_path / "none.csv"),
@@ -316,6 +361,27 @@ class TestEvaluate:
         report.notes.append(f"config_sha256={config_hash}")
         ingest.write_report(report, tmp_path / "library.json")
         assert (tmp_path / "library.json").read_bytes() == (out / "imse.json").read_bytes()
+
+    @pytest.mark.parametrize("check, call", [
+        ("bias", lambda model, cfg: evaluate.mc_mean_bias(model, cfg, 512, 0.5, 0.0, 4,
+                                                          projection=(0, 0), seed=7)),
+        ("covariance", lambda model, cfg: evaluate.mc_covariance(
+            model, cfg, 512, 0.5, np.pi / 2, np.pi / 4, 4, seed=7)),
+        ("normality", lambda model, cfg: evaluate.mc_normality(model, cfg, 512, 0.5, np.pi / 2,
+                                                               4, seed=7)),
+    ], ids=["bias", "covariance", "normality"])
+    def test_estimating_check_writes_the_library_report(self, tmp_path, check, call):
+        # each check at its default u, frequencies and projection
+        config = write_config(tmp_path, "check.json", far1_config(
+            checks=[check], **{check: {"T": 512, "replications": 4}}))
+        out = tmp_path / "run"
+        code = cli.main(["evaluate", "--config", config, "--seed", "7", "--out", str(out)])
+        report = call(far1(size=3), EstimatorConfig.auto(512))
+        assert code == (0 if report.passed else 1)
+        config_hash = hashlib.sha256(Path(config).read_bytes()).hexdigest()
+        report.notes.append(f"config_sha256={config_hash}")
+        ingest.write_report(report, tmp_path / "library.json")
+        assert (tmp_path / "library.json").read_bytes() == (out / f"{check}.json").read_bytes()
 
     @pytest.mark.parametrize("omega", [[0.5, 1.0, 2.0], [2.0, 1.0, 0.5], [0.5, 2.0, 1.0]],
                              ids=["sorted", "descending", "unsorted"])
@@ -575,14 +641,78 @@ def test_bad_setting_writes_nothing(tmp_path, argv, config, code):
     ({"half_width": -1}, "estimator.half_width", "frequency bandwidth must be positive"),
     ({"taper": {"name": "nope"}}, "estimator.taper.name", "unknown taper 'nope'"),
     ({"taper": {"rho": 0.9}}, "estimator.taper.rho", "cosine_flat rise fraction"),
-    ({"kernel": {"half_width": 0}}, "estimator.kernel.half_width", "half_width must be positive"),
-], ids=["segment", "half_width", "taper-name", "taper-rho", "kernel-half_width"])
+    ({"taper": {"name": "flat", "rho": 0.3}}, "estimator.taper.rho", "not read by taper flat"),
+    ({"taper": {"name": "sqrt_epanechnikov", "rho": 0.45}}, "estimator.taper.rho",
+     "not read by taper sqrt_epanechnikov"),
+], ids=["segment", "half_width", "taper-name", "taper-rho", "flat-rho", "sqrt_epanechnikov-rho"])
 def test_estimator_error_names_its_config_key(tmp_path, capsys, estimator, key, message):
     config = write_config(tmp_path, "bad.json", far1_config(checks=["bias"], estimator=estimator))
     out = tmp_path / "out"
     assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: {message}")
     assert list(out.iterdir()) == []
+
+
+def ar1_document(**changes):
+    """A stable two-dimensional AR(1) model document with ``changes`` applied."""
+    curve = OperatorCurve.constant(np.diag([0.5, -0.3]))
+    model = TvFarmaModel(ar=(curve,), innovations=InnovationSpec(np.ones(2)))
+    return {**model_document(model), **changes}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("estimate", '{"estimator": {"half_width": Infinity}}',
+     "estimator.half_width must be a finite number, got inf"),
+    ("estimate", '{"estimator": {"half_width": 1e999}}',
+     "estimator.half_width must be a finite number, got inf"),
+    ("simulate", json.dumps({"model": ar1_document(sigma=[np.nan, 1.0]), "T": 64}),
+     "bad inline model document: sigma must be a nonempty nonnegative finite vector"),
+    ("truth", json.dumps({"model": ar1_document(ar=[{"knots": [0.0], "values": [
+        [np.inf, 0.0, 0.0, 0.5]]}])}),
+     "bad inline model document: curve knots and values must be finite"),
+    ("truth", '{"model": {"preset": "far1", "size": 3}, "omega": [NaN]}',
+     "omega[0] must be a finite number, got nan"),
+    ("simulate", '{"model": {"preset": "far1", "size": 3, "eta": NaN}, "T": 64}',
+     "model.eta must be a finite number, got nan"),
+], ids=["estimate-half_width-Infinity", "estimate-half_width-1e999", "simulate-sigma-NaN",
+        "truth-ar-Infinity", "truth-omega-NaN", "simulate-eta-NaN"])
+def test_non_finite_number_exits_2_before_any_write(tmp_path, capsys, command, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(config)
+    argv = [command, white_series(tmp_path)] if command == "estimate" else [command]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_non_finite_model_file_exits_2_before_any_write(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(ar1_document(sigma=[1.0, np.nan])))
+    config = write_config(tmp_path, "sim.json", {"model": {"path": str(model)}, "T": 64})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 2
+    assert f"config error: cannot load model {model}: sigma must be" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "evaluate"])
+def test_frequency_kernel_width_is_not_a_setting(tmp_path, capsys, command):
+    # b_f alone sets the kernel support: a width w is b_f scaled by w / 0.5
+    config = write_config(tmp_path, "bad.json",
+                          far1_config(checks=["bias"], estimator={"kernel": {"half_width": 1.0}}))
+    argv = [command, white_series(tmp_path)] if command == "estimate" else [command]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", config, "--out", str(out)]) == 2
+    assert "config error: unknown key estimator.kernel" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("taper", [{"name": "cosine_flat", "rho": 0.3}, {"rho": 0.3}],
+                         ids=["cosine_flat", "no-name"])
+def test_taper_rho_is_accepted_where_the_taper_reads_it(taper):
+    config = cli._validate(far1_config(estimator={"taper": taper}))
+    assert cli._resolve_estimator(config, 512).taper == TaperSpec(name="cosine_flat", rho=0.3)
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate", "check"])
@@ -657,6 +787,11 @@ def bad_values(path, rule):
                  ([], f"{path} needs {rule.many} or more distinct entries, got []")]
     else:
         cases = [(wrong, f"{path} must be ")]
+    # json reads NaN, Infinity and 1e999 as floats
+    if rule.kind is float:
+        cases.append(([np.inf] if rule.many else np.inf, f"{at} must be a finite number"))
+    if rule.kind == "axis":
+        cases.append(([np.nan], f"{path}[0] must be a finite number"))
     if rule.many > 1:
         cases.append(([256, 256], f"{path} needs {rule.many} or more distinct entries"))
     if type(rule.kind) is tuple:

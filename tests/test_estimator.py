@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvfspec.estimator import (
+    FREQ_KERNEL,
     BoundaryError,
     _smoothed_rows,
     _smoothing_band,
@@ -68,7 +69,7 @@ class TestTapers:
 
 class TestKernelConstants:
     def test_epanechnikov_moments(self):
-        c = kernel_constants(FreqKernelSpec())
+        c = kernel_constants(FREQ_KERNEL)
         assert c.mass == pytest.approx(1.0, abs=1e-10)
         assert c.mean == pytest.approx(0.0, abs=1e-12)
         assert c.kappa == pytest.approx(1.0 / 20.0, abs=1e-10)
@@ -130,8 +131,9 @@ class TestDefaultBandwidths:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="even"):
             EstimatorConfig(N=7, b_f=0.3)
-        with pytest.raises(ValueError, match="positive"):
-            EstimatorConfig(N=8, b_f=0.0)
+        for b_f in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                EstimatorConfig(N=8, b_f=b_f)
         cfg = EstimatorConfig.auto(512)
         assert cfg.N == 182
         lo, hi = cfg.valid_band(512)
@@ -239,7 +241,7 @@ def weight_loop_estimate(x, cfg, T, u, omegas):
     grid = fourier_frequencies(cfg.N)
     out = []
     for omega in omegas:
-        w = cfg.fkernel.values(wrap_frequency(omega - grid) / cfg.b_f)
+        w = FREQ_KERNEL.values(wrap_frequency(omega - grid) / cfg.b_f)
         out.append(sum(wn * pn for wn, pn in zip(w / w.sum(), per)))
     return np.array(out)
 
@@ -247,7 +249,7 @@ def weight_loop_estimate(x, cfg, T, u, omegas):
 def dense_estimate(x, cfg, T, u, omegas, t0=1):
     """Reference smoother: dense weight matrix over all N periodogram operators."""
     per = local_periodogram_grid(x, u, cfg, T, t0=t0)
-    w = cfg.fkernel.values(
+    w = FREQ_KERNEL.values(
         wrap_frequency(np.asarray(omegas)[:, None] - fourier_frequencies(cfg.N)) / cfg.b_f
     )
     w /= w.sum(axis=1, keepdims=True)
@@ -370,6 +372,11 @@ class TestSmoothing:
         single = estimate_grid(x, cfg, T, [0.5], omega_grid=[omega]).values[0, 0]
         grid = estimate_grid(x, cfg, T, [0.5]).values[0, 20]
         assert np.abs(single - grid).max() < 1e-10
+
+    def test_series_must_be_two_dimensional(self):
+        cfg = EstimatorConfig(N=32, b_f=0.5)
+        with pytest.raises(ValueError, match="2-d array"):
+            estimate_grid(np.zeros(128), cfg, 128, [0.5])
 
     def test_provenance_labels(self):
         rng = np.random.default_rng(17)

@@ -522,6 +522,13 @@ class TestNormality:
         assert rep.quantities["effective_dof"] > 0.0
         json.loads(write_json(rep.document()))
 
+    def test_vanishing_imaginary_parts_are_skipped_at_frequency_zero(self):
+        rep = mc_normality(far1(size=3), EstimatorConfig.auto(512), T=512, u=0.5, omega=0.0,
+                           R=4, seed=7)
+        parts = [(p["projection"], p["part"]) for p in rep.quantities["projections"]]
+        assert parts == [([0, 1], "re"), ([0, 2], "re"), ([1, 2], "re")]
+        assert set(rep.passes) == {"proj_01_re", "proj_02_re", "proj_12_re"}
+
     def test_low_dof_is_informational(self):
         cfg = EstimatorConfig(N=16, b_f=0.5)
         rep = mc_normality(white(dim=3), cfg, T=64, u=0.5, omega=np.pi / 2,

@@ -203,6 +203,15 @@ class TestSpectralGridFiles:
         with pytest.raises(ParseError, match="unknown provenance"):
             read_spectral_grid(path)
 
+        path.write_text("\n".join([lines[0]] + lines[2:]))
+        with pytest.raises(ParseError, match=":2: missing metadata line"):
+            read_spectral_grid(path)
+
+        bad_meta = [lines[0], lines[1].replace("dim 2", "dim two")] + lines[2:]
+        path.write_text("\n".join(bad_meta))
+        with pytest.raises(ParseError, match=":2: bad metadata line"):
+            read_spectral_grid(path)
+
     def test_inconsistent_axis_values_rejected(self, tmp_path):
         # 2 u x 2 omega x 2 x 2 coefficients, four rows per (u, omega) block;
         # data row r is file line r + 2

@@ -267,6 +267,9 @@ class TestOperatorCurve:
             OperatorCurve(knots=np.array([0.0, 1.0]), values=np.zeros((3, 1, 1)))
         with pytest.raises(ValueError):
             OperatorCurve(knots=np.array([0.0, 1.0]), values=np.zeros((2, 2, 1)))
+        for knots, entry in (([0.0, np.nan], 0.0), ([0.0, 1.0], np.inf), ([0.0, 1.0], np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                OperatorCurve(knots=np.array(knots), values=np.full((2, 1, 1), entry))
 
     def test_batch_holds_the_result_and_one_chunk(self):
         curve = far2(size=15).ar[0]
@@ -287,6 +290,18 @@ class TestOperatorCurve:
         curve = far2(size=15).ar[1]
         us = np.linspace(-0.1, 1.1, 600)
         assert curve.batch(us).tobytes() == np.array([curve(u) for u in us]).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [[np.nan, 1.0], [1.0, np.inf], [-1.0, 1.0], []])
+def test_innovation_scales_must_be_nonnegative_and_finite(sigma):
+    with pytest.raises(ValueError, match="nonnegative finite"):
+        InnovationSpec(np.array(sigma))
+
+
+def test_model_dimensions_must_agree():
+    curve = OperatorCurve.constant(np.eye(2))
+    with pytest.raises(ValueError, match="share one dimension"):
+        TvFarmaModel(ar=(curve,), innovations=InnovationSpec(np.ones(3)))
 
 
 def knotted_curve(rng, dim, scale, count):
@@ -785,14 +800,12 @@ class TestMovingAverageForm:
     @pytest.mark.parametrize("m, n, with_c", [(2, 0, False), (1, 2, True), (0, 1, True)])
     def test_truncated_ma_window_matches_per_row_loop(self, m, n, with_c):
         model = random_model(17, 3, m, n, with_c)
-        T = 80
-        innovations = spawn_rng(3, 1).standard_normal((70, 3))
-        eps_t_start = -5
-        for lags, t_start, t_end in [(9, 12, 61), (40, 3, 30), (0, 20, 20)]:
-            got = simulate_ma(model, T, innovations, lags, t_start=t_start, t_end=t_end,
-                              eps_t_start=eps_t_start)
-            want = truncated_ma_rows(model, T, innovations, lags, t_start, t_end, eps_t_start)
-            assert got.shape == want.shape == (t_end - t_start + 1, 3)
+        # innovations from before t = 1, from after it, and from t = 1 on
+        for lags, T, rows in [(9, 61, 70), (40, 30, 28), (0, 20, 20)]:
+            innovations = spawn_rng(3, 1).standard_normal((rows, 3))
+            got = simulate_ma(model, T, innovations, lags)
+            want = truncated_ma_rows(model, T, innovations, lags, 1, T, T - rows + 1)
+            assert got.shape == want.shape == (T, 3)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_choose_ma_order_tail_below_tol(self):
@@ -860,26 +873,21 @@ class TestBoundedFilterLayer:
         with_c=st.booleans(),
         T=st.integers(8, 64),
         lags=st.integers(0, 12),
-        t_start=st.integers(-3, 20),
-        length=st.integers(1, 40),
-        lead=st.integers(0, 30),
+        lead=st.integers(-8, 30),
         budget=st.sampled_from([1, 300, 2**20]),
     )
-    # a row block that ends before t_start at step 0
-    @example(seed=0, dim=1, m=0, n=0, with_c=False, T=8, lags=4, t_start=0, length=2, lead=4,
-             budget=1)
+    # a row block whose burn-in rows end before t = 1 at step 0
+    @example(seed=0, dim=1, m=0, n=0, with_c=False, T=8, lags=4, lead=6, budget=1)
     def test_simulate_ma_equals_the_all_rows_form(
-        self, seed, dim, m, n, with_c, T, lags, t_start, length, lead, budget
+        self, seed, dim, m, n, with_c, T, lags, lead, budget
     ):
         model = random_model(seed, dim, m, n, with_c)
-        t_end = t_start + length - 1
-        eps_t_start = t_start - lead
-        innovations = spawn_rng(seed, 1).standard_normal((lead + length, dim))
+        # T + lead rows ending at t = T: the first at 1 - lead, none when lead = -T
+        innovations = spawn_rng(seed, 1).standard_normal((T + lead, dim))
         with pytest.MonkeyPatch.context() as mp:
             filter_budget(mp, budget)
-            got = simulate_ma(model, T, innovations, lags, t_start=t_start, t_end=t_end,
-                              eps_t_start=eps_t_start)
-        want = dense_simulate_ma(model, T, innovations, lags, t_start, t_end, eps_t_start)
+            got = simulate_ma(model, T, innovations, lags)
+        want = dense_simulate_ma(model, T, innovations, lags, 1, T, 1 - lead)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("build", [lambda: far1(size=15), lambda: far2(size=15)],

@@ -21,6 +21,7 @@ from tvfspec.model import (
 )
 from tvfspec.spectrum import (
     TWO_PI,
+    SpectralGrid,
     TransferSingularError,
     autocov_sequence,
     local_autocov,
@@ -127,6 +128,13 @@ class TestDensitySymmetries:
         grid = truth_grid(model, [0.5], OMEGAS)
         assert grid.provenance == "truth"
         assert grid.values.shape == (1, 64, 1, 1)
+
+    def test_grid_shape_and_provenance_are_checked(self):
+        for values in (np.zeros((1, 2, 1, 1)), np.zeros((1, 1, 1, 2))):
+            with pytest.raises(ValueError, match="values must have shape"):
+                SpectralGrid(u=[0.5], omega=[0.0], values=values, provenance="truth")
+        with pytest.raises(ValueError, match="provenance must be one of"):
+            SpectralGrid(u=[0.5], omega=[0.0], values=np.zeros((1, 1, 1, 1)), provenance="raw")
 
     def test_truth_grid_rejects_rescaled_times_outside_the_unit_interval(self, monkeypatch):
         # the operator curves live on [0, 1]; a point outside raises before
