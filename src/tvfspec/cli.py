@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -52,12 +53,9 @@ from .estimator import (
 )
 from .funspace import BasisSpec, adjoint, kernel_grid
 from .model import (
-    InnovationSpec,
+    PRESETS,
     StabilityError,
-    TvFarmaModel,
     check_stability,
-    far1,
-    far2,
     replication_seed,
     require_stable,
     simulate,
@@ -117,7 +115,7 @@ _TABLE = {
     "u": _Key("axis", 1, unit=True), "omega": _Key("axis", 1), "render": _Key(int, 2),
     "basis_size": _Key(int, 1), "kernel": _Key(bool),
     "checks": _Key(("imse", "bias", "covariance", "normality", "stationarity"), many=1),
-    "model": {"preset": _Key(("far1", "far2", "white")), "path": _Key(str),
+    "model": {"preset": _Key(tuple(PRESETS)), "path": _Key(str),
               "size": _Key(int, 1), "seed": _Key(int, 0), "eta": _Key(float),
               "decay": _Key(float), "knots": _Key(int, 1), "sigma": _Key(float, 0, many=1)},
     # the estimator's own classes bound these values; _resolve_estimator names a rejected key
@@ -132,10 +130,9 @@ _TABLE = {
                      "replications": _Key(int, 1)},
 }
 
-# the ``model`` keys each preset, and the document path form, reads
-_MODEL_FORMS = {"far1": ("preset", "size", "seed", "eta", "decay", "knots"),
-                "far2": ("preset", "size", "seed", "knots"),
-                "white": ("preset", "size", "sigma"), "path": ("path",)}
+# the ``model`` keys each preset (its builder's parameters), and the document path form, reads
+_MODEL_FORMS = {**{name: ("preset", *inspect.signature(build).parameters)
+                   for name, build in PRESETS.items()}, "path": ("path",)}
 
 
 def _check(value, rule, path):
@@ -292,15 +289,11 @@ def _resolve_model(config):
     if spec is None:
         raise ConfigError("config needs a 'model' entry (preset, path, or document)")
     if "preset" in spec:
-        name, size = spec["preset"], _get(config, "model.size", 15)
-        if name == "white":
-            sigma = _get(config, "model.sigma", np.ones(size))
-            return TvFarmaModel(innovations=InnovationSpec(np.asarray(sigma, dtype=float))), None
-        build, seed = (far1, 0) if name == "far1" else (far2, 1)
-        # _validate has rejected the keys this preset does not read
-        kwargs = {k: spec[k] for k in ("eta", "decay", "knots") if k in spec}
-        seed = _get(config, "model.seed", seed)
-        return build(size=size, seed=seed, **kwargs), seed
+        # _validate has rejected the keys this preset's builder does not take
+        build = PRESETS[spec["preset"]]
+        keys = {key: value for key, value in spec.items() if key != "preset"}
+        defaults = {key: p.default for key, p in inspect.signature(build).parameters.items()}
+        return build(**keys), {**defaults, **keys}.get("seed")  # None for a builder without one
     if "path" in spec:
         path = spec["path"]
         try:
@@ -346,6 +339,15 @@ def _axis(config, path, default, grid):
     return np.atleast_1d(np.asarray(spec, dtype=float))
 
 
+def _require_memory(T, floats_per_step, path):
+    """Reject a sample size whose one series (``floats_per_step`` float64 values per
+    time step) cannot fit in physical memory, before anything is written."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * T * floats_per_step > memory:
+        raise ConfigError(f"{path} = {T} is too large: one series of that length needs more "
+                          f"than the {memory / 2**30:.1f} GiB of physical memory")
+
+
 def _checked_stability(run, model):
     """Write ``stability.json``; on failure finish the run, then let the gate raise."""
     report = check_stability(model)
@@ -372,6 +374,7 @@ def cmd_simulate(args):
     if T is None:
         raise ConfigError("sample size T required (config 'T' or --T)")
     grid = ingest.render_grid(_get(run.config, "render", 64))
+    _require_memory(T, max(model.dim, grid.size), "--T" if args.T else "T")
     if model.ar:
         _checked_stability(run, model)
     x = simulate(model, T, seed=run.seed)
@@ -421,11 +424,12 @@ def cmd_estimate(args):
     scale = float(np.abs(eigs).max())
     min_eig = float(eigs.min())
     traces = np.einsum("uwkk->uw", grid.values).real
+    tol = 1e-10 * max(scale, 1.0)  # relative to the estimates' scale, as rounding is
     report = {
         "hermitian_max_deviation": herm,
-        "hermitian": herm <= 1e-10,
+        "hermitian": herm <= tol,
         "min_eigenvalue": min_eig,
-        "psd": min_eig >= -1e-10 * max(scale, 1.0),
+        "psd": min_eig >= -tol,
         "trace_mean_over_omega": traces.mean(axis=1),
         "projection_residual_max": float(projection.residuals.max()),
         "projection_residual_mean": float(projection.residuals.mean()),
@@ -492,11 +496,15 @@ def _resolve_estimating(run, model, check):
 def _resolve_stationarity(run, model):
     """Local stationarity diagnostic, of 16 replications under ``check`` unless set, else 32."""
     config = run.config
+    t_list = _get(config, "stationarity.T_list", [2**8, 2**10, 2**12])
+    for i, T in enumerate(t_list):
+        # a row holds the model's series and its frozen companion's
+        _require_memory(T, 2 * model.dim, f"stationarity.T_list[{i}]")
     return partial(
         evaluate.local_stationarity_check,
         model,
         u=_get(config, "stationarity.u", 0.25),
-        T_list=_get(config, "stationarity.T_list", [2**8, 2**10, 2**12]),
+        T_list=t_list,
         R=_get(config, "stationarity.replications", 16 if run.command == "check" else 32),
         seed=run.seed,
         workers=run.threads,
@@ -539,12 +547,9 @@ def cmd_evaluate(args):
 def cmd_reproduce(args):
     run = Run("reproduce", args)
     T = _check(args.T or _get(run.config, "T", 2**9), _Key(REPRODUCE_LENGTHS), "T")
-    if args.figure == "far1":
-        model = far1(size=15)
-        slices = list(FAR1_SLICES)
-    else:
-        model = far2(size=15)
-        slices = [(u, 1.5 - np.cos(np.pi * u)) for u in FAR2_SLICE_US]
+    model = PRESETS[args.figure]()
+    slices = (list(FAR1_SLICES) if args.figure == "far1"
+              else [(u, 1.5 - np.cos(np.pi * u)) for u in FAR2_SLICE_US])
     render = ingest.render_grid(_get(run.config, "render", 64))
     _checked_stability(run, model)
     # Figure presets taper with sqrt-Epanechnikov so the induced time kernel

@@ -755,3 +755,12 @@ def far2(size=15, seed=1, knots=64):
     sigma = 1.0 / (np.abs(l - 2.65) * np.pi)
     return TvFarmaModel(ar=(curve1, curve2), innovations=InnovationSpec(sigma))
 
+
+def white(size=15, sigma=None):
+    """White-noise preset: innovation scales ``sigma``, all ones by default;
+    a given ``sigma`` sets the dimension, and ``size`` is then not read."""
+    return TvFarmaModel(innovations=InnovationSpec(np.ones(size) if sigma is None else sigma))
+
+
+# name -> builder, whose keyword parameters and defaults are the preset's keys and defaults
+PRESETS = {"far1": far1, "far2": far2, "white": white}

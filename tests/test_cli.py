@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -20,7 +21,7 @@ from tvfspec.ingest import (
     read_series,
     read_spectral_grid,
 )
-from tvfspec.model import InnovationSpec, OperatorCurve, TvFarmaModel, far1
+from tvfspec.model import PRESETS, InnovationSpec, OperatorCurve, TvFarmaModel, far1
 from tvfspec.spectrum import TWO_PI
 
 
@@ -288,6 +289,19 @@ class TestEstimate:
                              "--out", str(tmp_path / name)]) == 0
             files.append((tmp_path / name / "estimate_coeff.csv").read_bytes())
         assert files[1] == files[0]
+
+    def test_hermitian_tolerance_is_relative_to_the_estimates_scale(self, tmp_path):
+        # far1 scaled by 1e4 is Hermitian to rounding: its deviation is about 2e-9
+        sim = write_config(tmp_path, "sim.json", {"model": {"preset": "far1"}, "T": 512})
+        assert cli.main(["simulate", "--config", sim, "--seed", "3",
+                         "--out", str(tmp_path / "sim")]) == 0
+        raw = read_series(tmp_path / "sim" / "series.csv")
+        series = tmp_path / "scaled.csv"
+        ingest.write_series(ingest.RawSeries(grid=raw.grid, data=raw.data * 1e4), series)
+        assert cli.main(["estimate", str(series), "--out", str(tmp_path / "est")]) == 0
+        report = json.loads((tmp_path / "est" / "estimate_report.json").read_text())
+        assert report["hermitian_max_deviation"] > 1e-10
+        assert report["hermitian"] is True and report["psd"] is True
 
     def test_missing_series_exits_5(self, tmp_path):
         code = cli.main(["estimate", str(tmp_path / "none.csv"),
@@ -884,6 +898,22 @@ def test_out_of_range_setting_exits_2_before_any_write(tmp_path, capsys, argv, c
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("T", [10**30, 2**40])
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "T"), ("simulate", "--T"), ("check", "stationarity.T_list[1]"),
+], ids=["simulate-config", "simulate-flag", "check"])
+def test_sample_size_beyond_physical_memory_exits_2_before_any_write(
+    tmp_path, capsys, T, command, key
+):
+    config, flags = {"T": ({"T": T}, []), "--T": ({}, ["--T", str(T)]),
+                     "stationarity.T_list[1]": ({"stationarity": {"T_list": [256, T]}}, [])}[key]
+    path = write_config(tmp_path, "big.json", {"model": {"preset": "far1", "size": 3}, **config})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, *flags, "--out", str(out)]) == 2
+    assert f"config error: {key} = {T} is too large" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, model, message", [
     ("truth", {"preset": "far2", "size": 3, "eta": 0.9, "decay": 7, "sigma": [5, 5, 5]},
      "model.eta is not read by preset far2 (it reads preset, size, seed, knots)"),
@@ -946,3 +976,21 @@ def test_documented_configs_validate():
     assert len(bench) == 1
     for config in [*map(json.loads, blocks), *bench]:
         cli._validate(config)
+
+
+def test_readme_model_table_matches_the_preset_builders():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| form | keys it reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `?(\w+)`? \| (.*) \|$", table, re.M))
+    assert list(rows) == [*PRESETS, "path"]
+    for form, cell in rows.items():
+        # each key in backquotes, then its note in parentheses, if any
+        notes = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", cell)
+        assert tuple(key for key, _ in notes) == cli._MODEL_FORMS[form]
+        if form == "path":
+            continue
+        params = inspect.signature(PRESETS[form]).parameters
+        assert params.keys() <= cli._TABLE["model"].keys()
+        for key, note in notes:
+            if key in ("size", "seed"):
+                assert re.fullmatch(rf"(default )?{params[key].default}", note), (form, key)

@@ -504,6 +504,15 @@ class TestCovariance:
             pred = predicted_covariance(f1, cfg, np.pi / 2, np.pi / 2, pair)
             assert entry["predicted"] == {"re": pred.real, "im": pred.imag}
 
+    def test_criterion_does_not_depend_on_the_spectral_scale(self):
+        # at sigma = 1e-8 the prediction is about 2e-33, yet nonzero: judged relatively
+        cfg = EstimatorConfig(N=64, b_f=0.6)
+        kwargs = dict(T=256, u=0.5, omega1=1.0, omega2=1.0, R=64, seed=1)
+        unit, small = (mc_covariance(white(sigma=s), cfg, **kwargs) for s in (1.0, 1e-8))
+        assert [p["criterion"] for p in small.quantities["pairs"]] == \
+            [p["criterion"] for p in unit.quantities["pairs"]] == ["relative"]
+        assert small.passes == unit.passes
+
     def test_worker_count_does_not_change_results(self):
         cfg = EstimatorConfig(N=64, b_f=0.6)
         kwargs = dict(T=256, u=0.5, omega1=np.pi / 2, omega2=np.pi / 2, R=8, seed=5)
@@ -527,6 +536,23 @@ class TestNormality:
                            R=4, seed=7)
         parts = [(p["projection"], p["part"]) for p in rep.quantities["projections"]]
         assert parts == [([0, 1], "re"), ([0, 2], "re"), ([1, 2], "re")]
+        assert set(rep.passes) == {"proj_01_re", "proj_02_re", "proj_12_re"}
+
+    def test_small_spectral_scale_tests_the_same_parts(self):
+        cfg = EstimatorConfig(N=64, b_f=0.6)
+        kwargs = dict(T=256, u=0.5, omega=np.pi / 2, R=32, seed=2)
+        unit, small = (mc_normality(white(dim=3, sigma=s), cfg, **kwargs) for s in (1.0, 1e-8))
+        assert len(small.passes) == 6 and small.passes == unit.passes
+        for got, want in zip(small.quantities["projections"], unit.quantities["projections"]):
+            assert got["part"] == want["part"]
+            assert got["z_skew"] == pytest.approx(want["z_skew"], rel=1e-6)
+            assert got["z_kurt"] == pytest.approx(want["z_kurt"], rel=1e-6)
+
+    @pytest.mark.parametrize("omega", [0.0, np.pi])
+    @pytest.mark.parametrize("sigma", [1.0, 1e-8])
+    def test_only_real_parts_are_tested_at_multiples_of_pi(self, omega, sigma):
+        rep = mc_normality(white(dim=3, sigma=sigma), EstimatorConfig(N=64, b_f=0.6), T=256,
+                           u=0.5, omega=omega, R=32, seed=2)
         assert set(rep.passes) == {"proj_01_re", "proj_02_re", "proj_12_re"}
 
     def test_low_dof_is_informational(self):
