@@ -95,6 +95,7 @@ class _Key(NamedTuple):
     kind: object
     least: float | None = None  # bound of the value, of each list entry, or of an axis count
     many: int = 0  # a list of at least this many distinct entries
+    once: bool = False  # a list in which no entry repeats
     fallback: bool = False  # a check setting that reads the top-level key if its section lacks it
     unit: bool = False  # a rescaled time: the value, or each point of an axis, lies in [0, 1]
 
@@ -114,7 +115,7 @@ _TABLE = {
     "seed": _Key(int, 0), "out": _Key(str), "T": _Key(int, 1), "replications": _Key(int, 1),
     "u": _Key("axis", 1, unit=True), "omega": _Key("axis", 1), "render": _Key(int, 2),
     "basis_size": _Key(int, 1), "kernel": _Key(bool),
-    "checks": _Key(("imse", "bias", "covariance", "normality", "stationarity"), many=1),
+    "checks": _Key(("imse", "bias", "covariance", "normality", "stationarity"), many=1, once=True),
     "model": {"preset": _Key(tuple(PRESETS)), "path": _Key(str),
               "size": _Key(int, 1), "seed": _Key(int, 0), "eta": _Key(float),
               "decay": _Key(float), "knots": _Key(int, 1), "sigma": _Key(float, 0, many=1)},
@@ -126,7 +127,7 @@ _TABLE = {
     "bias": {**_ESTIMATING, "omega": _Key(float), "projection": _Key(int, 0, many=1)},
     "covariance": {**_ESTIMATING, "omega1": _Key(float), "omega2": _Key(float)},
     "normality": {**_ESTIMATING, "omega": _Key(float)},
-    "stationarity": {"u": _Key(float, unit=True), "T_list": _Key(int, 1, many=2),
+    "stationarity": {"u": _Key(float, unit=True), "T_list": _Key(int, 1, many=2, once=True),
                      "replications": _Key(int, 1)},
 }
 
@@ -151,10 +152,13 @@ def _check(value, rule, path):
     if rule.many:
         if type(value) is not list:
             raise ConfigError(f"{path} must be a list, got {value!r}")
-        one = rule._replace(many=0)
+        one = rule._replace(many=0, once=False)
         items = [_check(item, one, f"{path}[{i}]") for i, item in enumerate(value)]
         if len(set(items)) < rule.many:
             raise ConfigError(f"{path} needs {rule.many} or more distinct entries, got {value}")
+        if rule.once and len(set(items)) < len(items):
+            i = next(i for i, item in enumerate(items) if item in items[:i])
+            raise ConfigError(f"{path}[{i}] repeats {value[i]!r}; each entry may appear once")
         return items
     if type(rule.kind) is tuple:
         if value not in rule.kind:
@@ -293,7 +297,14 @@ def _resolve_model(config):
         build = PRESETS[spec["preset"]]
         keys = {key: value for key, value in spec.items() if key != "preset"}
         defaults = {key: p.default for key, p in inspect.signature(build).parameters.items()}
-        return build(**keys), {**defaults, **keys}.get("seed")  # None for a builder without one
+        args = {**defaults, **keys}
+        # a model of size K holds K x K operators, and a curve one of them per knot
+        size = args["size"]
+        _require_memory("model.size", size, size * size, "one operator of that size")
+        if "knots" in args:
+            _require_memory("model.knots", args["knots"], args["knots"] * size * size,
+                            "one curve of that many knots")
+        return build(**keys), args.get("seed")  # None for a builder without one
     if "path" in spec:
         path = spec["path"]
         try:
@@ -319,14 +330,19 @@ def _configured(settings, section, spec, fields):
     return settings
 
 
-def _resolve_estimator(config, T):
+def _resolve_estimator(config, T, key):
+    """The estimator settings for sample size ``T``, which the config or series gives at
+    ``key``: the reference bandwidths for T with the config's ``estimator`` applied."""
     spec = config.get("estimator", {})
     taper = _configured(TaperSpec(), "estimator.taper", spec.get("taper", {}),
                         {"name": "name", "rho": "rho"})
     if "rho" in spec.get("taper", {}) and taper.name != "cosine_flat":
         raise ConfigError(f"estimator.taper.rho: not read by taper {taper.name} "
                           "(only cosine_flat reads it)")
-    auto = EstimatorConfig.auto(T, taper=taper)
+    try:
+        auto = EstimatorConfig.auto(T, taper=taper)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
     return _configured(auto, "estimator", spec, {"segment": "N", "half_width": "b_f"})
 
 
@@ -335,17 +351,32 @@ def _axis(config, path, default, grid):
     ``grid(n)`` for {"count": n}, or ``grid(default)`` when unset."""
     spec = _get(config, path, {})
     if type(spec) is dict:
-        return grid(spec.get("count", default))
+        count = spec.get("count", default)
+        _require_memory(f"{path}.count", count, count, "an axis of that many points")
+        return grid(count)
     return np.atleast_1d(np.asarray(spec, dtype=float))
 
 
-def _require_memory(T, floats_per_step, path):
-    """Reject a sample size whose one series (``floats_per_step`` float64 values per
-    time step) cannot fit in physical memory, before anything is written."""
+def _require_memory(path, value, floats, what):
+    """Reject the setting ``path`` = ``value`` when ``what``, the ``floats`` float64
+    values it makes, cannot fit in physical memory, before anything is written."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if 8 * T * floats_per_step > memory:
-        raise ConfigError(f"{path} = {T} is too large: one series of that length needs more "
-                          f"than the {memory / 2**30:.1f} GiB of physical memory")
+    if 8 * floats > memory:
+        raise ConfigError(f"{path} = {value} is too large: {what} needs more than the "
+                          f"{memory / 2**30:.1f} GiB of physical memory")
+
+
+def _render_axis(config, floats, what):
+    """The render axis of ``render`` points, once ``floats(render)`` float64 values,
+    ``what`` the command makes on it, fit in physical memory."""
+    count = _get(config, "render", 64)
+    _require_memory("render", count, floats(count), what)
+    return ingest.render_grid(count)
+
+
+def _surface(count):
+    """Float64 values of one complex kernel surface on ``count`` x ``count`` points."""
+    return 2 * count * count
 
 
 def _checked_stability(run, model):
@@ -373,8 +404,8 @@ def cmd_simulate(args):
     T = args.T or _get(run.config, "T")  # --T was checked to be at least 1
     if T is None:
         raise ConfigError("sample size T required (config 'T' or --T)")
-    grid = ingest.render_grid(_get(run.config, "render", 64))
-    _require_memory(T, max(model.dim, grid.size), "--T" if args.T else "T")
+    _require_memory("--T" if args.T else "T", T, T * model.dim, "one series of that length")
+    grid = _render_axis(run.config, lambda count: T * count, "the series on that many points")
     if model.ar:
         _checked_stability(run, model)
     x = simulate(model, T, seed=run.seed)
@@ -391,7 +422,7 @@ def cmd_truth(args):
     model, _ = _resolve_model(run.config)
     us = _axis(run.config, "u", 5, partial(np.linspace, 0.1, 0.9))
     omegas = _axis(run.config, "omega", 64, fourier_frequencies)
-    render = ingest.render_grid(_get(run.config, "render", 64))
+    render = _render_axis(run.config, _surface, "one rendered kernel surface")
     _emit_grid(run, "truth", truth_grid(model, us, omegas), model.basis, render)
     run.finish(extra={"u_count": us.size, "omega_count": omegas.size})
     return EXIT_OK
@@ -404,15 +435,18 @@ def cmd_estimate(args):
     raw = ingest.read_series(args.series)
     if "model" in run.config:
         model, _ = _resolve_model(run.config)
-        basis = model.basis
+        basis, key = model.basis, "model"
     else:
-        basis = BasisSpec(size=_get(run.config, "basis_size", 15))
+        basis, key = BasisSpec(size=_get(run.config, "basis_size", 15)), "basis_size"
     kernel = _get(run.config, "kernel")
-    render = ingest.render_grid(_get(run.config, "render", 64)) if kernel else None
-    projection = ingest.project_to_basis(raw, basis)
+    render = _render_axis(run.config, _surface, "one rendered kernel surface") if kernel else None
+    try:
+        projection = ingest.project_to_basis(raw, basis)
+    except ValueError as exc:  # more basis functions than grid points
+        raise ConfigError(f"{key}: {exc}") from exc
     x = projection.coefficients
     T = x.shape[0]
-    cfg = _resolve_estimator(run.config, T)
+    cfg = _resolve_estimator(run.config, T, "series")
     lo, hi = cfg.valid_band(T)
     us = _axis(run.config, "u", 5, partial(np.linspace, lo, hi))
     omegas = _axis(run.config, "omega", 64, fourier_frequencies)
@@ -449,8 +483,9 @@ def cmd_estimate(args):
 def _resolve_imse(run, model):
     config = run.config
     R = _get(config, "imse.replications", 20)
-    t_list = sorted(set(_get(config, "imse.T_list", [2**9, 2**12])))
-    cfgs = {T: _resolve_estimator(config, T) for T in t_list}
+    listed = _get(config, "imse.T_list", [2**9, 2**12])
+    t_list = sorted(set(listed))
+    cfgs = {T: _resolve_estimator(config, T, f"imse.T_list[{listed.index(T)}]") for T in t_list}
     lo = max(cfgs[T].valid_band(T)[0] for T in t_list)
     hi = min(cfgs[T].valid_band(T)[1] for T in t_list)
     if not lo < hi:
@@ -472,10 +507,10 @@ def _resolve_estimating(run, model, check):
     config = run.config
     R = _get(config, f"{check}.replications", 200)
     T = _get(config, f"{check}.T", 2**12)
-    cfg = _resolve_estimator(config, T)
+    cfg = _resolve_estimator(config, T, f"{check}.T")
     u = _get(config, f"{check}.u", 0.5)
     cfg.segment(T, u)
-    reach = 2 * evaluate.DERIV_STEP  # the bias check's finite-difference stencil
+    reach = evaluate.DERIV_REACH  # of the bias check's finite-difference stencil
     if check == "bias" and not (u - reach >= 0 and u + reach <= 1):
         raise ConfigError(f"bias.u must keep the derivative stencil u +- {reach:g} "
                           f"inside [0, 1], got {u!r}")
@@ -499,7 +534,8 @@ def _resolve_stationarity(run, model):
     t_list = _get(config, "stationarity.T_list", [2**8, 2**10, 2**12])
     for i, T in enumerate(t_list):
         # a row holds the model's series and its frozen companion's
-        _require_memory(T, 2 * model.dim, f"stationarity.T_list[{i}]")
+        _require_memory(f"stationarity.T_list[{i}]", T, T * evaluate._CouplingTask.runs * model.dim,
+                        "one series of that length")
     return partial(
         evaluate.local_stationarity_check,
         model,
@@ -550,7 +586,10 @@ def cmd_reproduce(args):
     model = PRESETS[args.figure]()
     slices = (list(FAR1_SLICES) if args.figure == "far1"
               else [(u, 1.5 - np.cos(np.pi * u)) for u in FAR2_SLICE_US])
-    render = ingest.render_grid(_get(run.config, "render", 64))
+    R = REPRODUCE_REPLICATIONS
+    # each replication's amplitudes and its complex kernel, for one slice at a time
+    render = _render_axis(run.config, lambda count: 3 * R * count * count,
+                          "the replications' rendered kernel surfaces")
     _checked_stability(run, model)
     # Figure presets taper with sqrt-Epanechnikov so the induced time kernel
     # is the same Epanechnikov kernel the frequency smoother uses.
@@ -568,7 +607,6 @@ def cmd_reproduce(args):
     for i, (u, omega) in enumerate(slices):
         run.emit(f"slice{i}_truth.csv", partial(ingest.write_spectral_grid, truth_grid(
             model, [u], [omega]), mode="kernel", basis=basis, taus=render))
-    R = REPRODUCE_REPLICATIONS
     estimates = evaluate.replicate(
         model, T, [replication_seed(run.seed, r) for r in range(R)],
         evaluate._EstimatePoints(cfg, T, slices, t0, t_end), workers=run.threads, t_start=t0)
@@ -625,10 +663,10 @@ _COMMANDS = {
 # exit code and stderr message of each error a command may raise; first match wins
 _FAILURES = (
     ((StabilityError, TransferSingularError), EXIT_STABILITY, "stability: FAIL ({})"),
-    (BoundaryError, EXIT_BOUNDARY, "boundary error: {}"),
-    (ingest.ParseError, EXIT_IO, "parse error: {}"),
-    (OSError, EXIT_IO, "i/o error: {}"),
-    (ValueError, EXIT_CONFIG, "config error: {}"),  # ConfigError is a ValueError
+    ((BoundaryError,), EXIT_BOUNDARY, "boundary error: {}"),
+    ((ingest.ParseError,), EXIT_IO, "parse error: {}"),
+    ((OSError,), EXIT_IO, "i/o error: {}"),
+    ((ValueError,), EXIT_CONFIG, "config error: {}"),  # ConfigError is a ValueError
 )
 
 
@@ -660,7 +698,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except (StabilityError, TransferSingularError, OSError, ValueError) as exc:
+    except tuple(kind for kinds, _, _ in _FAILURES for kind in kinds) as exc:
         code, message = next((c, m) for kinds, c, m in _FAILURES if isinstance(exc, kinds))
         print(message.format(exc), file=sys.stderr)
         return code

@@ -196,9 +196,6 @@ class EstimatorConfig:
     def b_t(self, T):
         return self.N / T
 
-    def omega_grid(self):
-        return fourier_frequencies(self.N)
-
     def segment(self, T, u, t0=1, t_end=None):
         """Absolute, inclusive (start, stop) of the N times centred at floor(uT); raises
         ``BoundaryError`` unless they lie inside [t0, t_end] (default [1, T])."""
@@ -228,7 +225,7 @@ class EstimatorConfig:
 def default_bandwidths(T):
     """(realized b_t, b_f, N) for sample size T under the reference rates."""
     if T < 8:
-        raise ValueError("sample size too small for the reference bandwidths")
+        raise ValueError(f"sample size {T} is too small for the reference bandwidths (least 8)")
     n = int(2 * round(T ** (5.0 / 6.0) / 2.0))
     n = max(n, 2)
     b_t = n / T
@@ -329,7 +326,7 @@ def _smoothing_band(cfg, omegas):
     width = min(n, 2 * int(np.ceil(reach)) + 3)
     first = np.floor(omegas / spacing - reach).astype(int) - 1
     index = np.mod(first[:, None] + np.arange(width), n)
-    freqs = TWO_PI * (index - n * (index >= n - n // 2)) / n
+    freqs = fourier_frequencies(n)[(index + n // 2) % n]
     w = FREQ_KERNEL.values(wrap_frequency(omegas[:, None] - freqs) / cfg.b_f)
     totals = w.sum(axis=1)
     empty = np.flatnonzero(totals <= 0)
@@ -401,7 +398,7 @@ def estimate_grid(x, cfg, T, u_grid, omega_grid=None, t0=1):
     """
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if omega_grid is None:
-        omegas = cfg.omega_grid()
+        omegas = fourier_frequencies(cfg.N)
     else:
         omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     band = _smoothing_band(cfg, omegas)

@@ -24,6 +24,7 @@ task as soon as the window closes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 
@@ -36,12 +37,14 @@ from .estimator import (
     _smoothed_rows,
     _smoothing_band,
     kernel_constants,
+    wrap_frequency,
 )
 from .model import (
     DEFAULT_BURN_IN,
     TvFarmaModel,
+    _open_elements,
+    _row_bytes,
     _simulate_rows,
-    _span,
     _whole,
     replication_seed,
     require_stable,
@@ -103,6 +106,7 @@ POOL_MIN_VALUES = 1_800_000
 
 # Fixed tolerances of the checks; each report records the ones it applies.
 DERIV_STEP = 1e-3  # finite-difference step of the bias check's derivatives
+DERIV_REACH = 2 * DERIV_STEP  # farthest point of the five-point stencil from its centre
 COVARIANCE_RTOL = 0.25  # relative agreement of a nonzero covariance limit
 NORMALITY_Z = 2.576  # two-sided 1% level of the moment z tests
 NORMALITY_MIN_DOF = 12.0  # below this effective dof normality is informational
@@ -149,11 +153,15 @@ def replicate(model, T, seeds, task, workers=1, t_start=1):
 
     A pass holds at most ``WINDOW_BYTES`` of open windows and rolling span
     buffers (at least one row) and at most ceil(len(seeds) / workers) rows,
-    and the passes are as even as whole rows allow.  A run of fewer than
-    ``POOL_MIN_VALUES`` simulated values counts as one worker.  With
-    ``workers > 1`` the passes run in at most ``min(workers, passes)``
-    processes; ``task`` must then pickle.  The output is the same for every
-    ``workers``, because rows do not depend on how they are grouped.
+    and the passes are as even as whole rows allow.  A task whose reductions
+    simulate more rows over the same windows while a window is open declares
+    how many simulator runs a row takes, ``task.runs`` (default 1), and the
+    budget holds that many.  A run of fewer than ``POOL_MIN_VALUES``
+    simulated values counts as one worker, and ``workers`` is capped at the
+    CPUs this process may run on.  With ``workers > 1`` the passes run in at
+    most ``min(workers, passes)`` processes; ``task`` must then pickle.  The
+    output is the same for every ``workers``, because rows do not depend on
+    how they are grouped.
     """
     require_stable(model)
     windows = task.windows
@@ -163,8 +171,9 @@ def replicate(model, T, seeds, task, workers=1, t_start=1):
     steps = max(stop for _, stop in windows) - first + 1
     if len(seeds) * steps * model.dim < POOL_MIN_VALUES:
         workers = 1
-    rows = max(1, min(WINDOW_BYTES // _row_bytes(model, windows, steps),
-                      math.ceil(len(seeds) / max(workers, 1))))
+    workers = max(1, min(workers, _usable_cpus()))
+    row_bytes = getattr(task, "runs", 1) * _row_bytes(model, windows, steps)
+    rows = max(1, min(WINDOW_BYTES // row_bytes, math.ceil(len(seeds) / workers)))
     count = math.ceil(len(seeds) / rows)
     # passes as even as whole rows allow, the longer ones last
     edges = [p * len(seeds) // count for p in range(count + 1)]
@@ -183,17 +192,11 @@ def replicate(model, T, seeds, task, workers=1, t_start=1):
     return np.concatenate(results)
 
 
-def _row_bytes(model, windows, steps):
-    """Bytes a row holds in a pass of ``steps`` steps: its open windows and its
-    share of the time loop's two rolling buffers (m states and two spans)."""
-    rolling = model.ar_order + 2 * _span(model.dim, steps)
-    return (_open_elements(windows) + rolling) * model.dim * 8
-
-
-def _open_elements(windows):
-    """Most steps of ``windows`` open at one time (a window is open from its start to its stop)."""
-    return max(sum(stop - start + 1 for start, stop in windows if start <= t <= stop)
-               for t, _ in windows)
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_pass(model, T, task, first, seeds):
@@ -265,7 +268,7 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0), workers=
     The second-order prediction adds (b_t^2 kappa_t d^2_u + b_f^2 kappa_f
     d^2_omega) <F> / 2 to the truth, with derivatives taken by finite
     differences on the exact spectral density; the model's curves must be
-    smooth in u for that to make sense, and the stencil u +- 2 ``DERIV_STEP``
+    smooth in u for that to make sense, and the stencil u +- ``DERIV_REACH``
     must lie in [0, 1].  The truth and both derivatives are computed before
     any replication runs.  Passes when the second-order prediction is
     strictly closer to the Monte Carlo mean than the truth itself.
@@ -315,7 +318,7 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0), workers=
 
 def _eta(x):
     # frequency-degeneracy indicator: 1 when x = 0 mod 2 pi
-    return 1.0 if abs((x + np.pi) % TWO_PI - np.pi) < 1e-9 else 0.0
+    return 1.0 if abs(wrap_frequency(x)) < 1e-9 else 0.0
 
 
 def predicted_covariance(f1, cfg, omega1, omega2, pair):
@@ -554,12 +557,14 @@ class _CouplingTask:
     """Replication task: P_t^2 against the frozen process on the same seeds, shape (c, T).
 
     Reads all of [1, T] in one window; the frozen rows of the whole pass are
-    simulated in one more time loop.
+    simulated in one more time loop while that window is open, so a row takes
+    two simulator runs.
     """
 
     frozen: TvFarmaModel
     T: int
     u: float
+    runs = 2  # the model's rows and the frozen rows, both held at the window's close
 
     @property
     def windows(self):
@@ -569,8 +574,9 @@ class _CouplingTask:
         ys = _simulate_rows(self.frozen, self.T, seeds, 1 - DEFAULT_BURN_IN, self.windows,
                             _whole)[0]
         ys -= xs
+        ys *= ys  # in place: the sum np.linalg.norm takes, without its squared copy
         denom = np.abs(np.arange(1, self.T + 1) / self.T - self.u) + 1.0 / self.T
-        return (np.linalg.norm(ys, axis=2) / denom) ** 2
+        return (np.sqrt(ys.sum(axis=2)) / denom) ** 2
 
     def combine(self, parts):
         return parts[0]

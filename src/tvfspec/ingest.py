@@ -247,12 +247,12 @@ def project_to_basis(raw, basis):
     (trapezoid rule on the grid), so in-span data shows residuals at
     rounding level.
     """
-    design = basis.evaluate(raw.grid)
-    m, k = design.shape
-    if m < k:
+    m, k = raw.grid.size, basis.size
+    if m < k:  # checked before the (m, k) design matrix is built
         raise ValueError(
             f"under-determined projection: {m} grid points for {k} basis functions"
         )
+    design = basis.evaluate(raw.grid)
     coeffs = np.linalg.lstsq(design, raw.data.T, rcond=None)[0].T
     resid = raw.data - coeffs @ design.T
     residuals = np.sqrt(np.trapezoid(resid**2, raw.grid, axis=1))

@@ -329,8 +329,7 @@ def require_stable(model):
         raise StabilityError(f"radius {radius:.6g} at u = {u:.6g}")
 
 
-def simulate(model, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None,
-             return_innovations=False, check=True):
+def simulate(model, T, seed=0, t_start=1, t_end=None, return_innovations=False, check=True):
     """Simulate the triangular array for sample size T.
 
     The single-series case of the replication-batched simulator that
@@ -344,15 +343,14 @@ def simulate(model, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None,
         Sample size fixing the rescaled-time axis t/T.
     seed : int
         Master seed; innovations come from its sub-stream (1,).
-    burn_in : int
-        Steps simulated before ``t_start`` (curves clamp below u = 0) and
-        discarded, so the output has forgotten the zero initial state.
     t_start, t_end : int
         Observation window in absolute time; defaults to [1, T].  A wider
-        window extends the same process (curves clamp outside [0, 1]).
+        window extends the same process (curves clamp outside [0, 1]).  The
+        ``DEFAULT_BURN_IN`` steps before ``t_start`` are simulated and
+        discarded, so the output has forgotten the zero initial state.
     return_innovations : bool
         Also return the innovation draws, rows aligned with
-        t = t_start - burn_in, ..., t_end.
+        t = t_start - DEFAULT_BURN_IN, ..., t_end.
     check : bool
         Run the stability gate ``require_stable`` first.
 
@@ -365,7 +363,7 @@ def simulate(model, T, seed=0, burn_in=DEFAULT_BURN_IN, t_start=1, t_end=None,
         t_end = T
     if check:
         require_stable(model)
-    first = t_start - burn_in
+    first = t_start - DEFAULT_BURN_IN
     x = _simulate_rows(model, T, [seed], first, [(t_start, t_end)], _whole)[0][0]
     if return_innovations:
         # the same draws the simulator took span by span, in one call
@@ -459,6 +457,19 @@ def _simulate_rows(model, T, seeds, first, windows, reduce):
 def _whole(i, xs):
     """``reduce`` that keeps a window as it is."""
     return xs
+
+
+def _row_bytes(model, windows, steps):
+    """Bytes a row holds in ``_simulate_rows`` over ``steps`` steps: its open
+    windows and its share of the two rolling buffers (m states and two spans)."""
+    rolling = model.ar_order + 2 * _span(model.dim, steps)
+    return (_open_elements(windows) + rolling) * model.dim * 8
+
+
+def _open_elements(windows):
+    """Most steps of ``windows`` open at one time (a window is open from its start to its stop)."""
+    return max(sum(stop - start + 1 for start, stop in windows if start <= t <= stop)
+               for t, _ in windows)
 
 
 def _curves_at(model, us, joined=False):

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model as _model
 from .funspace import adjoint, check_unit_interval
-from .model import _FILTER_BYTES, _curves_at, _filters, choose_ma_order
+from .model import _curves_at, _filters, choose_ma_order
 
 PROVENANCES = ("truth", "wigner_ville", "smoothed")
 
@@ -149,7 +150,7 @@ def _local_autocovs(model, u, s, T, lags):
     which is exactly zero for |d| > L, so only the times of pairs with
     |d| <= L are filtered.  Every curve is evaluated once over the times
     those filters read.  The pairs are taken in order, in groups whose new
-    times fit one filter stack of at most ``_FILTER_BYTES``; the filters of
+    times fit one filter stack of at most ``model._FILTER_BYTES``; the filters of
     a group's last pair are kept for the next group, so along s = 0, 1, ...
     each time is filtered once.  Each lag is one matrix product over its
     filter pair, bitwise as from one stack of all the filters.
@@ -159,7 +160,7 @@ def _local_autocovs(model, u, s, T, lags):
     k = model.dim
     earlier = np.floor(u * T - s / 2.0).astype(int)
     later = np.floor(u * T + s / 2.0).astype(int)
-    per_call = max(1, _FILTER_BYTES // ((lags + 1) * k * k * 8))
+    per_call = max(1, _model._FILTER_BYTES // ((lags + 1) * k * k * 8))
     cov = model.innovations.covariance
     out = np.zeros((s.size, k, k))
     todo = list(np.flatnonzero(np.abs(later - earlier) <= lags))

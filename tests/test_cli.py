@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -650,19 +651,38 @@ def test_bad_setting_writes_nothing(tmp_path, argv, config, code):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("estimator, key, message", [
-    ({"segment": 7}, "estimator.segment", "segment length N must be even"),
-    ({"half_width": -1}, "estimator.half_width", "frequency bandwidth must be positive"),
-    ({"taper": {"name": "nope"}}, "estimator.taper.name", "unknown taper 'nope'"),
-    ({"taper": {"rho": 0.9}}, "estimator.taper.rho", "cosine_flat rise fraction"),
-    ({"taper": {"name": "flat", "rho": 0.3}}, "estimator.taper.rho", "not read by taper flat"),
-    ({"taper": {"name": "sqrt_epanechnikov", "rho": 0.45}}, "estimator.taper.rho",
-     "not read by taper sqrt_epanechnikov"),
-], ids=["segment", "half_width", "taper-name", "taper-rho", "flat-rho", "sqrt_epanechnikov-rho"])
-def test_estimator_error_names_its_config_key(tmp_path, capsys, estimator, key, message):
-    config = write_config(tmp_path, "bad.json", far1_config(checks=["bias"], estimator=estimator))
+def bias_estimator(estimator):
+    return far1_config(checks=["bias"], estimator=estimator)
+
+
+@pytest.mark.parametrize("argv, config, key, message", [
+    (["evaluate"], bias_estimator({"segment": 7}), "estimator.segment",
+     "segment length N must be even"),
+    (["evaluate"], bias_estimator({"half_width": -1}), "estimator.half_width",
+     "frequency bandwidth must be positive"),
+    (["evaluate"], bias_estimator({"taper": {"name": "nope"}}), "estimator.taper.name",
+     "unknown taper 'nope'"),
+    (["evaluate"], bias_estimator({"taper": {"rho": 0.9}}), "estimator.taper.rho",
+     "cosine_flat rise fraction"),
+    (["evaluate"], bias_estimator({"taper": {"name": "flat", "rho": 0.3}}), "estimator.taper.rho",
+     "not read by taper flat"),
+    (["evaluate"], bias_estimator({"taper": {"name": "sqrt_epanechnikov", "rho": 0.45}}),
+     "estimator.taper.rho", "not read by taper sqrt_epanechnikov"),
+    # sample sizes below the reference bandwidths' least, 8
+    (["evaluate"], far1_config(imse={"T_list": [4, 8]}), "imse.T_list[0]",
+     "sample size 4 is too small"),
+    (["evaluate"], far1_config(checks=["bias"], bias={"T": 4}), "bias.T",
+     "sample size 4 is too small"),
+    (["estimate", None], {}, "series", "sample size 6 is too small"),
+], ids=["segment", "half_width", "taper-name", "taper-rho", "flat-rho", "sqrt_epanechnikov-rho",
+        "imse-T_list", "bias-T", "estimate-series"])
+def test_estimator_error_names_its_config_key(tmp_path, capsys, argv, config, key, message):
+    series = tmp_path / "short.csv"  # six rows
+    ingest.write_series(ingest.RawSeries(grid=np.linspace(0, 1, 16), data=np.ones((6, 16))), series)
+    argv = [str(series) if a is None else a for a in argv]
     out = tmp_path / "out"
-    assert cli.main(["evaluate", "--config", config, "--out", str(out)]) == 2
+    assert cli.main([*argv, "--config", write_config(tmp_path, "bad.json", config),
+                     "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: {message}")
     assert list(out.iterdir()) == []
 
@@ -726,7 +746,7 @@ def test_frequency_kernel_width_is_not_a_setting(tmp_path, capsys, command):
                          ids=["cosine_flat", "no-name"])
 def test_taper_rho_is_accepted_where_the_taper_reads_it(taper):
     config = cli._validate(far1_config(estimator={"taper": taper}))
-    assert cli._resolve_estimator(config, 512).taper == TaperSpec(name="cosine_flat", rho=0.3)
+    assert cli._resolve_estimator(config, 512, "T").taper == TaperSpec(name="cosine_flat", rho=0.3)
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate", "check"])
@@ -888,9 +908,30 @@ def test_unknown_key_exits_2_naming_the_closest_known_key(tmp_path, capsys, conf
     (["evaluate"], far1_config(estimator={"segment": 16}, checks=["bias"],
                                bias={"T": 4096, "u": 0.998046875}),
      "bias.u must keep the derivative stencil u +- 0.002 inside [0, 1], got 0.998046875"),
+    (["evaluate"], far1_config(checks=["imse", "imse"]),
+     "checks[1] repeats 'imse'; each entry may appear once"),
+    (["check"], far1_config(stationarity={"T_list": [64, 64, 128]}),
+     "stationarity.T_list[1] repeats 64; each entry may appear once"),
+    (["truth"], far1_config(render=10**13), "render = 10000000000000 is too large"),
+    (["simulate"], far1_config(T=64, render=10**13), "render = 10000000000000 is too large"),
+    (["reproduce", "far1", "--T", "512"], {"render": 10**13},
+     "render = 10000000000000 is too large"),
+    (["truth"], far1_config(u={"count": 10**13}), "u.count = 10000000000000 is too large"),
+    (["truth"], far1_config(omega={"count": 10**13}), "omega.count = 10000000000000 is too large"),
+    (["evaluate"], far1_config(imse={"omega": {"count": 10**13}}),
+     "imse.omega.count = 10000000000000 is too large"),
+    (["truth"], {"model": {"preset": "far1", "size": 10**7}}, "model.size = 10000000 is too large"),
+    (["truth"], {"model": {"preset": "far1", "size": 3, "knots": 10**13}},
+     "model.knots = 10000000000000 is too large"),
+    # checked against the series' 8 grid points before the design matrix is built
+    (["estimate", None], {"basis_size": 10**13},
+     "basis_size: under-determined projection: 8 grid points for 10000000000000"),
 ], ids=["T_list-zero", "imse-one-distinct-T", "stationarity-one-T", "knots-zero", "size-zero",
-        "top-level-replications", "bias-stencil-above-one"])
+        "top-level-replications", "bias-stencil-above-one", "repeated-check",
+        "repeated-stationarity-T", "truth-render", "simulate-render", "reproduce-render",
+        "u-count", "omega-count", "imse-omega-count", "model-size", "model-knots", "basis_size"])
 def test_out_of_range_setting_exits_2_before_any_write(tmp_path, capsys, argv, config, message):
+    argv = [white_series(tmp_path) if a is None else a for a in argv]
     out = tmp_path / "out"
     assert cli.main([*argv, "--config", write_config(tmp_path, "bad.json", config),
                      "--out", str(out)]) == 2
@@ -994,3 +1035,52 @@ def test_readme_model_table_matches_the_preset_builders():
         for key, note in notes:
             if key in ("size", "seed"):
                 assert re.fullmatch(rf"(default )?{params[key].default}", note), (form, key)
+
+
+def readme_angle(text):
+    """A frequency as the README's check table writes it: a number or pi/n."""
+    return np.pi / int(text[3:]) if text.startswith("pi/") else float(text)
+
+
+def test_readme_check_table_matches_the_resolved_defaults():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    head = "| check | `replications` | sample sizes | `u` | `omega` |\n|---|---|---|---|---|\n"
+    table = text.split(head, 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        cells = line.strip("| ").split(" | ")
+        for check in re.findall(r"`(\w+)`", cells[0]):
+            rows[check] = cells[1:]
+    assert list(rows) == list(cli._RESOLVERS)
+    model = far1(size=3)
+
+    def defaults(check, command="evaluate"):
+        """The arguments ``check`` is called with from a config that leaves its section empty."""
+        run = SimpleNamespace(config=cli._validate({"checks": [check]}), seed=0, threads=1,
+                              command=command)
+        call = cli._RESOLVERS[check](run, model)
+        return inspect.signature(call.func).bind(*call.args, **call.keywords).arguments
+
+    for check, (reps, sizes, u, omega) in rows.items():
+        got = defaults(check)
+        assert got["R"] == int(re.findall(r"\d+", reps)[0]), check
+        listed = re.search(r"\[[\d, ]+\]", sizes)
+        if check == "imse":
+            assert sorted(got["cfgs"]) == json.loads(listed.group())
+            assert len(got["us"]) == int(re.search(r"default (\d+) points", u).group(1))
+            count = int(re.search(r"(\d+) Fourier frequencies", omega).group(1))
+            assert np.array_equal(got["omegas"], fourier_frequencies(count))
+            continue
+        assert got["u"] == float(re.search(r"default ([\d.]+)", u).group(1)), check
+        if check == "stationarity":
+            assert got["T_list"] == json.loads(listed.group())
+            # under ``check`` the replications are the number in parentheses
+            under_check = int(re.search(r"\((\d+) under `check`\)", reps).group(1))
+            assert defaults(check, "check")["R"] == under_check
+            continue
+        assert got["T"] == int(re.findall(r"\d+", sizes)[-1]), check
+        if check == "covariance":
+            pair = re.search(r"covariance, ([\w/.]+) and ([\w/.]+)", omega).groups()
+            assert (got["omega1"], got["omega2"]) == tuple(map(readme_angle, pair))
+        else:
+            assert got["omega"] == readme_angle(re.search(rf"{check} ([\w/.]+)", omega).group(1))

@@ -25,6 +25,8 @@ from tvfspec.estimator import (
 from tvfspec.model import InnovationSpec, TvFarmaModel, simulate
 from tvfspec.spectrum import TWO_PI
 
+from test_model import simulated_rows
+
 
 def white(sigma=1.0, dim=1):
     return TvFarmaModel(innovations=InnovationSpec(np.full(dim, sigma)))
@@ -214,7 +216,7 @@ class TestPeriodogram:
         reps = 3000
         vals = np.empty(reps)
         for r in range(reps):
-            x = simulate(model, T, seed=r, burn_in=1)
+            x = simulated_rows(model, T, [r], 1, 1, T)[0]
             vals[r] = local_periodogram(x, 0.5, np.pi / 2.0, cfg, T)[0, 0].real
         target = 1.0 / TWO_PI
         se = vals.std(ddof=1) / np.sqrt(reps)
@@ -227,7 +229,8 @@ class TestPeriodogram:
         out = {}
         for T in (256, 1024):
             vals = [
-                local_periodogram(simulate(model, T, seed=r, burn_in=1), 0.5, np.pi / 2.0, cfg, T)[0, 0].real
+                local_periodogram(simulated_rows(model, T, [r], 1, 1, T)[0], 0.5, np.pi / 2.0,
+                                  cfg, T)[0, 0].real
                 for r in range(600)
             ]
             out[T] = np.var(vals, ddof=1)
@@ -360,7 +363,7 @@ class TestSmoothing:
         x = rng.standard_normal((T, 2))
         cfg = EstimatorConfig(N=128, b_f=0.5)
         fourier = estimate_grid(x, cfg, T, [0.5]).values[0]
-        explicit = estimate_grid(x, cfg, T, [0.5], omega_grid=cfg.omega_grid()).values[0]
+        explicit = estimate_grid(x, cfg, T, [0.5], omega_grid=fourier_frequencies(cfg.N)).values[0]
         assert np.abs(fourier - explicit).max() < 1e-10
 
     def test_single_point_matches_grid(self):
@@ -368,7 +371,7 @@ class TestSmoothing:
         T = 256
         x = rng.standard_normal((T, 2))
         cfg = EstimatorConfig(N=64, b_f=0.5)
-        omega = cfg.omega_grid()[20]
+        omega = fourier_frequencies(cfg.N)[20]
         single = estimate_grid(x, cfg, T, [0.5], omega_grid=[omega]).values[0, 0]
         grid = estimate_grid(x, cfg, T, [0.5]).values[0, 20]
         assert np.abs(single - grid).max() < 1e-10

@@ -109,10 +109,16 @@ class SerialPool:
 ROW_BUDGETS = (1, 2, None)
 
 
+def set_cpus(monkeypatch, count):
+    """Lets ``replicate`` see ``count`` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(evaluate_module, "_usable_cpus", lambda: count)
+
+
 @pytest.fixture
 def pool_for_any_run(monkeypatch):
-    """Lets even the smallest run split over processes."""
+    """Lets even the smallest run split over as many processes as it asks for."""
     monkeypatch.setattr(evaluate_module, "POOL_MIN_VALUES", 0)
+    set_cpus(monkeypatch, 64)
 
 
 class TestReplicate:
@@ -138,6 +144,7 @@ class TestReplicate:
         started = []
         monkeypatch.setattr(SerialPool, "started", started)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        set_cpus(monkeypatch, 64)
         task = RecordRows([(1, 16)])
         # three small replications share one pass: no pool at all
         out = replicate(white(), 16, [4, 5, 6], task, workers=64)
@@ -155,6 +162,19 @@ class TestReplicate:
         monkeypatch.setattr(evaluate_module, "POOL_MIN_VALUES", 3 * 516 + 1)
         replicate(white(), 16, [4, 5, 6], task, workers=64)
         assert started == [3]
+
+    @pytest.mark.usefixtures("pool_for_any_run")
+    def test_never_more_workers_than_usable_cpus(self, monkeypatch):
+        # 500 workers asked on a machine of 3 CPUs: 3 processes, 3 even passes
+        monkeypatch.setattr(SerialPool, "started", [])
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        set_cpus(monkeypatch, 3)
+        seeds = list(range(8))
+        task = RecordRows([(1, 16)])
+        out = replicate(white(), 16, seeds, task, workers=500)
+        assert SerialPool.started == [3]
+        assert out[:, 1].tolist() == [c for c in pass_sizes(8, None, 3) for _ in range(c)]
+        assert np.array_equal(out[:, 2:], replicate(white(), 16, seeds, task)[:, 2:])
 
     @pytest.mark.usefixtures("pool_for_any_run")
     def test_estimates_do_not_depend_on_passes_or_workers(self, monkeypatch):
@@ -301,6 +321,23 @@ class TestReplicate:
         tracemalloc.start()
         try:
             replicate(white(), T, seeds, task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= evaluate_module.WINDOW_BYTES
+
+    def test_coupled_runs_count_in_the_window_budget(self, monkeypatch):
+        # the stationarity check simulates the frozen rows while the model's
+        # window is open: 131 far1 rows at T = 1024 under a 16 MiB budget
+        # held 26 MiB when a pass was sized for one run per row
+        model = far1(size=15)
+        frozen = model.frozen(0.25)
+        model.stability, frozen.stability  # cached before tracing, as in every run
+        monkeypatch.setattr(evaluate_module, "WINDOW_BYTES", 16 * 2**20)
+        seeds = [replication_seed(0, 0, r) for r in range(131)]
+        tracemalloc.start()
+        try:
+            replicate(model, 1024, seeds, evaluate_module._CouplingTask(frozen, 1024, 0.25))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -673,8 +710,8 @@ class TestLocalStationarity:
             acc = np.zeros(T)
             for r in range(10):
                 rep_seed = replication_seed(5, ti, r)
-                x = simulate(model, T, seed=rep_seed, burn_in=500, check=False)
-                y = simulate(model.frozen(0.4), T, seed=rep_seed, burn_in=500)
+                x = simulate(model, T, seed=rep_seed, check=False)
+                y = simulate(model.frozen(0.4), T, seed=rep_seed)
                 denom = np.abs(np.arange(1, T + 1) / T - 0.4) + 1.0 / T
                 acc += (np.linalg.norm(x - y, axis=1) / denom) ** 2
             means.append(float((acc / 10).mean()))

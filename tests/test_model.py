@@ -146,11 +146,8 @@ def truncated_ma_rows(model, T, innovations, lags, t_start, t_end, eps_t_start):
 
 
 def filter_budget(mp, nbytes):
-    """Set the causal-filter layer's byte budget, in every module that reads it."""
-    from tvfspec import spectrum
-
+    """Set the causal-filter layer's byte budget, which every module reads from ``model``."""
     mp.setattr(model_module, "_FILTER_BYTES", nbytes)
-    mp.setattr(spectrum, "_FILTER_BYTES", nbytes)
 
 
 def dense_ma_coefficients(model, ts, T, lags):
@@ -477,9 +474,10 @@ class TestBatchedSimulation:
         for row, s in zip(xs, seeds):
             oracle = looped_simulate(model, T, s, burn_in, t_start, t_end)
             assert np.abs(row - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
-            single = simulate(model, T, seed=s, burn_in=burn_in, t_start=t_start, t_end=t_end,
-                              check=False)
-            assert np.array_equal(row, single)
+            # the single-series simulator is the same rows from the default start
+            single = simulate(model, T, seed=s, t_start=t_start, t_end=t_end, check=False)
+            assert np.array_equal(
+                simulated_rows(model, T, [s], DEFAULT_BURN_IN, t_start, t_end)[0], single)
         for size in (1, 2, 3, rows):
             chunked = [simulated_rows(model, T, seeds[i:i + size], burn_in, t_start, t_end)
                        for i in range(0, rows, size)]
@@ -565,10 +563,10 @@ class TestBatchedSimulation:
 
     def test_innovations_are_the_unshaped_draws(self):
         model = random_model(3, 3, 1, 1, True)
-        x, eps = simulate(model, 32, seed=4, burn_in=10, return_innovations=True, check=False)
-        draws = spawn_rng(4, 1).standard_normal((42, 3)) * model.innovations.sigma
+        x, eps = simulate(model, 32, seed=4, return_innovations=True, check=False)
+        draws = spawn_rng(4, 1).standard_normal((DEFAULT_BURN_IN + 32, 3)) * model.innovations.sigma
         assert np.array_equal(eps, draws)
-        assert np.array_equal(x, simulate(model, 32, seed=4, burn_in=10, check=False))
+        assert np.array_equal(x, simulate(model, 32, seed=4, check=False))
 
 
 class TestStability:
@@ -944,8 +942,8 @@ class TestBoundedFilterLayer:
 
 def test_burn_in_depth_changes_nothing_visible():
     model = far1(size=3)
-    deep = simulate(model, 64, seed=5, burn_in=DEFAULT_BURN_IN)
-    deeper = simulate(model, 64, seed=5, burn_in=DEFAULT_BURN_IN + 250)
+    deep = simulate(model, 64, seed=5)
+    deeper = simulated_rows(model, 64, [5], DEFAULT_BURN_IN + 250, 1, 64)[0]
     # different draw counts mean different realizations; both must be finite
     # and share the model's scale, nothing more is claimed across depths
     assert np.all(np.isfinite(deep)) and np.all(np.isfinite(deeper))
