@@ -37,6 +37,7 @@ import inspect
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, replace
 from functools import partial
 from typing import NamedTuple
@@ -48,6 +49,7 @@ from .estimator import (
     BoundaryError,
     EstimatorConfig,
     TaperSpec,
+    _smoothing_band,
     estimate_grid,
     fourier_frequencies,
 )
@@ -366,6 +368,14 @@ def _require_memory(path, value, floats, what):
                           f"{memory / 2**30:.1f} GiB of physical memory")
 
 
+def _require_grid(section, us, omegas, dim):
+    """Reject the ``u`` and ``omega`` axes of config ``section`` ("" or "imse.") when
+    their (u, omega) grid of dim x dim complex operators cannot fit in physical memory."""
+    _require_memory(f"{section}u x {section}omega", f"{us.size} x {omegas.size}",
+                    2 * us.size * omegas.size * dim * dim,
+                    f"a grid of {dim} x {dim} complex operators on those points")
+
+
 def _render_axis(config, floats, what):
     """The render axis of ``render`` points, once ``floats(render)`` float64 values,
     ``what`` the command makes on it, fit in physical memory."""
@@ -390,12 +400,12 @@ def _checked_stability(run, model):
     require_stable(model)
 
 
-def _emit_grid(run, stem, grid, basis, render):
+def _emit_grid(run, stem, grid, render):
     """Write ``<stem>_coeff.csv`` and, given a render axis, ``<stem>_kernel.csv``."""
     run.emit(f"{stem}_coeff.csv", partial(ingest.write_spectral_grid, grid, mode="coeff"))
     if render is not None:
         run.emit(f"{stem}_kernel.csv", partial(ingest.write_spectral_grid, grid, mode="kernel",
-                                               basis=basis, taus=render))
+                                               taus=render))
 
 
 def cmd_simulate(args):
@@ -422,8 +432,9 @@ def cmd_truth(args):
     model, _ = _resolve_model(run.config)
     us = _axis(run.config, "u", 5, partial(np.linspace, 0.1, 0.9))
     omegas = _axis(run.config, "omega", 64, fourier_frequencies)
+    _require_grid("", us, omegas, model.dim)
     render = _render_axis(run.config, _surface, "one rendered kernel surface")
-    _emit_grid(run, "truth", truth_grid(model, us, omegas), model.basis, render)
+    _emit_grid(run, "truth", truth_grid(model, us, omegas), render)
     run.finish(extra={"u_count": us.size, "omega_count": omegas.size})
     return EXIT_OK
 
@@ -450,8 +461,12 @@ def cmd_estimate(args):
     lo, hi = cfg.valid_band(T)
     us = _axis(run.config, "u", 5, partial(np.linspace, lo, hi))
     omegas = _axis(run.config, "omega", 64, fourier_frequencies)
+    _require_grid("", us, omegas, basis.size)
+    # the estimator stacks the N observations of every u's segment
+    _require_memory("u", f"{us.size} points", us.size * cfg.N * basis.size,
+                    f"one segment of N = {cfg.N} observations per point")
     grid = estimate_grid(x, cfg, T, us, omegas)
-    _emit_grid(run, "estimate", grid, basis, render)
+    _emit_grid(run, "estimate", grid, render)
     adj = adjoint(grid.values)
     herm = float(np.abs(grid.values - adj).max())
     eigs = np.linalg.eigvalsh(0.5 * (grid.values + adj))
@@ -498,8 +513,28 @@ def _resolve_imse(run, model):
     # np.unique, whose import of numpy.ma adds 1.2 MB to every run's peak)
     omegas = np.array(sorted(set(_axis(config, "imse.omega", 64, fourier_frequencies))))
     evaluate.require_frequency_axis(omegas, "imse.omega")
+    _require_grid("imse.", us, omegas, model.dim)
+    for T in t_list:
+        _require_band(cfgs[T], omegas, f"imse.omega at T = {T}")
     return partial(evaluate.mc_imse, model, cfgs, us, omegas, R, seed=run.seed,
                    workers=run.threads)
+
+
+# the frequency keys of each estimating check, with their defaults, in call order
+_FREQUENCIES = {"bias": {"omega": 0.0}, "covariance": {"omega1": np.pi / 2, "omega2": np.pi / 4},
+                "normality": {"omega": np.pi / 2}}
+
+
+def _require_band(cfg, omegas, key):
+    """The smoother's bands at ``omegas``, built before anything is written: a frequency
+    with no Fourier frequency inside its kernel support is a ConfigError naming ``key``.
+    A degenerate bandwidth's warning is left to the check, which builds the bands again."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            _smoothing_band(cfg, np.asarray(omegas, dtype=float))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _resolve_estimating(run, model, check):
@@ -516,16 +551,16 @@ def _resolve_estimating(run, model, check):
                           f"inside [0, 1], got {u!r}")
     projection = tuple(_get(config, "bias.projection", (0, 0)))
     evaluate.require_projections(check, model.dim, projection)
+    keys = _FREQUENCIES[check]
+    omegas = [_get(config, f"{check}.{key}", default) for key, default in keys.items()]
+    for key, omega in zip(keys, omegas):
+        _require_band(cfg, [omega], f"{check}.{key}")
     common = {"seed": run.seed, "workers": run.threads}
     if check == "bias":
-        return partial(evaluate.mc_mean_bias, model, cfg, T, u, _get(config, "bias.omega", 0.0),
-                       R, projection=projection, **common)
-    if check == "covariance":
-        return partial(evaluate.mc_covariance, model, cfg, T, u,
-                       _get(config, "covariance.omega1", np.pi / 2),
-                       _get(config, "covariance.omega2", np.pi / 4), R, **common)
-    return partial(evaluate.mc_normality, model, cfg, T, u,
-                   _get(config, "normality.omega", np.pi / 2), R, **common)
+        return partial(evaluate.mc_mean_bias, model, cfg, T, u, *omegas, R,
+                       projection=projection, **common)
+    call = evaluate.mc_covariance if check == "covariance" else evaluate.mc_normality
+    return partial(call, model, cfg, T, u, *omegas, R, **common)
 
 
 def _resolve_stationarity(run, model):
@@ -596,7 +631,6 @@ def cmd_reproduce(args):
     cfg = EstimatorConfig.auto(T, taper=TaperSpec(name="sqrt_epanechnikov"))
     n = cfg.N
     t0, t_end = 1 - n // 2, T + n // 2
-    basis = model.basis
     run.write_json(
         "slices.json",
         [
@@ -606,16 +640,16 @@ def cmd_reproduce(args):
     )
     for i, (u, omega) in enumerate(slices):
         run.emit(f"slice{i}_truth.csv", partial(ingest.write_spectral_grid, truth_grid(
-            model, [u], [omega]), mode="kernel", basis=basis, taus=render))
+            model, [u], [omega]), mode="kernel", taus=render))
     estimates = evaluate.replicate(
         model, T, [replication_seed(run.seed, r) for r in range(R)],
-        evaluate._EstimatePoints(cfg, T, slices, t0, t_end), workers=run.threads, t_start=t0)
+        evaluate._EstimatePoints(cfg, T, slices, t0, t_end), workers=run.threads)
     # one slice at a time: its R surfaces, one buffer reused for every slice
     amplitudes = np.empty((R, render.size, render.size))
     dispersion = {}
     for i, (u, omega) in enumerate(slices):
         # one render of the slice's replications serves its files and amplitudes
-        kernels = kernel_grid(estimates[:, i], basis, render, render)
+        kernels = kernel_grid(estimates[:, i], model.basis, render, render)
         # the amplitudes the files' abs column holds (np.abs differs in the last bit)
         np.hypot(kernels.real, kernels.imag, out=amplitudes)
         for r in range(R):

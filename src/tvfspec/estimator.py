@@ -189,8 +189,14 @@ class EstimatorConfig:
 
     @classmethod
     def auto(cls, T, taper=None):
-        """Bandwidths from the reference rates b_t = T^(-1/6), b_f = 2 T^(-1/5) - b_t."""
-        _, b_f, n = default_bandwidths(T)
+        """Bandwidths from the reference rates b_t = T^(-1/6), b_f = 2 T^(-1/5) - b_t:
+        N is T b_t rounded to an even number, and b_f takes the realized b_t = N / T."""
+        if T < 8:
+            raise ValueError(f"sample size {T} is too small for the reference bandwidths (least 8)")
+        n = int(2 * round(T ** (5.0 / 6.0) / 2.0))
+        b_f = 2.0 * T ** (-0.2) - n / T
+        if b_f <= 0:
+            raise ValueError("reference rates give a nonpositive frequency bandwidth")
         return cls(N=n, b_f=b_f, taper=taper or TaperSpec())
 
     def b_t(self, T):
@@ -220,19 +226,6 @@ class EstimatorConfig:
         while np.floor(lo * T) < t0 - 1 + self.N // 2:  # floor(uT) rounded it one short
             lo = float(np.nextafter(lo, np.inf))
         return lo, hi
-
-
-def default_bandwidths(T):
-    """(realized b_t, b_f, N) for sample size T under the reference rates."""
-    if T < 8:
-        raise ValueError(f"sample size {T} is too small for the reference bandwidths (least 8)")
-    n = int(2 * round(T ** (5.0 / 6.0) / 2.0))
-    n = max(n, 2)
-    b_t = n / T
-    b_f = 2.0 * T ** (-0.2) - b_t
-    if b_f <= 0:
-        raise ValueError("reference rates give a nonpositive frequency bandwidth")
-    return b_t, b_f, n
 
 
 # Bytes of temporaries one row block of the smoother may hold (see

@@ -137,19 +137,19 @@ def _require_replications(check, R, least=2):
         raise ValueError(f"{check} check needs at least {least} replications, got {R}")
 
 
-def replicate(model, T, seeds, task, workers=1, t_start=1):
+def replicate(model, T, seeds, task, workers=1):
     """Per-row results of ``task`` over replications, one row per seed, in seed order.
 
     Runs the stability gate ``require_stable`` first.  Row r is, bit for
-    bit, ``simulate(model, T, seed=seeds[r], t_start=t_start, t_end=stop)``
-    for any stop, but no row is ever held whole.  ``task`` declares the
-    absolute time windows it reads, ``task.windows``, a list of inclusive
-    (start, stop) pairs at or after ``t_start``.  The seeds are split into
-    passes; each pass runs one time loop for all its rows, hands window i to
-    ``task.reduce(i, xs, seeds)`` as a (c, stop - start + 1, K) array as
-    soon as the loop has passed its stop, and returns
-    ``task.combine(parts)``, the c per-row results built from the reductions
-    in window order.
+    bit, ``simulate(model, T, seed=seeds[r], t_start=t0, t_end=stop)`` for
+    any stop, but no row is ever held whole.  ``task`` declares its first
+    observed time t0, ``task.t0`` (default 1), and the absolute time windows
+    it reads, ``task.windows``, inclusive (start, stop) pairs at or after t0.
+    The seeds are split into passes; each pass runs one time loop for all
+    its rows, hands window i to ``task.reduce(i, xs, seeds)`` as a
+    (c, stop - start + 1, K) array as soon as the loop has passed its stop,
+    and returns ``task.combine(parts)``, the c per-row results built from
+    the reductions in window order.
 
     A pass holds at most ``WINDOW_BYTES`` of open windows and rolling span
     buffers (at least one row) and at most ceil(len(seeds) / workers) rows,
@@ -165,9 +165,10 @@ def replicate(model, T, seeds, task, workers=1, t_start=1):
     """
     require_stable(model)
     windows = task.windows
-    first = t_start - DEFAULT_BURN_IN
-    if min(start for start, _ in windows) < t_start:
-        raise ValueError(f"a window starts before the observations at t = {t_start}")
+    t0 = getattr(task, "t0", 1)
+    first = t0 - DEFAULT_BURN_IN
+    if min(start for start, _ in windows) < t0:
+        raise ValueError(f"a window starts before the observations at t = {t0}")
     steps = max(stop for _, stop in windows) - first + 1
     if len(seeds) * steps * model.dim < POOL_MIN_VALUES:
         workers = 1
@@ -599,6 +600,9 @@ def local_stationarity_check(model, u, T_list, R, seed=0, workers=1):
     _require_replications("stationarity", R, 1)
     if len(set(T_list)) < 2:  # the slope needs two sample sizes
         raise ValueError(f"stationarity T_list needs 2 or more distinct entries, got {T_list}")
+    for i, T in enumerate(T_list):  # a repeat would count twice in the slope's fit
+        if T in T_list[:i]:
+            raise ValueError(f"stationarity T_list[{i}] repeats {T}; each entry may appear once")
     frozen = model.frozen(u)
     require_stable(frozen)  # once, here; the passes simulate it unchecked
     means = []

@@ -330,18 +330,18 @@ def render_grid(count=64):
     return np.linspace(0.0, 1.0, count)
 
 
-def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None, kernels=None):
+def write_spectral_grid(grid, path, mode="coeff", taus=None, kernels=None):
     """Write a spectral grid as long-format delimited text.
 
     ``coeff`` rows are (u, omega, i, j, Re, Im) over the stored basis
     coefficients, zero-based indices.  ``kernel`` rows are
     (u, omega, tau, sigma, Re, Im, abs) with the operator rendered as a
-    kernel on the taus x taus grid (default 64 uniform points); the abs column
-    is the amplitude surface contour plots display.  Rows are emitted in
-    nested (u, omega, first index, second index) order, one u at a time.
+    kernel in the K-function Fourier basis of the grid's dimension K on the
+    taus x taus grid (default 64 uniform points); the abs column is the
+    amplitude surface contour plots display.  Rows are emitted in nested
+    (u, omega, first index, second index) order, one u at a time.
     ``kernels``, shape (len(u), len(omega), len(taus), len(taus)), passes the
-    grid already rendered by ``kernel_grid`` on ``taus``; ``basis`` is then
-    unused.
+    grid already rendered by ``kernel_grid`` on ``taus``.
     """
     if mode not in GRID_HEADERS:
         raise ValueError(f"unknown grid mode {mode!r}")
@@ -349,7 +349,7 @@ def write_spectral_grid(grid, path, mode="coeff", basis=None, taus=None, kernels
     if mode == "coeff":
         axis = tuple(range(dim))
     else:
-        basis = BasisSpec(size=dim) if basis is None else basis
+        basis = BasisSpec(size=dim)
         taus = render_grid() if taus is None else np.asarray(taus, dtype=float)
         axis = tuple(taus.tolist())
     lead = _grid_rows(axis, axis)

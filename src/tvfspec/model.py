@@ -246,9 +246,9 @@ class TvFarmaModel:
         """Stationary model with every curve fixed at rescaled time ``u`` in [0, 1]."""
         check_unit_interval(u, "u")
         ar, ma, c = _curves_at(self, np.array([float(u)]))
-        return TvFarmaModel(ar=[OperatorCurve.constant(b[0]) for b in ar],
+        return TvFarmaModel(ar=[OperatorCurve.constant(b) for b in ar[0]],
                             innovations=self.innovations,
-                            ma=[OperatorCurve.constant(phi[0]) for phi in ma],
+                            ma=[OperatorCurve.constant(phi) for phi in ma[0]],
                             c=None if c is None else OperatorCurve.constant(c[0]))
 
 
@@ -264,8 +264,10 @@ def build_companion(model, u):
     k = model.dim
     size = max(model.ar_order, 1) * k
     comp = np.zeros((flat.size, size, size))
-    for j, b in enumerate(_curves_at(model, flat)[0]):
-        comp[:, :k, j * k:(j + 1) * k] = b
+    # row a of the top block row is (B_{u,1}[a], ..., B_{u,m}[a])
+    width = model.ar_order * k
+    ar = _curves_at(model, flat)[0]
+    comp[:, :k, :width] = ar.transpose(0, 2, 1, 3).reshape(flat.size, k, width)
     if model.ar_order > 1:
         comp[:, k:, :-k] = np.eye(size - k)
     return comp if us.ndim else comp[0]
@@ -435,9 +437,9 @@ def _simulate_rows(model, T, seeds, first, windows, reduce):
                 if n:
                     shaped[i % (n + 1)] = now
                 for j in range(1, min(i, m) + 1):
-                    now += np.einsum("rj,ij->ri", steps[m + s - j], ar_ops[j - 1][s], out=term)
+                    now += np.einsum("rj,ij->ri", steps[m + s - j], ar_ops[s, j - 1], out=term)
                 for l in range(1, min(i, n) + 1):
-                    now += np.einsum("rj,ij->ri", shaped[(i - l) % (n + 1)], ma_ops[l - 1][s],
+                    now += np.einsum("rj,ij->ri", shaped[(i - l) % (n + 1)], ma_ops[s, l - 1],
                                      out=term)
             del c_ops, ar_ops, ma_ops  # freed before the next span's stacks are built
         lo, hi = first + start, first + stop - 1
@@ -472,21 +474,19 @@ def _open_elements(windows):
                for t, _ in windows)
 
 
-def _curves_at(model, us, joined=False):
-    """Every operator curve at the 1-D rescaled times ``us``: the lists of AR
-    stacks B_{u, j} and MA stacks Phi_{u, l}, each (len(us), K, K), and the
-    C_u stack, or None when the model has no C (C is the identity).
-    ``joined`` gives the AR stacks as one (len(us), m, K, K) array, which the
-    filter recursion gathers a lag's B_{u, j} from at once."""
-    if joined:
-        # each curve written in as it is evaluated: joined after all were
-        # evaluated, the filter recursion ran up to 10 % slower (page faults)
-        ar = np.empty((len(us), model.ar_order, model.dim, model.dim))
-        for j, cv in enumerate(model.ar):
-            ar[:, j] = cv.batch(us)
-    else:
-        ar = [cv.batch(us) for cv in model.ar]
-    return ar, [cv.batch(us) for cv in model.ma], None if model.c is None else model.c.batch(us)
+def _curves_at(model, us):
+    """Every operator curve at the 1-D rescaled times ``us``: the AR stack
+    B_{u, j}, shape (len(us), m, K, K), the MA stack Phi_{u, l}, shape
+    (len(us), n, K, K), and the C_u stack, or None when the model has no C
+    (C is the identity)."""
+    # each curve written in as it is evaluated: stacked after all were
+    # evaluated, the filter recursion ran up to 10 % slower (page faults)
+    ar = np.empty((len(us), model.ar_order, model.dim, model.dim))
+    ma = np.empty((len(us), model.ma_order, model.dim, model.dim))
+    for stack, curves in ((ar, model.ar), (ma, model.ma)):
+        for j, cv in enumerate(curves):
+            stack[:, j] = cv.batch(us)
+    return ar, ma, None if model.c is None else model.c.batch(us)
 
 
 def _filter_blocks(model, ts, T, ends, table=None):
@@ -499,8 +499,8 @@ def _filter_blocks(model, ts, T, ends, table=None):
     any of them and the recursion is never restarted.  A block holds at
     most ``_FILTER_BYTES`` of filters (at least one lag), so the memory
     grows with the anchors, not with anchors x lags.  Its operators
-    come from ``table`` (first time, joined ``_curves_at`` of the times
-    from it on) or else from every curve evaluated once over the union of
+    come from ``table`` (first time, ``_curves_at`` of the times from it
+    on) or else from every curve evaluated once over the union of
     the block's rescaled times.  The state carried between blocks is the
     top block row of the companion product and the last n pure-AR filters.
     A filter's arithmetic does not depend on its block, its table or the
@@ -527,7 +527,7 @@ def _filter_blocks(model, ts, T, ends, table=None):
             times = ts[:, None] - np.arange(first, hi)
             if table is None:
                 times, idx = np.unique(times, return_inverse=True)
-                ar, ma, c = _curves_at(model, times / T, joined=True)
+                ar, ma, c = _curves_at(model, times / T)
                 idx = idx.reshape(count, hi - first)
             else:
                 start, (ar, ma, c) = table
@@ -545,11 +545,11 @@ def _filter_blocks(model, ts, T, ends, table=None):
             else:
                 g[:, n + max(lo, 1) - lo:] = 0.0
             coeffs = g[:, n:].copy() if n else g
-            for i, phi in enumerate(ma, start=1):
+            for i in range(1, n + 1):
                 a = max(lo, i)
                 if a < hi:
                     coeffs[:, a - lo:] += (g[:, n + a - i - lo:n + hi - i - lo]
-                                           @ phi[idx[:, a - i - first:hi - i - first]])
+                                           @ ma[idx[:, a - i - first:hi - i - first], i - 1])
             if c is not None:
                 coeffs = coeffs @ c[idx[:, lo - first:]]
             past = g[:, g.shape[1] - n:].copy()
@@ -694,10 +694,10 @@ def simulate_ma(model, T, innovations, lags):
             else:
                 y[...] = 0.0
                 for i in range(1, min(j, m) + 1):
-                    y += np.einsum("rab,rb->ra", ar[i - 1][j:j + active],
+                    y += np.einsum("rab,rb->ra", ar[j:j + active, i - 1],
                                    hist[(j - i) % (m + 1), :active], out=term[:active])
                 if j <= n:
-                    y += np.einsum("rab,rb->ra", ma[j - 1][j:j + active], shock[:active],
+                    y += np.einsum("rab,rb->ra", ma[j:j + active, j - 1], shock[:active],
                                    out=term[:active])
             first = max(0, 1 - r0 - j)  # rows not yet at t = 1
             if first < active:

@@ -77,11 +77,11 @@ def _symbols(model, u, omegas):
     ar, ma, c = _curves_at(model, np.array([float(u)]))
     eye = np.broadcast_to(np.eye(model.dim, dtype=complex), (omegas.size, model.dim, model.dim))
     bmat = eye.copy()
-    for j, b in enumerate(ar, start=1):
-        bmat -= np.exp(-1j * omegas * j)[:, None, None] * b[0]
+    for j, b in enumerate(ar[0], start=1):
+        bmat -= np.exp(-1j * omegas * j)[:, None, None] * b
     phi = eye.copy()
-    for l, p in enumerate(ma, start=1):
-        phi += np.exp(-1j * omegas * l)[:, None, None] * p[0]
+    for l, p in enumerate(ma[0], start=1):
+        phi += np.exp(-1j * omegas * l)[:, None, None] * p
     return bmat, phi if c is None else phi @ c[0].astype(complex)
 
 
@@ -169,7 +169,7 @@ def _local_autocovs(model, u, s, T, lags):
     # every curve once over all the times the filters read
     times = np.concatenate([later[todo], earlier[todo]])
     start = times.min() - lags
-    table = start, _curves_at(model, np.arange(start, times.max() + 1) / T, joined=True)
+    table = start, _curves_at(model, np.arange(start, times.max() + 1) / T)
     held = {}  # filters by time: the last group's last pair, then this group's
     while todo:
         fresh = []

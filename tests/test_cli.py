@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -926,10 +927,28 @@ def test_unknown_key_exits_2_naming_the_closest_known_key(tmp_path, capsys, conf
     # checked against the series' 8 grid points before the design matrix is built
     (["estimate", None], {"basis_size": 10**13},
      "basis_size: under-determined projection: 8 grid points for 10000000000000"),
+    # each axis fits, the (u, omega) grid of K x K complex operators does not
+    (["truth"], far1_config(u={"count": 100000}, omega={"count": 100000}),
+     "u x omega = 100000 x 100000 is too large"),
+    (["evaluate"], far1_config(imse={"u": {"count": 100000}, "omega": {"count": 100000}}),
+     "imse.u x imse.omega = 100000 x 100000 is too large"),
+    (["estimate", None], {"basis_size": 2, "u": {"count": 100000}, "omega": {"count": 100000}},
+     "u x omega = 100000 x 100000 is too large"),
+    # a kernel support narrower than the Fourier spacing, off every Fourier frequency
+    (["evaluate"], far1_config(estimator={"half_width": 1e-06}, imse={"T_list": [512, 1024]}),
+     "imse.omega at T = 512: no Fourier frequency falls inside the kernel support "
+     "at omega=-3.04342"),
+    (["evaluate"], far1_config(estimator={"half_width": 1e-06}, checks=["bias"],
+                               bias={"omega": 0.01}),
+     "bias.omega: no Fourier frequency falls inside the kernel support at omega=0.01"),
+    (["evaluate"], far1_config(estimator={"half_width": 1e-06}, checks=["covariance"],
+                               covariance={"omega1": 0.0, "omega2": 0.01}),
+     "covariance.omega2: no Fourier frequency falls inside the kernel support at omega=0.01"),
 ], ids=["T_list-zero", "imse-one-distinct-T", "stationarity-one-T", "knots-zero", "size-zero",
         "top-level-replications", "bias-stencil-above-one", "repeated-check",
         "repeated-stationarity-T", "truth-render", "simulate-render", "reproduce-render",
-        "u-count", "omega-count", "imse-omega-count", "model-size", "model-knots", "basis_size"])
+        "u-count", "omega-count", "imse-omega-count", "model-size", "model-knots", "basis_size",
+        "truth-grid", "imse-grid", "estimate-grid", "imse-band", "bias-band", "covariance-band"])
 def test_out_of_range_setting_exits_2_before_any_write(tmp_path, capsys, argv, config, message):
     argv = [white_series(tmp_path) if a is None else a for a in argv]
     out = tmp_path / "out"
@@ -937,6 +956,36 @@ def test_out_of_range_setting_exits_2_before_any_write(tmp_path, capsys, argv, c
                      "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_estimate_segments_beyond_physical_memory_exit_2_before_any_write(
+    tmp_path, capsys, monkeypatch
+):
+    series = white_series(tmp_path)  # T = 256, so N = 102
+    # 64 MiB: the u axis (0.4 MB) and the grid (3.2 MB) fit, the stacked
+    # segments (50000 x 102 x 2 floats, 81.6 MB) do not
+    monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": 2**14, "SC_PAGE_SIZE": 2**12}.get)
+    path = write_config(tmp_path, "big.json",
+                        {"basis_size": 2, "u": {"count": 50000}, "omega": [0.3]})
+    out = tmp_path / "out"
+    assert cli.main(["estimate", series, "--config", path, "--out", str(out)]) == 2
+    assert ("config error: u = 50000 points is too large: one segment of N = 102 observations "
+            "per point needs more than") in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_degenerate_bandwidth_warns_once(tmp_path):
+    # a kernel support narrower than the Fourier spacing that still holds the
+    # frequency it sits on: the resolver's band check stays silent, the check warns
+    path = write_config(tmp_path, "degenerate.json", far1_config(
+        estimator={"half_width": 0.0345}, checks=["covariance"],
+        covariance={"replications": 3, "T": 512, "omega1": 0.0}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in caught] == [
+        "frequency bandwidth 0.0345 does not exceed the Fourier spacing 0.03452; "
+        "the weight sum degenerates"]
 
 
 @pytest.mark.parametrize("T", [10**30, 2**40])

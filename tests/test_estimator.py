@@ -11,7 +11,6 @@ from tvfspec.estimator import (
     EstimatorConfig,
     FreqKernelSpec,
     TaperSpec,
-    default_bandwidths,
     estimate_grid,
     fourier_frequencies,
     induced_time_kernel,
@@ -115,19 +114,22 @@ class TestFrequencyGrids:
 
 
 class TestDefaultBandwidths:
+    """``EstimatorConfig.auto``: the reference rates for a sample size."""
+
     def test_reference_values(self):
-        b_t, b_f, n = default_bandwidths(4096)
-        assert n == 1024
-        assert b_t == pytest.approx(0.25)
-        assert b_f == pytest.approx(2.0 * 4096.0 ** (-0.2) - 0.25, abs=1e-12)
-        assert default_bandwidths(512)[2] == 182
+        cfg = EstimatorConfig.auto(4096)
+        assert cfg.N == 1024
+        assert cfg.b_t(4096) == pytest.approx(0.25)
+        assert cfg.b_f == pytest.approx(2.0 * 4096.0 ** (-0.2) - 0.25, abs=1e-12)
+        assert EstimatorConfig.auto(512).N == 182
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError, match="too small"):
-            default_bandwidths(4)
+            EstimatorConfig.auto(4)
 
     def test_variance_scale_grows(self):
-        scale = [np.prod(np.array(default_bandwidths(T)[:2])) * T for T in (2**9, 2**12, 2**16)]
+        cfgs = {T: EstimatorConfig.auto(T) for T in (2**9, 2**12, 2**16)}
+        scale = [cfg.b_t(T) * cfg.b_f * T for T, cfg in cfgs.items()]
         assert scale[0] < scale[1] < scale[2]
 
     def test_config_validation(self):

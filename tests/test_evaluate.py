@@ -73,9 +73,11 @@ class RecordRows:
         return np.concatenate(parts, axis=1)
 
 
-def set_budget(monkeypatch, model, task, rows, t_start=1):
-    """A window budget that holds ``rows`` replications of ``task`` (None: any number)."""
-    steps = max(b for _, b in task.windows) - (t_start - model_module.DEFAULT_BURN_IN) + 1
+def set_budget(monkeypatch, model, task, rows):
+    """A window budget that holds ``rows`` replications of ``task`` (None: any number),
+    simulated from the task's first observed time ``task.t0`` (default 1)."""
+    t0 = getattr(task, "t0", 1)
+    steps = max(b for _, b in task.windows) - (t0 - model_module.DEFAULT_BURN_IN) + 1
     row_bytes = evaluate_module._row_bytes(model, task.windows, steps)
     monkeypatch.setattr(evaluate_module, "WINDOW_BYTES",
                         10**12 if rows is None else rows * row_bytes)
@@ -218,9 +220,9 @@ class TestReplicate:
             want.append([estimate_grid(x, cfg, T, [u], [omega], t0=t0).values[0, 0]
                          for u, omega in slices])
         for budget in ROW_BUDGETS:
-            set_budget(monkeypatch, model, task, budget, t0)
+            set_budget(monkeypatch, model, task, budget)
             for workers in (1, 2, 3):
-                got = replicate(model, T, seeds, task, workers=workers, t_start=t0)
+                got = replicate(model, T, seeds, task, workers=workers)
                 assert np.array_equal(got, np.array(want))
 
     def test_window_budget_bounds_the_open_windows(self, monkeypatch):
@@ -683,6 +685,15 @@ class TestLocalStationarity:
         for u in (1.7, -0.5):
             with pytest.raises(ValueError, match=r"u must lie in \[0, 1\], got " + str(u)):
                 local_stationarity_check(far1(size=3), u=u, T_list=(64, 128), R=2)
+
+    def test_repeated_sample_size_raises_before_any_replication(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluate_module, "replicate",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=r"stationarity T_list\[1\] repeats 64; each entry "
+                                             r"may appear once"):
+            local_stationarity_check(far1(size=3), 0.25, [64, 64, 128], 2)
+        assert calls == []
 
     def test_worker_count_does_not_change_report(self):
         kwargs = dict(u=0.25, T_list=(64, 128), R=4, seed=11)

@@ -252,7 +252,7 @@ class TestSpectralGridFiles:
         basis = BasisSpec(size=5)
         taus = render_grid(7)
         inside, given = tmp_path / "inside.csv", tmp_path / "given.csv"
-        write_spectral_grid(grid, inside, mode="kernel", basis=basis, taus=taus)
+        write_spectral_grid(grid, inside, mode="kernel", taus=taus)
         # one render of the whole (u, omega) stack
         kernels = kernel_grid(grid.values, basis, taus, taus)
         assert kernels.shape == (2, 3, 7, 7)
@@ -306,7 +306,7 @@ class TestSpectralGridFiles:
             write_spectral_grid(grid, path)
             with open(path) as fh:
                 assert fh.read() == reference_grid_text(grid, "coeff")
-            write_spectral_grid(grid, path, mode="kernel", basis=basis, taus=taus)
+            write_spectral_grid(grid, path, mode="kernel", taus=taus)
             with open(path) as fh:
                 assert fh.read() == reference_grid_text(grid, "kernel", basis, taus)
 
@@ -518,7 +518,7 @@ class TestGoldenBytes:
         model = far2()
         grid = truth_grid(model, [0.25, 0.75], [0.0, 1.0, 2.5])
         path = tmp_path / "kernel.csv"
-        write_spectral_grid(grid, path, mode="kernel", basis=model.basis)
+        write_spectral_grid(grid, path, mode="kernel")
         assert sha256(path) == "4b9ba1b25ad3f1ed5646c1b86f26780b5124fa17e2370d53cfcff49d862efab4"
 
     def test_coeff_layout(self, tmp_path):

@@ -331,9 +331,11 @@ class TestOneEvaluator:
         )
         us = np.array(us)
         ar, ma, c = model_module._curves_at(model, us)
-        assert len(ar) == m and len(ma) == n and (c is None) == (not with_c)
+        assert ar.shape == (us.size, m, dim, dim) and ma.shape == (us.size, n, dim, dim)
+        assert (c is None) == (not with_c)
         shaping = [] if c is None else [c]
-        for stack, cv in zip(ar + ma + shaping, model.ar + model.ma + (model.c,)):
+        stacks = [ar[:, j] for j in range(m)] + [ma[:, l] for l in range(n)] + shaping
+        for stack, cv in zip(stacks, model.ar + model.ma + (model.c,)):
             assert stack.tobytes() == np.array([cv(u) for u in us]).tobytes()
 
         size = max(m, 1) * dim
