@@ -37,7 +37,6 @@ import inspect
 import json
 import os
 import sys
-import warnings
 from dataclasses import asdict, replace
 from functools import partial
 from typing import NamedTuple
@@ -57,6 +56,7 @@ from .funspace import BasisSpec, adjoint, kernel_grid
 from .model import (
     PRESETS,
     StabilityError,
+    _row_bytes,
     check_stability,
     replication_seed,
     require_stable,
@@ -302,10 +302,9 @@ def _resolve_model(config):
         args = {**defaults, **keys}
         # a model of size K holds K x K operators, and a curve one of them per knot
         size = args["size"]
-        _require_memory("model.size", size, size * size, "one operator of that size")
-        if "knots" in args:
-            _require_memory("model.knots", args["knots"], args["knots"] * size * size,
-                            "one curve of that many knots")
+        _preflight([("model.size", size, size * size, "one operator of that size"),
+                    ("model.knots", args["knots"], args["knots"] * size * size,
+                     "one curve of that many knots") if "knots" in args else None])
         return build(**keys), args.get("seed")  # None for a builder without one
     if "path" in spec:
         path = spec["path"]
@@ -354,39 +353,53 @@ def _axis(config, path, default, grid):
     spec = _get(config, path, {})
     if type(spec) is dict:
         count = spec.get("count", default)
-        _require_memory(f"{path}.count", count, count, "an axis of that many points")
+        _preflight([(f"{path}.count", count, count, "an axis of that many points")])
         return grid(count)
     return np.atleast_1d(np.asarray(spec, dtype=float))
 
 
-def _require_memory(path, value, floats, what):
-    """Reject the setting ``path`` = ``value`` when ``what``, the ``floats`` float64
-    values it makes, cannot fit in physical memory, before anything is written."""
+def _preflight(arrays, estimates=()):
+    """Check a command's plan before it writes anything.  An array entry, (key, value,
+    floats, what) or None, is a setting ``key`` = ``value`` whose ``what`` of ``floats``
+    float64 values must fit in physical memory.  An estimate entry (key, cfg, T, us,
+    omegas, row) places every u's segment inside [1, T] (else ``BoundaryError``), bounds
+    ``row``, None or (key, value, model), one replication row of ``model`` over those
+    segments, and needs a Fourier frequency in each omega's kernel band.  Every other
+    failure is a ConfigError naming its key."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if 8 * floats > memory:
-        raise ConfigError(f"{path} = {value} is too large: {what} needs more than the "
-                          f"{memory / 2**30:.1f} GiB of physical memory")
+
+    def fit(key, value, floats, what):
+        if 8 * floats > memory:
+            raise ConfigError(f"{key} = {value} is too large: {what} needs more than the "
+                              f"{memory / 2**30:.1f} GiB of physical memory")
+
+    for entry in filter(None, arrays):
+        fit(*entry)
+    for _, cfg, T, us, _, row in estimates:
+        windows = [cfg.segment(T, u) for u in us]
+        if row:
+            fit(*row[:2], _row_bytes(row[2], windows, 1) // 8,
+                f"one replication row of its segments at T = {T}")
+    for key, cfg, _, _, omegas, _ in estimates:
+        try:
+            _smoothing_band(cfg, np.asarray(omegas, dtype=float))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _require_grid(section, us, omegas, dim):
-    """Reject the ``u`` and ``omega`` axes of config ``section`` ("" or "imse.") when
-    their (u, omega) grid of dim x dim complex operators cannot fit in physical memory."""
-    _require_memory(f"{section}u x {section}omega", f"{us.size} x {omegas.size}",
-                    2 * us.size * omegas.size * dim * dim,
-                    f"a grid of {dim} x {dim} complex operators on those points")
+def _grid(section, us, omegas, dim):
+    """Array entry of the (u, omega) grid of dim x dim complex operators on the
+    ``u`` and ``omega`` axes of config ``section`` ("" or "imse.")."""
+    return (f"{section}u x {section}omega", f"{us.size} x {omegas.size}",
+            2 * us.size * omegas.size * dim * dim,
+            f"a grid of {dim} x {dim} complex operators on those points")
 
 
-def _render_axis(config, floats, what):
-    """The render axis of ``render`` points, once ``floats(render)`` float64 values,
-    ``what`` the command makes on it, fit in physical memory."""
+def _render(config, floats=lambda count: 2 * count * count, what="one rendered kernel surface"):
+    """The ``render`` count and the array entry of ``what``, the ``floats(count)`` float64
+    values made on that many points (by default one complex kernel surface)."""
     count = _get(config, "render", 64)
-    _require_memory("render", count, floats(count), what)
-    return ingest.render_grid(count)
-
-
-def _surface(count):
-    """Float64 values of one complex kernel surface on ``count`` x ``count`` points."""
-    return 2 * count * count
+    return count, ("render", count, floats(count), what)
 
 
 def _checked_stability(run, model):
@@ -401,11 +414,11 @@ def _checked_stability(run, model):
 
 
 def _emit_grid(run, stem, grid, render):
-    """Write ``<stem>_coeff.csv`` and, given a render axis, ``<stem>_kernel.csv``."""
+    """Write ``<stem>_coeff.csv`` and, given a render count, ``<stem>_kernel.csv``."""
     run.emit(f"{stem}_coeff.csv", partial(ingest.write_spectral_grid, grid, mode="coeff"))
     if render is not None:
         run.emit(f"{stem}_kernel.csv", partial(ingest.write_spectral_grid, grid, mode="kernel",
-                                               taus=render))
+                                               taus=ingest.render_grid(render)))
 
 
 def cmd_simulate(args):
@@ -414,8 +427,9 @@ def cmd_simulate(args):
     T = args.T or _get(run.config, "T")  # --T was checked to be at least 1
     if T is None:
         raise ConfigError("sample size T required (config 'T' or --T)")
-    _require_memory("--T" if args.T else "T", T, T * model.dim, "one series of that length")
-    grid = _render_axis(run.config, lambda count: T * count, "the series on that many points")
+    render, entry = _render(run.config, lambda count: T * count, "the series on that many points")
+    _preflight([("--T" if args.T else "T", T, T * model.dim, "one series of that length"), entry])
+    grid = ingest.render_grid(render)
     if model.ar:
         _checked_stability(run, model)
     x = simulate(model, T, seed=run.seed)
@@ -432,8 +446,8 @@ def cmd_truth(args):
     model, _ = _resolve_model(run.config)
     us = _axis(run.config, "u", 5, partial(np.linspace, 0.1, 0.9))
     omegas = _axis(run.config, "omega", 64, fourier_frequencies)
-    _require_grid("", us, omegas, model.dim)
-    render = _render_axis(run.config, _surface, "one rendered kernel surface")
+    render, entry = _render(run.config)
+    _preflight([_grid("", us, omegas, model.dim), entry])
     _emit_grid(run, "truth", truth_grid(model, us, omegas), render)
     run.finish(extra={"u_count": us.size, "omega_count": omegas.size})
     return EXIT_OK
@@ -449,8 +463,6 @@ def cmd_estimate(args):
         basis, key = model.basis, "model"
     else:
         basis, key = BasisSpec(size=_get(run.config, "basis_size", 15)), "basis_size"
-    kernel = _get(run.config, "kernel")
-    render = _render_axis(run.config, _surface, "one rendered kernel surface") if kernel else None
     try:
         projection = ingest.project_to_basis(raw, basis)
     except ValueError as exc:  # more basis functions than grid points
@@ -461,10 +473,12 @@ def cmd_estimate(args):
     lo, hi = cfg.valid_band(T)
     us = _axis(run.config, "u", 5, partial(np.linspace, lo, hi))
     omegas = _axis(run.config, "omega", 64, fourier_frequencies)
-    _require_grid("", us, omegas, basis.size)
-    # the estimator stacks the N observations of every u's segment
-    _require_memory("u", f"{us.size} points", us.size * cfg.N * basis.size,
-                    f"one segment of N = {cfg.N} observations per point")
+    render, entry = _render(run.config) if _get(run.config, "kernel") else (None, None)
+    _preflight([entry, _grid("", us, omegas, basis.size),
+                # the estimator stacks the N observations of every u's segment
+                ("u", f"{us.size} points", us.size * cfg.N * basis.size,
+                 f"one segment of N = {cfg.N} observations per point")],
+               [("series", cfg, T, us, omegas, None)])
     grid = estimate_grid(x, cfg, T, us, omegas)
     _emit_grid(run, "estimate", grid, render)
     adj = adjoint(grid.values)
@@ -506,16 +520,13 @@ def _resolve_imse(run, model):
     if not lo < hi:
         raise ConfigError("no common valid band across the requested sample sizes")
     us = _axis(config, "imse.u", 3, partial(np.linspace, lo, hi))
-    for T in t_list:
-        for u in us:
-            cfgs[T].segment(T, u)
     # the trapezoid integral runs over the sorted distinct frequencies (not
     # np.unique, whose import of numpy.ma adds 1.2 MB to every run's peak)
     omegas = np.array(sorted(set(_axis(config, "imse.omega", 64, fourier_frequencies))))
     evaluate.require_frequency_axis(omegas, "imse.omega")
-    _require_grid("imse.", us, omegas, model.dim)
-    for T in t_list:
-        _require_band(cfgs[T], omegas, f"imse.omega at T = {T}")
+    row = ("imse.u", f"{us.size} points", model)
+    _preflight([_grid("imse.", us, omegas, model.dim)],
+               [(f"imse.omega at T = {T}", cfgs[T], T, us, omegas, row) for T in t_list])
     return partial(evaluate.mc_imse, model, cfgs, us, omegas, R, seed=run.seed,
                    workers=run.threads)
 
@@ -525,18 +536,6 @@ _FREQUENCIES = {"bias": {"omega": 0.0}, "covariance": {"omega1": np.pi / 2, "ome
                 "normality": {"omega": np.pi / 2}}
 
 
-def _require_band(cfg, omegas, key):
-    """The smoother's bands at ``omegas``, built before anything is written: a frequency
-    with no Fourier frequency inside its kernel support is a ConfigError naming ``key``.
-    A degenerate bandwidth's warning is left to the check, which builds the bands again."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            _smoothing_band(cfg, np.asarray(omegas, dtype=float))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-
-
 def _resolve_estimating(run, model, check):
     """Bias, covariance or normality check of the smoother at one (T, u)."""
     config = run.config
@@ -544,7 +543,6 @@ def _resolve_estimating(run, model, check):
     T = _get(config, f"{check}.T", 2**12)
     cfg = _resolve_estimator(config, T, f"{check}.T")
     u = _get(config, f"{check}.u", 0.5)
-    cfg.segment(T, u)
     reach = evaluate.DERIV_REACH  # of the bias check's finite-difference stencil
     if check == "bias" and not (u - reach >= 0 and u + reach <= 1):
         raise ConfigError(f"bias.u must keep the derivative stencil u +- {reach:g} "
@@ -553,8 +551,8 @@ def _resolve_estimating(run, model, check):
     evaluate.require_projections(check, model.dim, projection)
     keys = _FREQUENCIES[check]
     omegas = [_get(config, f"{check}.{key}", default) for key, default in keys.items()]
-    for key, omega in zip(keys, omegas):
-        _require_band(cfg, [omega], f"{check}.{key}")
+    _preflight([], [(f"{check}.{key}", cfg, T, [u], [omega], (f"{check}.T", T, model))
+                    for key, omega in zip(keys, omegas)])
     common = {"seed": run.seed, "workers": run.threads}
     if check == "bias":
         return partial(evaluate.mc_mean_bias, model, cfg, T, u, *omegas, R,
@@ -567,10 +565,10 @@ def _resolve_stationarity(run, model):
     """Local stationarity diagnostic, of 16 replications under ``check`` unless set, else 32."""
     config = run.config
     t_list = _get(config, "stationarity.T_list", [2**8, 2**10, 2**12])
-    for i, T in enumerate(t_list):
-        # a row holds the model's series and its frozen companion's
-        _require_memory(f"stationarity.T_list[{i}]", T, T * evaluate._CouplingTask.runs * model.dim,
-                        "one series of that length")
+    # a row holds the model's series and its frozen companion's
+    runs = evaluate._CouplingTask.runs
+    _preflight([(f"stationarity.T_list[{i}]", T, runs * _row_bytes(model, [(1, T)], 1) // 8,
+                 "one series of that length") for i, T in enumerate(t_list)])
     return partial(
         evaluate.local_stationarity_check,
         model,
@@ -623,14 +621,15 @@ def cmd_reproduce(args):
               else [(u, 1.5 - np.cos(np.pi * u)) for u in FAR2_SLICE_US])
     R = REPRODUCE_REPLICATIONS
     # each replication's amplitudes and its complex kernel, for one slice at a time
-    render = _render_axis(run.config, lambda count: 3 * R * count * count,
-                          "the replications' rendered kernel surfaces")
+    count, entry = _render(run.config, lambda count: 3 * R * count * count,
+                           "the replications' rendered kernel surfaces")
+    _preflight([entry])
+    render = ingest.render_grid(count)
     _checked_stability(run, model)
     # Figure presets taper with sqrt-Epanechnikov so the induced time kernel
     # is the same Epanechnikov kernel the frequency smoother uses.
     cfg = EstimatorConfig.auto(T, taper=TaperSpec(name="sqrt_epanechnikov"))
-    n = cfg.N
-    t0, t_end = 1 - n // 2, T + n // 2
+    t0, t_end = 1 - cfg.N // 2, T + cfg.N // 2
     run.write_json(
         "slices.json",
         [

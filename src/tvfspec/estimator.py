@@ -305,16 +305,10 @@ def _smoothing_band(cfg, omegas):
     Fourier frequencies that contains the kernel support of every omega_b,
     and the row-normalized weights W[b, n] on them, zero outside the
     support.  S is about b_f N / 2 pi, capped at N; windows wrap across
-    +-pi.
+    +-pi.  Raises ValueError when a support holds no Fourier frequency.
     """
     n = cfg.N
     spacing = TWO_PI / n
-    if cfg.b_f <= spacing:
-        warnings.warn(
-            f"frequency bandwidth {cfg.b_f:.4g} does not exceed the Fourier "
-            f"spacing {spacing:.4g}; the weight sum degenerates",
-            stacklevel=3,
-        )
     reach = FREQ_KERNEL.half_width * cfg.b_f / spacing
     width = min(n, 2 * int(np.ceil(reach)) + 3)
     first = np.floor(omegas / spacing - reach).astype(int) - 1
@@ -329,6 +323,18 @@ def _smoothing_band(cfg, omegas):
             f"at omega={omegas[empty[0]]:.6g}"
         )
     return index, w / totals[:, None]
+
+
+def _warn_degenerate(cfg, stacklevel=3):
+    """Warn when b_f does not exceed the Fourier spacing 2 pi / N, naming the caller
+    of the public function that was given ``cfg`` (``stacklevel`` frames up)."""
+    spacing = TWO_PI / cfg.N
+    if cfg.b_f <= spacing:
+        warnings.warn(
+            f"frequency bandwidth {cfg.b_f:.4g} does not exceed the Fourier "
+            f"spacing {spacing:.4g}; the weight sum degenerates",
+            stacklevel=stacklevel,
+        )
 
 
 def _smoothed_blocks(segments, cfg, band):
@@ -394,6 +400,7 @@ def estimate_grid(x, cfg, T, u_grid, omega_grid=None, t0=1):
         omegas = fourier_frequencies(cfg.N)
     else:
         omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    _warn_degenerate(cfg)
     band = _smoothing_band(cfg, omegas)
     segments = np.stack([_segment(x, u, cfg, T, t0) for u in u_grid])
     return SpectralGrid(u=u_grid, omega=omegas, values=_smoothed_rows(segments, cfg, band),

@@ -36,6 +36,7 @@ from .estimator import (
     _smoothed_blocks,
     _smoothed_rows,
     _smoothing_band,
+    _warn_degenerate,
     kernel_constants,
     wrap_frequency,
 )
@@ -173,7 +174,7 @@ def replicate(model, T, seeds, task, workers=1):
     if len(seeds) * steps * model.dim < POOL_MIN_VALUES:
         workers = 1
     workers = max(1, min(workers, _usable_cpus()))
-    row_bytes = getattr(task, "runs", 1) * _row_bytes(model, windows, steps)
+    row_bytes = getattr(task, "runs", 1) * _row_bytes(model, windows, t0)
     rows = max(1, min(WINDOW_BYTES // row_bytes, math.ceil(len(seeds) / workers)))
     count = math.ceil(len(seeds) / rows)
     # passes as even as whole rows allow, the longer ones last
@@ -250,6 +251,17 @@ class _EstimatePoints:
         return out
 
 
+def _estimates(model, cfg, T, points, R, seed, workers):
+    """An estimating check's estimates at ``points`` (u, omega) over R replications,
+    shape (R, len(points), K, K).  A degenerate bandwidth is warned of at the check's
+    caller, and the bands are built before any replication runs: an empty band raises
+    first."""
+    _warn_degenerate(cfg, stacklevel=4)
+    task = _EstimatePoints(cfg, T, points)
+    task.bands  # built now, not in the first reduction
+    return replicate(model, T, [replication_seed(seed, r) for r in range(R)], task, workers)
+
+
 def _second_derivative(fn, x0, step):
     """Five-point second derivative with a half-step consistency check."""
 
@@ -288,8 +300,7 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0), workers=
     truth = proj_u(u)
     d2u, gap_u = _second_derivative(proj_u, u, DERIV_STEP)
     d2w, gap_w = _second_derivative(proj_w, omega, DERIV_STEP)
-    ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
-                     _EstimatePoints(cfg, T, [(u, omega)]), workers)
+    ests = _estimates(model, cfg, T, [(u, omega)], R, seed, workers)
     vals = ests[:, 0, m, n]
     mc_mean = complex(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(R))
@@ -350,9 +361,7 @@ def mc_covariance(model, cfg, T, u, omega1, omega2, R, seed=0, workers=1):
     """
     require_projections("covariance", model.dim)
     _require_replications("covariance", R)
-    points = [(u, omega1), (u, omega2)]
-    ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
-                     _EstimatePoints(cfg, T, points), workers)
+    ests = _estimates(model, cfg, T, [(u, omega1), (u, omega2)], R, seed, workers)
     scale = cfg.b_t(T) * cfg.b_f * T
     report = McReport(name="covariance", seed=seed, replications=R)
     report.quantities = {
@@ -414,8 +423,7 @@ def mc_normality(model, cfg, T, u, omega, R, seed=0, workers=1):
     """
     require_projections("normality", model.dim)
     _require_replications("normality", R)
-    ests = replicate(model, T, [replication_seed(seed, r) for r in range(R)],
-                     _EstimatePoints(cfg, T, [(u, omega)]), workers)
+    ests = _estimates(model, cfg, T, [(u, omega)], R, seed, workers)
     scale = np.sqrt(cfg.b_t(T) * cfg.b_f * T)
     dof = effective_dof(cfg)
     informational = dof < NORMALITY_MIN_DOF
@@ -535,9 +543,12 @@ def mc_imse(model, cfgs, us, omegas, R, seed=0, workers=1):
     require_frequency_axis(omegas)
     require_stable(model)  # before the truth grid inverts the AR symbol
     truth = truth_grid(model, us, omegas)
+    tasks = {T: _ImseTask(cfgs[T], T, truth) for T in t_list}
+    for task in tasks.values():
+        _warn_degenerate(task.cfg)
+        task.band  # built before any replication runs: an empty band raises here
     seeds = [replication_seed(seed, r) for r in range(R)]
-    values = {T: replicate(model, T, seeds, _ImseTask(cfgs[T], T, truth), workers)
-              for T in t_list}
+    values = {T: replicate(model, T, seeds, tasks[T], workers) for T in t_list}
     wins = int(np.sum(values[t_list[-1]] < values[t_list[0]]))
     need = int(np.ceil(IMSE_WIN_FRACTION * R))
     report = McReport(name="imse_consistency", seed=seed, replications=R)

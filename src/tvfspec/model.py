@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -461,17 +462,22 @@ def _whole(i, xs):
     return xs
 
 
-def _row_bytes(model, windows, steps):
-    """Bytes a row holds in ``_simulate_rows`` over ``steps`` steps: its open
-    windows and its share of the two rolling buffers (m states and two spans)."""
+def _row_bytes(model, windows, t0):
+    """Bytes a row holds in ``_simulate_rows`` reading ``windows`` of observations
+    from ``t0`` on: its open windows and its share of the two rolling buffers (m
+    states and two spans) over the steps from the burn-in to the last stop."""
+    steps = max(stop for _, stop in windows) - (t0 - DEFAULT_BURN_IN) + 1
     rolling = model.ar_order + 2 * _span(model.dim, steps)
     return (_open_elements(windows) + rolling) * model.dim * 8
 
 
 def _open_elements(windows):
-    """Most steps of ``windows`` open at one time (a window is open from its start to its stop)."""
-    return max(sum(stop - start + 1 for start, stop in windows if start <= t <= stop)
-               for t, _ in windows)
+    """Most steps of ``windows`` open at one time (a window is open from its start to
+    its stop): the largest running sum over the windows' opening and closing events,
+    a window closing at t sorted before one opening at t."""
+    events = sorted([(start, stop - start + 1) for start, stop in windows]
+                    + [(stop + 1, start - stop - 1) for start, stop in windows])
+    return max(accumulate(size for _, size in events))
 
 
 def _curves_at(model, us):

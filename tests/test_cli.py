@@ -974,6 +974,57 @@ def test_estimate_segments_beyond_physical_memory_exit_2_before_any_write(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("pages, config, message", [
+    # 8 MiB: the u axis (40 kB) and the grid (1.4 MB) fit, one row of 5000
+    # open segments at T = 512 (12 MB) does not
+    (2**11, {"imse": {"u": {"count": 5000}, "omega": [0.3, 0.6], "T_list": [512, 1024]}},
+     "imse.u = 5000 points is too large: one replication row of its segments at T = 512"),
+    # 128 KiB: one row of the segment of N = 10322 steps (254 kB) does not fit
+    (2**5, {"checks": ["bias"], "bias": {"T": 2**16, "replications": 2}},
+     "bias.T = 65536 is too large: one replication row of its segments at T = 65536"),
+], ids=["imse", "bias"])
+def test_replication_row_beyond_physical_memory_exits_2_before_any_write(
+    tmp_path, capsys, monkeypatch, pages, config, message
+):
+    monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 2**12}.get)
+    path = write_config(tmp_path, "big.json", far1_config(**config))
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--config", path, "--out", str(out)]) == 2
+    assert f"config error: {message} needs more than" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_estimate_of_a_short_series_names_the_empty_band_alone(tmp_path, capsys):
+    # at T = 16 the reference rates give N = 10 and b_f = 0.52, below the
+    # Fourier spacing 0.63, so the default frequency axis has empty bands
+    sim = write_config(tmp_path, "sim.json", {"model": {"preset": "white", "size": 2},
+                                              "render": 8, "T": 16})
+    assert cli.main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["estimate", str(tmp_path / "sim" / "series.csv"), "--config",
+                     write_config(tmp_path, "est.json", {"basis_size": 2}),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: series: no Fourier frequency falls inside "
+                                       "the kernel support at omega=-2.84707\n")
+    assert list(out.iterdir()) == []
+
+
+def test_degenerate_bandwidth_warning_names_the_caller(tmp_path):
+    # the check that was given the estimator config warns at the line that
+    # called it, once per degenerate sample size: only T = 512 (N = 182) has
+    # a Fourier spacing above 0.0345
+    path = write_config(tmp_path, "degenerate.json", far1_config(
+        estimator={"half_width": 0.0345}, imse={"u": [0.5], "omega": [0.0, np.pi],
+                                                "T_list": [512, 1024], "replications": 2}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out")])
+    assert [(w.filename, str(w.message)) for w in caught] == [
+        (cli.__file__, "frequency bandwidth 0.0345 does not exceed the Fourier spacing 0.03452; "
+                       "the weight sum degenerates")]
+
+
 def test_degenerate_bandwidth_warns_once(tmp_path):
     # a kernel support narrower than the Fourier spacing that still holds the
     # frequency it sits on: the resolver's band check stays silent, the check warns

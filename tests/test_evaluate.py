@@ -1,9 +1,12 @@
 import json
 import tracemalloc
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvfspec import evaluate as evaluate_module
 from tvfspec import model as model_module
@@ -76,9 +79,7 @@ class RecordRows:
 def set_budget(monkeypatch, model, task, rows):
     """A window budget that holds ``rows`` replications of ``task`` (None: any number),
     simulated from the task's first observed time ``task.t0`` (default 1)."""
-    t0 = getattr(task, "t0", 1)
-    steps = max(b for _, b in task.windows) - (t0 - model_module.DEFAULT_BURN_IN) + 1
-    row_bytes = evaluate_module._row_bytes(model, task.windows, steps)
+    row_bytes = evaluate_module._row_bytes(model, task.windows, getattr(task, "t0", 1))
     monkeypatch.setattr(evaluate_module, "WINDOW_BYTES",
                         10**12 if rows is None else rows * row_bytes)
 
@@ -242,7 +243,7 @@ class TestReplicate:
                                                                [0.0])).windows
         task = Record(windows)
         # the window and the time loop's two rolling 72-step spans
-        row_bytes = evaluate_module._row_bytes(model, windows, T + 500)
+        row_bytes = evaluate_module._row_bytes(model, windows, 1)
         assert row_bytes == (cfg.N + 1 + 2 * 72) * 15 * 8
         assert evaluate_module._open_elements(windows) == cfg.N
         replicate(model, T, list(range(20)), task)
@@ -253,6 +254,15 @@ class TestReplicate:
         replicate(model, T, list(range(20)), task)
         assert [c for c, _, _ in shapes[::3]] == [6, 7, 7]
         assert all(c * row_bytes <= evaluate_module.WINDOW_BYTES for c, _, _ in shapes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 30)), min_size=1, max_size=30))
+    def test_open_elements_is_the_most_steps_open_at_one_time(self, spans):
+        windows = [(start, start + length) for start, length in spans]
+        # the definition: at each time, the steps of every window open then
+        times = range(min(a for a, _ in windows), max(b for _, b in windows) + 1)
+        most = max(sum(b - a + 1 for a, b in windows if a <= t <= b) for t in times)
+        assert evaluate_module._open_elements(windows) == most
 
     def test_one_pass_per_worker_at_the_readme_scale(self, monkeypatch):
         # the README imse config: all 20 far1 replications in one time loop
@@ -445,6 +455,40 @@ class TestMcImse:
         cfgs = {T: EstimatorConfig.auto(T) for T in settings["Ts"]}
         with pytest.raises(ValueError, match=message):
             mc_imse(far1(size=3), cfgs, [0.5], settings["omegas"], settings["R"])
+
+
+# a kernel support narrower than the Fourier spacing 2 pi / 64 = 0.098
+DEGENERATE = EstimatorConfig(N=64, b_f=0.09)
+ON_GRID = fourier_frequencies(64)[[30, 40]]
+
+
+class TestBands:
+    @pytest.mark.parametrize("call", [
+        lambda: estimate_grid(np.ones((256, 1)), DEGENERATE, 256, [0.5], ON_GRID),
+        lambda: mc_imse(white(), {256: DEGENERATE, 512: DEGENERATE}, [0.5], ON_GRID, R=1),
+        lambda: mc_covariance(white(), DEGENERATE, 256, 0.5, *ON_GRID, R=2),
+    ], ids=["estimate_grid", "mc_imse", "mc_covariance"])
+    def test_degenerate_bandwidth_warning_names_the_caller(self, call):
+        with pytest.warns(UserWarning, match="does not exceed the Fourier") as caught:
+            call()
+        assert {w.filename for w in caught} == {__file__}
+
+    @pytest.mark.parametrize("check", ["imse", "bias", "covariance", "normality"])
+    def test_empty_band_raises_before_any_simulation(self, monkeypatch, check):
+        def spy(*args, **kwargs):
+            raise AssertionError("_simulate_rows ran")
+
+        monkeypatch.setattr(evaluate_module, "_simulate_rows", spy)
+        cfg = EstimatorConfig(N=64, b_f=1e-6)
+        off = 0.5 * (ON_GRID[0] + fourier_frequencies(64)[31])  # between two Fourier frequencies
+        model = far1(size=3)
+        call = {"imse": partial(mc_imse, model, {256: cfg, 512: cfg}, [0.5], [off, 1.0]),
+                "bias": partial(mc_mean_bias, model, cfg, 256, 0.5, off),
+                "covariance": partial(mc_covariance, model, cfg, 256, 0.5, off, off),
+                "normality": partial(mc_normality, model, cfg, 256, 0.5, off)}[check]
+        with pytest.warns(UserWarning, match="does not exceed the Fourier"):
+            with pytest.raises(ValueError, match="no Fourier frequency falls inside"):
+                call(R=2)
 
 
 class TestSecondDerivative:
