@@ -1,6 +1,8 @@
 """Print the package's option surface: public names, parameters and config keys.
 
-Run from the repository root with ``PYTHONPATH=src python .github/option_surface.py``.
+Run from the repository root with ``PYTHONPATH=src python .github/option_surface.py
+[NAMES [PARAMETERS [KEYS]]]``.  Given maxima, it exits 1 when a count exceeds its
+maximum, so the surface grows only by an edit of those numbers.
 A public name is a module-level function, class or assignment of ``src/tvfspec``
 whose name has no leading underscore, or such a method, property or field in
 the body of a public class.  Parameters are counted with ``inspect.signature``
@@ -12,6 +14,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+import sys
 
 from tvfspec import cli
 
@@ -58,6 +61,13 @@ for path in sorted(pathlib.Path("src/tvfspec").glob("*.py")):
                     member = inspect.getattr_static(obj, attr, None)  # None for a field
                     if inspect.isfunction(getattr(member, "__func__", member)):
                         params += parameters(getattr(obj, attr))
-print(f"public names: {names}")
-print(f"parameters of public functions, constructors and methods: {params}")
-print(f"config keys (leaves of cli._TABLE): {leaves(cli._TABLE)}")
+counts = {"public names": names,
+          "parameters of public functions, constructors and methods": params,
+          "config keys (leaves of cli._TABLE)": leaves(cli._TABLE)}
+for label, count in counts.items():
+    print(f"{label}: {count}")
+over = [f"{label}: {count} > {most}"
+        for (label, count), most in zip(counts.items(), map(int, sys.argv[1:])) if count > most]
+if over:
+    print("option surface above its maxima: " + "; ".join(over), file=sys.stderr)
+    sys.exit(1)

@@ -370,8 +370,11 @@ def _preflight(arrays, estimates=()):
 
     def fit(key, value, floats, what):
         if 8 * floats > memory:
+            # in the largest unit that keeps the amount at least 1
+            power, unit = next(((p, u) for p, u in ((30, "GiB"), (20, "MiB")) if memory >= 2**p),
+                               (10, "KiB"))
             raise ConfigError(f"{key} = {value} is too large: {what} needs more than the "
-                              f"{memory / 2**30:.1f} GiB of physical memory")
+                              f"{memory / 2**power:.1f} {unit} of physical memory")
 
     for entry in filter(None, arrays):
         fit(*entry)

@@ -43,7 +43,6 @@ from .estimator import (
 from .model import (
     DEFAULT_BURN_IN,
     TvFarmaModel,
-    _open_elements,
     _row_bytes,
     _simulate_rows,
     _whole,

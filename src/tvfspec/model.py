@@ -495,7 +495,7 @@ def _curves_at(model, us):
     return ar, ma, None if model.c is None else model.c.batch(us)
 
 
-def _filter_blocks(model, ts, T, ends, table=None):
+def _filter_blocks(model, ts, T, ends):
     """The causal-filter recursion, lag block after lag block.
 
     Walks lags 0, 1, ..., ``ends[-1]`` for every anchor time in the 1-D
@@ -504,13 +504,11 @@ def _filter_blocks(model, ts, T, ends, table=None):
     straddles a lag count in ``ends`` (ascending), so a caller can stop at
     any of them and the recursion is never restarted.  A block holds at
     most ``_FILTER_BYTES`` of filters (at least one lag), so the memory
-    grows with the anchors, not with anchors x lags.  Its operators
-    come from ``table`` (first time, ``_curves_at`` of the times from it
-    on) or else from every curve evaluated once over the union of
-    the block's rescaled times.  The state carried between blocks is the
-    top block row of the companion product and the last n pure-AR filters.
-    A filter's arithmetic does not depend on its block, its table or the
-    other anchors.
+    grows with the anchors, not with anchors x lags.  Its operators come
+    from every curve evaluated once over the union of the block's rescaled
+    times.  The state carried between blocks is the top block row of the
+    companion product and the last n pure-AR filters.  A filter's arithmetic
+    does not depend on its block or the other anchors.
     """
     k = model.dim
     m = model.ar_order
@@ -530,14 +528,9 @@ def _filter_blocks(model, ts, T, ends, table=None):
             # lags whose operators the block reads: u_{l-1} for the AR step,
             # u_{l-i} for the MA terms, u_l for the shaping
             first = max(0, lo - max(n, 1))
-            times = ts[:, None] - np.arange(first, hi)
-            if table is None:
-                times, idx = np.unique(times, return_inverse=True)
-                ar, ma, c = _curves_at(model, times / T)
-                idx = idx.reshape(count, hi - first)
-            else:
-                start, (ar, ma, c) = table
-                idx = times - start
+            times, idx = np.unique(ts[:, None] - np.arange(first, hi), return_inverse=True)
+            ar, ma, c = _curves_at(model, times / T)
+            idx = idx.reshape(count, hi - first)
             g = np.empty((count, n + hi - lo, k, k))
             g[:, :n] = past
             if lo == 0:
@@ -564,11 +557,11 @@ def _filter_blocks(model, ts, T, ends, table=None):
             lo = hi
 
 
-def _filters(model, ts, T, lags, table=None):
+def _filters(model, ts, T, lags):
     """Filters of lags 0, ..., ``lags`` of the anchor times ``ts`` (1-D),
     shape (len(ts), lags + 1, K, K), assembled from ``_filter_blocks``."""
     coeffs = None
-    for lo, block in _filter_blocks(model, ts, T, [lags], table):
+    for lo, block in _filter_blocks(model, ts, T, [lags]):
         if lo == 0 and block.shape[1] == lags + 1:
             return block
         if coeffs is None:

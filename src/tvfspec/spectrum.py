@@ -15,7 +15,7 @@ one-point case of ``truth_grid``, so both reject u outside [0, 1].  Local
 autocovariances pair the filters of the two time points straddling uT, and
 their truncated Fourier sum is the finite-T spectral density operator.  One
 private pass computes them from the causal filters of the time points it
-needs, filtered in groups of anchor times within the filter layer's byte
+needs, taking the lags in runs whose filters fit the filter layer's byte
 budget ``model._FILTER_BYTES``.
 """
 
@@ -148,11 +148,15 @@ def _local_autocovs(model, u, s, T, lags):
         sum_l A_{t2,T}(l) C_eps A_{t1,T}(l - d)',  0 <= l, l - d <= L,
 
     which is exactly zero for |d| > L, so only the times of pairs with
-    |d| <= L are filtered.  Every curve is evaluated once over the times
-    those filters read.  The pairs are taken in order, in groups whose new
-    times fit one filter stack of at most ``model._FILTER_BYTES``; the filters of
-    a group's last pair are kept for the next group, so along s = 0, 1, ...
-    each time is filtered once.  Each lag is one matrix product over its
+    |d| <= L are filtered.  The pairs are taken in runs of ``per_call``
+    consecutive lags, ``per_call`` anchors' filters filling at most
+    ``model._FILTER_BYTES``, and a run's new times are filtered in one call;
+    the filters of a run's last pair are kept for the next run, so along
+    s = 0, 1, ... each time is filtered once.  A run of c lags brings at most
+    c + 1 new times, c + 1 only where float rounding moves both times of a
+    lag at once (u = 0.9999999999999999 at T = 16: d runs 0, 1, 3, 3, 5, ...),
+    so a call gets at most ``per_call`` + 1 anchors and working memory does
+    not grow with anchors x lags.  Each lag is one matrix product over its
     filter pair, bitwise as from one stack of all the filters.
     """
     if lags is None:
@@ -163,35 +167,21 @@ def _local_autocovs(model, u, s, T, lags):
     per_call = max(1, _model._FILTER_BYTES // ((lags + 1) * k * k * 8))
     cov = model.innovations.covariance
     out = np.zeros((s.size, k, k))
-    todo = list(np.flatnonzero(np.abs(later - earlier) <= lags))
-    if not todo:
-        return out
-    # every curve once over all the times the filters read
-    times = np.concatenate([later[todo], earlier[todo]])
-    start = times.min() - lags
-    table = start, _curves_at(model, np.arange(start, times.max() + 1) / T)
-    held = {}  # filters by time: the last group's last pair, then this group's
-    while todo:
-        fresh = []
-        for size, p in enumerate(todo):
-            new = [t for t in dict.fromkeys((later[p], earlier[p]))
-                   if t not in held and t not in fresh]
-            if new and fresh and len(fresh) + len(new) > per_call:
-                break
-            fresh += new
-        else:
-            size = len(todo)
+    todo = np.flatnonzero(np.abs(later - earlier) <= lags)
+    held = {}  # filters by time: the last run's last pair, then this run's
+    for a in range(0, todo.size, per_call):
+        run = todo[a:a + per_call]
+        pairs = np.stack([later[run], earlier[run]], axis=1).ravel()
+        fresh = [t for t in dict.fromkeys(pairs) if t not in held]
         if fresh:
-            held.update(zip(fresh, _filters(model, np.array(fresh), T, lags, table)))
-        for p in todo[:size]:
+            held.update(zip(fresh, _filters(model, np.array(fresh), T, lags)))
+        for p in run:
             d = int(later[p] - earlier[p])
             n = lags + 1 - abs(d)
             la, lb = max(d, 0), max(-d, 0)
             out[p] = np.tensordot(held[later[p]][la:la + n] @ cov,
                                   held[earlier[p]][lb:lb + n], axes=([0, 2], [0, 2]))
-        last = todo[size - 1]
-        held = {t: held[t].copy() for t in (later[last], earlier[last])}
-        todo = todo[size:]
+        held = {t: held[t].copy() for t in (later[run[-1]], earlier[run[-1]])}
     return out
 
 

@@ -994,6 +994,20 @@ def test_replication_row_beyond_physical_memory_exits_2_before_any_write(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("pages, config, amount", [
+    (2**11, {"imse": {"u": {"count": 5000}, "omega": [0.3, 0.6], "T_list": [512, 1024]}},
+     "8.0 MiB"),
+    (2**5, {"checks": ["bias"], "bias": {"T": 2**16, "replications": 2}}, "128.0 KiB"),
+], ids=["MiB", "KiB"])
+def test_physical_memory_below_one_gib_prints_in_a_smaller_unit(
+    tmp_path, capsys, monkeypatch, pages, config, amount
+):
+    monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 2**12}.get)
+    path = write_config(tmp_path, "big.json", far1_config(**config))
+    assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.endswith(f"needs more than the {amount} of physical memory\n")
+
+
 def test_estimate_of_a_short_series_names_the_empty_band_alone(tmp_path, capsys):
     # at T = 16 the reference rates give N = 10 and b_f = 0.52, below the
     # Fourier spacing 0.63, so the default frequency axis has empty bands

@@ -245,7 +245,7 @@ class TestReplicate:
         # the window and the time loop's two rolling 72-step spans
         row_bytes = evaluate_module._row_bytes(model, windows, 1)
         assert row_bytes == (cfg.N + 1 + 2 * 72) * 15 * 8
-        assert evaluate_module._open_elements(windows) == cfg.N
+        assert model_module._open_elements(windows) == cfg.N
         replicate(model, T, list(range(20)), task)
         assert shapes == [(20, cfg.N, 15)] * 3
         # a budget of 8 rows splits the 20 rows evenly into passes of at most 8
@@ -262,7 +262,7 @@ class TestReplicate:
         # the definition: at each time, the steps of every window open then
         times = range(min(a for a, _ in windows), max(b for _, b in windows) + 1)
         most = max(sum(b - a + 1 for a, b in windows if a <= t <= b) for t in times)
-        assert evaluate_module._open_elements(windows) == most
+        assert model_module._open_elements(windows) == most
 
     def test_one_pass_per_worker_at_the_readme_scale(self, monkeypatch):
         # the README imse config: all 20 far1 replications in one time loop

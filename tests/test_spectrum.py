@@ -239,8 +239,8 @@ class TestWignerVille:
             truncations.append(real_order(*args, **kwargs))
             return truncations[-1]
 
-        def filters(model, ts, T, lags, table=None):
-            out = real_filters(model, ts, T, lags, table)
+        def filters(model, ts, T, lags):
+            out = real_filters(model, ts, T, lags)
             assert out.nbytes <= _FILTER_BYTES
             anchors.extend(ts.tolist())
             return out
@@ -267,9 +267,9 @@ class TestWignerVille:
         seen = []
         real = spectrum._filters
 
-        def filters(model, ts, T, lags, table=None):
+        def filters(model, ts, T, lags):
             seen.extend(ts.tolist())
-            return real(model, ts, T, lags, table)
+            return real(model, ts, T, lags)
 
         monkeypatch.setattr(spectrum, "_filters", filters)
         covs = autocov_sequence(model, u, T, 256, lags=lags)
@@ -341,7 +341,7 @@ def dense_local_autocovs(model, u, s, T, lags):
 
 
 class TestBoundedAutocovariances:
-    """Anchor groups within ``_FILTER_BYTES`` against one whole filter stack."""
+    """Runs of lags within ``_FILTER_BYTES`` against one whole filter stack."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -378,3 +378,36 @@ class TestBoundedAutocovariances:
         phase = np.exp(-1j * np.outer(omegas, np.arange(-s_max, s_max + 1)))
         dense_wv = (phase @ both.reshape(2 * s_max + 1, dim * dim)).reshape(-1, dim, dim) / TWO_PI
         assert wv.tobytes() == dense_wv.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        u=st.floats(0.0, 1.0),
+        T=st.integers(16, 4096),
+        s_max=st.integers(0, 64),
+        lags=st.integers(0, 16),
+        budget=st.integers(1, 2**20),
+    )
+    # rounding at uT = 16 - 2e-15 moves both times of s = 2 at once: a run of
+    # one lag brings two new times
+    @example(u=0.9999999999999999, T=16, s_max=8, lags=8, budget=1)
+    def test_runs_filter_each_time_once(self, u, T, s_max, lags, budget):
+        model = random_model(0, 2, 1, 1, True)
+        per_call = max(1, budget // ((lags + 1) * model.dim**2 * 8))
+        calls = []
+        real = spectrum._filters
+
+        def filters(model, ts, T, lags):
+            calls.append(ts.tolist())
+            return real(model, ts, T, lags)
+
+        with pytest.MonkeyPatch.context() as mp:
+            filter_budget(mp, budget)
+            mp.setattr(spectrum, "_filters", filters)
+            autocov_sequence(model, u, T, s_max, lags=lags)
+        s = np.arange(s_max + 1)
+        earlier = np.floor(u * T - s / 2.0).astype(int)
+        later = np.floor(u * T + s / 2.0).astype(int)
+        near = np.abs(later - earlier) <= lags
+        filtered = sorted(t for ts in calls for t in ts)
+        assert filtered == sorted(set(earlier[near]) | set(later[near]))
+        assert max(map(len, calls), default=0) <= per_call + 1
