@@ -172,7 +172,7 @@ def _check(value, rule, path):
         raise ConfigError(f"{path} must be {_KIND_NAMES[rule.kind]}, got {value!r}")
     if rule.kind == "axis":
         return _check(value, {"count": _Key(int, rule.least)} if type(value) is dict
-                      else _Key(float, many=type(value) is list, unit=rule.unit), path)
+                      else _Key(float, many=1 if type(value) is list else 0, unit=rule.unit), path)
     # json reads NaN, Infinity and 1e999 as floats; the bounds also stop too large an int
     if rule.kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
@@ -523,8 +523,8 @@ def _resolve_imse(run, model):
     if not lo < hi:
         raise ConfigError("no common valid band across the requested sample sizes")
     us = _axis(config, "imse.u", 3, partial(np.linspace, lo, hi))
-    # the trapezoid integral runs over the sorted distinct frequencies (not
-    # np.unique, whose import of numpy.ma adds 1.2 MB to every run's peak)
+    # the trapezoid integral runs over the sorted distinct frequencies (not np.unique,
+    # which imports numpy.ma; see test_no_command_imports_numpy_ma)
     omegas = np.array(sorted(set(_axis(config, "imse.omega", 64, fourier_frequencies))))
     evaluate.require_frequency_axis(omegas, "imse.omega")
     row = ("imse.u", f"{us.size} points", model)
@@ -616,6 +616,23 @@ def cmd_evaluate(args):
     return EXIT_OK if all(report.passed for report in reports) else 1
 
 
+def _median_iqr(stack):
+    """Median over the grid of the interquartile range of the finite ``stack``, sorted
+    along its first axis: bitwise ``np.median(upper - lower)`` of ``lower, upper =
+    np.percentile(stack, [25, 75], axis=0)``, without either call, as each imports
+    numpy.ma (about 1 MB of a run's peak)."""
+    quartiles = []
+    for q in (0.25, 0.75):
+        # numpy's linear rule at the virtual index (R - 1) q, in the arithmetic of its _lerp
+        index = (len(stack) - 1) * q
+        t = index - int(index)
+        a, b = stack[int(index)], stack[int(index) + 1]
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    gaps = np.sort(quartiles[1] - quartiles[0], axis=None)
+    # the middle one or two, averaged as np.median does
+    return float(gaps[(gaps.size - 1) // 2:gaps.size // 2 + 1].mean())
+
+
 def cmd_reproduce(args):
     run = Run("reproduce", args)
     T = _check(args.T or _get(run.config, "T", 2**9), _Key(REPRODUCE_LENGTHS), "T")
@@ -664,11 +681,8 @@ def cmd_reproduce(args):
             run.emit(f"slice{i}_rep{r}.csv", partial(ingest.write_spectral_grid, grid,
                                                      mode="kernel", taus=render,
                                                      kernels=kernels[r][None, None]))
-        # sorted along the replications, the quantiles' partition finds its
-        # order statistics in place instead of partitioning a copy
         amplitudes.sort(axis=0)
-        lower, upper = np.percentile(amplitudes, [25, 75], axis=0, overwrite_input=True)
-        dispersion[f"slice{i}"] = float(np.median(upper - lower))
+        dispersion[f"slice{i}"] = _median_iqr(amplitudes)
         del kernels  # freed before the next render, so two never coexist
     run.write_json(
         "dispersion.json",

@@ -72,7 +72,8 @@ class TaperSpec:
     def breakpoints(self):
         """Ends of the pieces of [0, 1] on which h is smooth."""
         if self.name == "cosine_flat":
-            return np.unique([0.0, self.rho, 1.0 - self.rho, 1.0])
+            # the sorted distinct ends, 1/2 once at rho = 1/2 (np.unique would import numpy.ma)
+            return np.array(sorted({0.0, self.rho, 1.0 - self.rho, 1.0}), dtype=float)
         return np.array([0.0, 1.0])
 
 
@@ -209,12 +210,13 @@ class EstimatorConfig:
         start = int(np.floor(u * T)) - self.N // 2 + 1
         stop = start + self.N - 1
         if start < t0 or stop > t_end:
+            where = f"segment [{start}, {stop}] for u={u:.4f} leaves observations [{t0}, {t_end}]"
+            if self.N > t_end - t0 + 1:  # the valid band is empty
+                raise BoundaryError(f"{where}; N={self.N} exceeds the {t_end - t0 + 1} "
+                                    "observations, so no u has a segment")
             lo, hi = self.valid_band(T, t0, t_end)
-            raise BoundaryError(
-                f"segment [{start}, {stop}] for u={u:.4f} leaves observations "
-                f"[{t0}, {t_end}]; with N={self.N} and T={T} the valid band is "
-                f"u in [{lo:.6f}, {hi:.6f}]"
-            )
+            raise BoundaryError(f"{where}; with N={self.N} and T={T} the valid band is "
+                                f"u in [{lo:.6f}, {hi:.6f}]")
         return start, stop
 
     def valid_band(self, T, t0=1, t_end=None):

@@ -13,6 +13,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tvfspec
 from tvfspec import cli, evaluate, ingest
@@ -50,37 +53,62 @@ def test_json_outputs_reject_bare_non_finite_tokens(tmp_path):
     assert doc == {"a": [1.0, "NaN"], "b": {"c": "-Infinity"}}
 
 
+def fresh_interpreter(code, *argv):
+    """Standard output of ``code`` run in a new interpreter that imports this tvfspec."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tvfspec.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
 def test_import_needs_numpy_only():
     # numpy is the only runtime dependency: no other installed distribution
     # provides a module that the import adds to a fresh interpreter
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tvfspec.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, importlib.metadata as md; before = set(sys.modules); "
         "import tvfspec.cli; "
         "added = {m.split('.')[0] for m in set(sys.modules) - before} - {'numpy', 'tvfspec'}; "
         "print(sorted(added & set(md.packages_distributions())))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "[]"
+    assert fresh_interpreter(code).strip() == "[]"
 
 
 def test_import_starts_no_process_pool_machinery():
     # the pool is imported only when a run asks for more than one worker
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tvfspec.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, tvfspec.cli; "
         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "[]"
+    assert fresh_interpreter(code).strip() == "[]"
+
+
+# the CI "Every report" config: all five checks at a small scale, where bias and
+# stationarity fail (exit 1)
+EVERY_REPORT = {"model": {"preset": "far1", "size": 3},
+                "checks": ["imse", "bias", "covariance", "normality", "stationarity"],
+                "replications": 8, "T": 512, "imse": {"T_list": [512, 1024]},
+                "stationarity": {"T_list": [64, 128, 256], "replications": 8}}
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["simulate", "--T", "256"], {"model": {"preset": "white", "size": 2}, "render": 8}, 0),
+    (["truth"], {"model": {"preset": "far1", "size": 3}, "render": 8}, 0),
+    (["estimate", None], {"basis_size": 2}, 0),
+    (["reproduce", "far2", "--T", "512"], {"render": 8}, 0),
+    (["check"], EVERY_REPORT, 1),
+    (["evaluate"], EVERY_REPORT, 1),
+], ids=["simulate", "truth", "estimate", "reproduce", "check", "evaluate"])
+def test_no_command_imports_numpy_ma(tmp_path, argv, config, code):
+    # np.percentile, np.median and np.unique import numpy.ma on first use, which
+    # adds about 1 MB to a run's peak; no run's data is ever masked
+    argv = [white_series(tmp_path) if a is None else a for a in argv]
+    run = ("import sys, tvfspec.cli; code = tvfspec.cli.main(sys.argv[1:]); "
+           "print(code, 'numpy.ma' in sys.modules)")
+    out = fresh_interpreter(run, *argv, "--config", write_config(tmp_path, "run.json", config),
+                            "--seed", "7", "--out", str(tmp_path / "out"))
+    assert out.splitlines()[-1] == f"{code} False"
 
 
 def manifest_for_threads(tmp_path, argv, threads):
@@ -522,6 +550,22 @@ class TestReproduce:
             lower, upper = np.percentile(amplitudes, [25, 75], axis=0)
             assert dispersion[f"slice{i}"] == float(np.median(upper - lower))
 
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.just(cli.REPRODUCE_REPLICATIONS),
+                                            st.integers(1, 64)),
+                      elements=st.one_of(st.sampled_from([0.0, 5e-324, 2.5e-308, 1.0]),
+                                         st.floats(0.0, 1e6))))
+    # a + (b - a) t and b - (b - a)(1 - t) round apart for a = 0.2, b = 0.9 at t = 0.25
+    # and 0.75, so these hold each quartile to numpy's choice between them
+    @example(np.repeat([[0.2], [0.9]], [5, 15], axis=0))
+    @example(np.repeat([[0.2], [0.9]], [15, 5], axis=0))
+    def test_median_iqr_is_numpys_percentile_and_median(self, stack):
+        # ties, subnormals, and grids of odd and even size, sorted as reproduce sorts them
+        stack.sort(axis=0)
+        lower, upper = np.percentile(stack, [25, 75], axis=0)
+        want = float(np.median(upper - lower))
+        assert np.float64(cli._median_iqr(stack)).tobytes() == np.float64(want).tobytes()
+
     def test_peak_memory_holds_one_slice_of_surfaces(self, tmp_path):
         # far2 at the default render of 64: all 7 slices' 20 amplitude
         # surfaces at once are 4.6 MB; one slice's surfaces, its complex
@@ -649,6 +693,27 @@ def test_bad_setting_writes_nothing(tmp_path, argv, config, code):
     path = write_config(tmp_path, "bad.json", config)
     out = tmp_path / "out"
     assert cli.main([*argv, "--config", path, "--out", str(out)]) == code
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["estimate", None], {"basis_size": 2, "estimator": {"segment": 700}},
+     "N=700 exceeds the 600 observations, so no u has a segment"),
+    (["evaluate"], far1_config(checks=["bias"], bias={"T": 64}, estimator={"segment": 128}),
+     "N=128 exceeds the 64 observations, so no u has a segment"),
+], ids=["estimate", "evaluate-bias"])
+def test_segment_longer_than_the_series_exits_4_naming_no_band(tmp_path, capsys, argv, config,
+                                                                message):
+    # the valid band would be inverted, [0.583333, 0.416667] and [1, 0]
+    series = tmp_path / "long.csv"  # 600 rows
+    data = np.random.default_rng(1).standard_normal((600, 16))
+    ingest.write_series(ingest.RawSeries(grid=np.linspace(0, 1, 16), data=data), series)
+    argv = [str(series) if a is None else a for a in argv]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", write_config(tmp_path, "long.json", config),
+                     "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("boundary error: segment [") and err.endswith(f"; {message}\n")
     assert list(out.iterdir()) == []
 
 
@@ -827,6 +892,7 @@ def bad_values(path, rule):
         cases.append(([np.inf] if rule.many else np.inf, f"{at} must be a finite number"))
     if rule.kind == "axis":
         cases.append(([np.nan], f"{path}[0] must be a finite number"))
+        cases.append(([], f"{path} needs 1 or more distinct entries, got []"))
     if rule.many > 1:
         cases.append(([256, 256], f"{path} needs {rule.many} or more distinct entries"))
     if type(rule.kind) is tuple:

@@ -62,6 +62,12 @@ class TestTapers:
         with pytest.raises(ValueError, match="rise fraction"):
             TaperSpec(name="cosine_flat", rho=0.7)
 
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5])
+    def test_cosine_flat_breakpoints_are_the_sorted_distinct_ends(self, rho):
+        breaks = TaperSpec(name="cosine_flat", rho=rho).breakpoints()
+        want = np.unique([0.0, rho, 1.0 - rho, 1.0])
+        assert breaks.dtype == want.dtype and breaks.tobytes() == want.tobytes()
+
     def test_induced_kernel_of_sqrt_epanechnikov(self):
         kernel = induced_time_kernel(TaperSpec(name="sqrt_epanechnikov"))
         x = np.linspace(-0.5, 0.5, 101)
