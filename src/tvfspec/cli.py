@@ -243,6 +243,8 @@ class Run:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not UTF-8 text: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
         self.config_hash = hashlib.sha256(self.config_bytes).hexdigest()
@@ -314,7 +316,7 @@ def _resolve_model(config):
             raise ConfigError(f"cannot load model {path}: {exc}") from exc
     try:
         return ingest.model_from_document(spec)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad inline model document: {exc}") from exc
 
 

@@ -20,8 +20,8 @@ sum_n W[b, n] D_n D_n^H / (2 pi H_2): the N periodogram operators are
 never formed.  One private smoother does this for a stack of R segments at
 once; ``estimate_grid`` is its single-series case.  The taper implicitly
 smooths over time with kernel K_t(x) = h(x + 1/2)^2 / int h^2 and bandwidth
-b_t = N / T.  K_f is the one frequency kernel ``FREQ_KERNEL``, Epanechnikov
-on [-1/2, 1/2], so b_f alone sets the smoothing support [-b_f/2, b_f/2].
+b_t = N / T.  K_f is ``frequency_kernel``, Epanechnikov on [-1/2, 1/2], so
+b_f alone sets the smoothing support [-b_f/2, b_f/2].
 
 ``EstimatorConfig.segment`` places every segment: the N times centred at
 floor(uT), which must lie inside the observations (default [1, T]), or
@@ -30,6 +30,7 @@ floor(uT), which must lie inside the observations (default [1, T]), or
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -77,28 +78,11 @@ class TaperSpec:
         return np.array([0.0, 1.0])
 
 
-@dataclass(frozen=True)
-class FreqKernelSpec:
-    """Frequency smoothing kernel with compact support [-w, w].
-
-    ``epanechnikov`` is 6 (1/4 - x^2) on [-1/2, 1/2]: unit mass, second
-    moment 1/20, squared L2 norm 6/5.
-    """
-
-    name: str = "epanechnikov"
-    half_width: float = 0.5
-
-    def __post_init__(self):
-        if self.name != "epanechnikov":
-            raise ValueError(f"unknown frequency kernel {self.name!r}")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-
-    def values(self, x):
-        x = np.asarray(x, dtype=float)
-        # scale-invariant shape: support rescaled to the declared half width
-        z = x * (0.5 / self.half_width)
-        return np.where(np.abs(z) <= 0.5, 6.0 * (0.25 - z * z) * (0.5 / self.half_width), 0.0)
+def frequency_kernel(x):
+    """K_f of every estimate and limit, the Epanechnikov kernel 6 (1/4 - x^2) on
+    [-1/2, 1/2]: unit mass, second moment 1/20, squared L2 norm 6/5."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) <= 0.5, 6.0 * (0.25 - x * x), 0.0)
 
 
 @dataclass(frozen=True)
@@ -134,26 +118,25 @@ def induced_time_kernel(taper):
     return kernel
 
 
-def kernel_constants(obj):
-    """Kernel moments for a FreqKernelSpec or the induced kernel of a TaperSpec."""
-    if isinstance(obj, TaperSpec):
-        fn = induced_time_kernel(obj)
-        breaks = obj.breakpoints() - 0.5
-    elif isinstance(obj, FreqKernelSpec):
-        fn = obj.values
-        breaks = [-obj.half_width, obj.half_width]
-    else:
-        raise TypeError("expected TaperSpec or FreqKernelSpec")
+def _moments(kernel, breaks):
+    """``KernelConstants`` of ``kernel`` over [breaks[0], breaks[-1]] by ``_quadrature``."""
     x, w = _quadrature(breaks)
-    f = fn(x)
+    f = kernel(x)
     return KernelConstants(
         mass=float(w @ f), mean=float(w @ (x * f)),
         kappa=float(w @ (x * x * f)), l2=float(w @ (f * f)),
     )
 
 
-# K_f of every estimate and limit; a support other than [-1/2, 1/2] would only rescale b_f
-FREQ_KERNEL = FreqKernelSpec()
+def kernel_constants(taper):
+    """Moments of the time kernel K_t that the TaperSpec ``taper`` induces."""
+    return _moments(induced_time_kernel(taper), taper.breakpoints() - 0.5)
+
+
+@functools.cache  # on first use: the quadrature imports numpy.polynomial
+def frequency_constants():
+    """Moments of the frequency kernel K_f (``frequency_kernel``)."""
+    return _moments(frequency_kernel, [-0.5, 0.5])
 
 
 def fourier_frequencies(count):
@@ -175,7 +158,7 @@ class EstimatorConfig:
     """Segment length, frequency bandwidth and taper.
 
     The time bandwidth is implied: b_t = N / T once the sample size is known.
-    The frequency kernel is ``FREQ_KERNEL`` on [-b_f/2, b_f/2].
+    The frequency kernel is ``frequency_kernel`` on [-b_f/2, b_f/2].
     """
 
     N: int
@@ -311,12 +294,12 @@ def _smoothing_band(cfg, omegas):
     """
     n = cfg.N
     spacing = TWO_PI / n
-    reach = FREQ_KERNEL.half_width * cfg.b_f / spacing
+    reach = 0.5 * cfg.b_f / spacing  # K_f's half width at b_f, in Fourier spacings
     width = min(n, 2 * int(np.ceil(reach)) + 3)
     first = np.floor(omegas / spacing - reach).astype(int) - 1
     index = np.mod(first[:, None] + np.arange(width), n)
     freqs = fourier_frequencies(n)[(index + n // 2) % n]
-    w = FREQ_KERNEL.values(wrap_frequency(omegas[:, None] - freqs) / cfg.b_f)
+    w = frequency_kernel(wrap_frequency(omegas[:, None] - freqs) / cfg.b_f)
     totals = w.sum(axis=1)
     empty = np.flatnonzero(totals <= 0)
     if empty.size:

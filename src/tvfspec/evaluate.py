@@ -31,12 +31,12 @@ from functools import cached_property, partial
 import numpy as np
 
 from .estimator import (
-    FREQ_KERNEL,
     EstimatorConfig,
     _smoothed_blocks,
     _smoothed_rows,
     _smoothing_band,
     _warn_degenerate,
+    frequency_constants,
     kernel_constants,
     wrap_frequency,
 )
@@ -304,7 +304,7 @@ def mc_mean_bias(model, cfg, T, u, omega, R, seed=0, projection=(0, 0), workers=
     mc_mean = complex(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(R))
     kt = kernel_constants(cfg.taper)
-    kf = kernel_constants(FREQ_KERNEL)
+    kf = frequency_constants()
     bt = cfg.b_t(T)
     pred2 = truth + 0.5 * bt**2 * kt.kappa * d2u + 0.5 * cfg.b_f**2 * kf.kappa * d2w
     err0 = abs(mc_mean - truth)
@@ -342,7 +342,7 @@ def predicted_covariance(f1, cfg, omega1, omega2, pair):
     """
     (m, n), (mm, nn) = pair
     kt = kernel_constants(cfg.taper)
-    kf = kernel_constants(FREQ_KERNEL)
+    kf = frequency_constants()
     lead = TWO_PI * kt.l2 * kf.l2
     term1 = _eta(omega1 - omega2) * f1[m, mm] * np.conj(f1[n, nn])
     term2 = _eta(omega1 + omega2) * f1[m, nn] * np.conj(f1[n, mm])
@@ -406,7 +406,7 @@ def _moment_ztests(sample, R):
 def effective_dof(cfg):
     """Rough chi-square degrees of freedom of one smoothed entry."""
     kt = kernel_constants(cfg.taper)
-    kf = kernel_constants(FREQ_KERNEL)
+    kf = frequency_constants()
     return 2.0 * cfg.b_f * cfg.N / (TWO_PI * kf.l2 * kt.l2)
 
 

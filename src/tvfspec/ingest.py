@@ -267,10 +267,21 @@ def write_series(raw, path):
         _write_rows(fh, raw.data)
 
 
+def _newlines(text):
+    """``text`` with "\\r\\n" and "\\r" read as "\\n", as a text-mode file reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _lines(path, header, meta=False):
-    """The file's lines minus trailing empty ones; checks its header and ``meta`` line 2."""
-    with open(path) as fh:
-        text = fh.read().rstrip("\n")
+    """The UTF-8 file's lines minus trailing empty ones; checks its header and
+    ``meta`` line 2.  A byte that is no UTF-8 is a ParseError on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = _newlines(data.decode()).rstrip("\n")
+    except UnicodeDecodeError as exc:
+        line = _newlines(data[:exc.start].decode()).count("\n") + 1
+        raise ParseError(path, line, f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
     if not text:
         raise ParseError(path, 1, "empty file, expected a header line")
     lines = text.split("\n")
@@ -325,8 +336,8 @@ def read_series(path):
         raise ParseError(path, 2, str(exc)) from None
 
 
-def render_grid(count=64):
-    """Default uniform [0, 1] render axis for kernel-layout output."""
+def render_grid(count):
+    """Uniform [0, 1] render axis of ``count`` points for kernel-layout output."""
     return np.linspace(0.0, 1.0, count)
 
 
@@ -337,7 +348,7 @@ def write_spectral_grid(grid, path, mode="coeff", taus=None, kernels=None):
     coefficients, zero-based indices.  ``kernel`` rows are
     (u, omega, tau, sigma, Re, Im, abs) with the operator rendered as a
     kernel in the K-function Fourier basis of the grid's dimension K on the
-    taus x taus grid (default 64 uniform points); the abs column is the
+    taus x taus grid, which kernel mode requires; the abs column is the
     amplitude surface contour plots display.  Rows are emitted in nested
     (u, omega, first index, second index) order, one u at a time.
     ``kernels``, shape (len(u), len(omega), len(taus), len(taus)), passes the
@@ -349,8 +360,10 @@ def write_spectral_grid(grid, path, mode="coeff", taus=None, kernels=None):
     if mode == "coeff":
         axis = tuple(range(dim))
     else:
+        if taus is None:
+            raise ValueError("kernel mode needs the render axis taus")
         basis = BasisSpec(size=dim)
-        taus = render_grid() if taus is None else np.asarray(taus, dtype=float)
+        taus = np.asarray(taus, dtype=float)
         axis = tuple(taus.tolist())
     lead = _grid_rows(axis, axis)
     with open(path, "wb") as fh:
@@ -439,11 +452,45 @@ def _curve_doc(curve):
     }
 
 
-def _curve_from_doc(doc, dim):
-    knots = np.asarray(doc["knots"], dtype=float)
-    values = np.array(
-        [np.asarray(mat, dtype=float).reshape(dim, dim) for mat in doc["values"]]
-    )
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def _typed(value, kind, name):
+    """``value``, the model document's ``name``, if it is of the JSON type ``kind``."""
+    if type(value) is not kind:  # a bool is no integer
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+def _field(doc, key, kind=None, where=""):
+    """``doc[key]`` of a model document, of the JSON type ``kind`` when one is
+    given; ``where`` is the field's parent, such as ``ar[0].``."""
+    if key not in doc:
+        raise ValueError(f"model document has no field {where}{key}")
+    value = doc[key]
+    return value if kind is None else _typed(value, kind, f"model document field {where}{key}")
+
+
+def _numbers(value, name, shape=None):
+    """``value``, JSON numbers only, as a float array of ``shape`` (any when None),
+    or a ValueError naming ``name``."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind not in "iuf":  # strings, bools and nulls are no numbers
+            raise ValueError
+        array = array.astype(float)
+        return array if shape is None else array.reshape(shape)
+    except (TypeError, ValueError):
+        what = "numbers" if shape is None else f"a {shape[0]} x {shape[1]} matrix of numbers"
+        raise ValueError(f"model document field {name} must hold {what}") from None
+
+
+def _curve_from_doc(doc, dim, name):
+    _typed(doc, dict, f"model document field {name}")
+    where = f"{name}."
+    knots = _numbers(_field(doc, "knots", where=where), f"{where}knots")
+    values = np.array([_numbers(mat, f"{where}values[{g}]", (dim, dim))
+                       for g, mat in enumerate(_field(doc, "values", list, where))])
     return OperatorCurve(knots=knots, values=values)
 
 
@@ -464,22 +511,30 @@ def model_document(model, seed=None):
 
 
 def model_from_document(doc):
-    """Rebuild a ``TvFarmaModel`` from its document; returns (model, seed)."""
+    """Rebuild a ``TvFarmaModel`` from its document; returns (model, seed).
+
+    A malformed document raises ValueError naming its first missing or
+    ill-typed field; ``dim``, ``ar_order`` and ``ma_order`` must be integers.
+    """
+    _typed(doc, dict, "model document")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model document version {doc.get('version')!r}")
-    dim = int(doc["dim"])
-    ar = tuple(_curve_from_doc(c, dim) for c in doc["ar"])
-    ma = tuple(_curve_from_doc(c, dim) for c in doc["ma"])
+    dim = _field(doc, "dim", int)
+    if dim < 1:
+        raise ValueError(f"model document field dim must be at least 1, got {dim}")
+    orders = [_field(doc, key, int) for key in ("ar_order", "ma_order")]
+    ar, ma = ([_curve_from_doc(c, dim, f"{key}[{i}]") for i, c in enumerate(_field(doc, key, list))]
+              for key in ("ar", "ma"))
     c = doc.get("c")
     model = TvFarmaModel(
         ar=ar,
         ma=ma,
-        c=None if c is None else _curve_from_doc(c, dim),
-        innovations=InnovationSpec(np.asarray(doc["sigma"], dtype=float)),
+        c=None if c is None else _curve_from_doc(c, dim, "c"),
+        innovations=InnovationSpec(_numbers(_field(doc, "sigma"), "sigma")),
     )
-    if model.ar_order != int(doc["ar_order"]) or model.ma_order != int(doc["ma_order"]):
+    if [model.ar_order, model.ma_order] != orders:
         raise ValueError("declared orders disagree with the stored curves")
     return model, doc.get("seed")
 

@@ -26,9 +26,9 @@ Causal filters.  ``_filter_blocks`` is the one filter recursion: for an
 array of anchor times it walks back over lags on the top block row of the
 companion product for all anchors at once, one block of lags after another,
 and composes the moving-average part on top.  ``ma_coefficients`` assembles
-its blocks, ``choose_ma_order`` continues it from one doubling of the lag
-count to the next, and the autocovariances of ``spectrum`` run it per group
-of anchor times.  ``simulate_ma`` gives t = 1..T from innovation rows that
+its blocks, for the autocovariances of ``spectrum`` one group of anchor times
+at a time, and ``choose_ma_order`` continues it from one doubling of the lag
+count to the next.  ``simulate_ma`` gives t = 1..T from innovation rows that
 end at T, carrying the forward responses of a block of rows at once, latest
 block first.  Each of these stacks (a lag block, an anchor group, a row
 block's operators) stays within ``_FILTER_BYTES``, so no working memory
@@ -557,19 +557,6 @@ def _filter_blocks(model, ts, T, ends):
             lo = hi
 
 
-def _filters(model, ts, T, lags):
-    """Filters of lags 0, ..., ``lags`` of the anchor times ``ts`` (1-D),
-    shape (len(ts), lags + 1, K, K), assembled from ``_filter_blocks``."""
-    coeffs = None
-    for lo, block in _filter_blocks(model, ts, T, [lags]):
-        if lo == 0 and block.shape[1] == lags + 1:
-            return block
-        if coeffs is None:
-            coeffs = np.empty((ts.size, lags + 1) + block.shape[2:])
-        coeffs[:, lo:lo + block.shape[1]] = block
-    return coeffs
-
-
 def ma_coefficients(model, t, T, lags):
     """Causal moving-average filters A_{t,T}(l) for l = 0, ..., lags.
 
@@ -590,7 +577,15 @@ def ma_coefficients(model, t, T, lags):
     ndarray, shape (lags + 1, K, K), or (len(t), lags + 1, K, K)
     """
     ts = np.asarray(t)
-    coeffs = _filters(model, np.atleast_1d(ts), T, lags)
+    anchors = np.atleast_1d(ts)
+    coeffs = None
+    for lo, block in _filter_blocks(model, anchors, T, [lags]):
+        if block.shape[1] == lags + 1:  # one block holds every lag
+            coeffs = block
+            break
+        if coeffs is None:
+            coeffs = np.empty((anchors.size, lags + 1) + block.shape[2:])
+        coeffs[:, lo:lo + block.shape[1]] = block
     return coeffs if ts.ndim else coeffs[0]
 
 

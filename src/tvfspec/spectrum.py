@@ -14,9 +14,9 @@ model without C skips the product.  ``true_spectral_density`` is the
 one-point case of ``truth_grid``, so both reject u outside [0, 1].  Local
 autocovariances pair the filters of the two time points straddling uT, and
 their truncated Fourier sum is the finite-T spectral density operator.  One
-private pass computes them from the causal filters of the time points it
-needs, taking the lags in runs whose filters fit the filter layer's byte
-budget ``model._FILTER_BYTES``.
+private pass computes them from the causal filters (``ma_coefficients``) of
+the time points it needs, taking the lags in runs whose filters fit the
+filter layer's byte budget ``model._FILTER_BYTES``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import model as _model
 from .funspace import adjoint, check_unit_interval
-from .model import _curves_at, _filters, choose_ma_order
+from .model import _curves_at, choose_ma_order, ma_coefficients
 
 PROVENANCES = ("truth", "wigner_ville", "smoothed")
 
@@ -150,13 +150,13 @@ def _local_autocovs(model, u, s, T, lags):
     which is exactly zero for |d| > L, so only the times of pairs with
     |d| <= L are filtered.  The pairs are taken in runs of ``per_call``
     consecutive lags, ``per_call`` anchors' filters filling at most
-    ``model._FILTER_BYTES``, and a run's new times are filtered in one call;
-    the filters of a run's last pair are kept for the next run, so along
-    s = 0, 1, ... each time is filtered once.  A run of c lags brings at most
-    c + 1 new times, c + 1 only where float rounding moves both times of a
-    lag at once (u = 0.9999999999999999 at T = 16: d runs 0, 1, 3, 3, 5, ...),
-    so a call gets at most ``per_call`` + 1 anchors and working memory does
-    not grow with anchors x lags.  Each lag is one matrix product over its
+    ``model._FILTER_BYTES``, and a run's new times are filtered in one
+    ``ma_coefficients`` call; the filters of a run's last pair are kept for
+    the next run, so along s = 0, 1, ... each time is filtered once.  A run
+    of c lags brings at most c + 1 new times, c + 1 only where float rounding
+    moves both times of a lag at once (u = 0.9999999999999999 at T = 16: d
+    runs 0, 1, 3, 3, 5, ...), so a call gets at most ``per_call`` + 1 anchors
+    and working memory does not grow with anchors x lags.  Each lag is one matrix product over its
     filter pair, bitwise as from one stack of all the filters.
     """
     if lags is None:
@@ -174,7 +174,7 @@ def _local_autocovs(model, u, s, T, lags):
         pairs = np.stack([later[run], earlier[run]], axis=1).ravel()
         fresh = [t for t in dict.fromkeys(pairs) if t not in held]
         if fresh:
-            held.update(zip(fresh, _filters(model, np.array(fresh), T, lags)))
+            held.update(zip(fresh, ma_coefficients(model, np.array(fresh), T, lags)))
         for p in run:
             d = int(later[p] - earlier[p])
             n = lags + 1 - abs(d)

@@ -13,10 +13,10 @@ import numpy as np
 from tvfspec import cli
 from tvfspec.estimator import (
     EstimatorConfig,
-    FreqKernelSpec,
     TaperSpec,
     estimate_grid,
     fourier_frequencies,
+    frequency_constants,
     kernel_constants,
 )
 from tvfspec.evaluate import (
@@ -238,7 +238,7 @@ def test_criterion_10_figure_pipelines(tmp_path):
 
 
 def test_criterion_11_kernel_constants():
-    c = kernel_constants(FreqKernelSpec(name="epanechnikov", half_width=0.5))
+    c = frequency_constants()
     errs = (abs(c.mass - 1.0), abs(c.kappa - 1.0 / 20.0), abs(c.l2 - 6.0 / 5.0))
     induced = kernel_constants(TaperSpec(name="sqrt_epanechnikov"))
     errs += (abs(induced.kappa - 1.0 / 20.0), abs(induced.l2 - 6.0 / 5.0))

@@ -92,23 +92,28 @@ EVERY_REPORT = {"model": {"preset": "far1", "size": 3},
                 "stationarity": {"T_list": [64, 128, 256], "replications": 8}}
 
 
-@pytest.mark.parametrize("argv, config, code", [
-    (["simulate", "--T", "256"], {"model": {"preset": "white", "size": 2}, "render": 8}, 0),
-    (["truth"], {"model": {"preset": "far1", "size": 3}, "render": 8}, 0),
-    (["estimate", None], {"basis_size": 2}, 0),
-    (["reproduce", "far2", "--T", "512"], {"render": 8}, 0),
-    (["check"], EVERY_REPORT, 1),
-    (["evaluate"], EVERY_REPORT, 1),
-], ids=["simulate", "truth", "estimate", "reproduce", "check", "evaluate"])
-def test_no_command_imports_numpy_ma(tmp_path, argv, config, code):
+@pytest.mark.parametrize("argv, config, code, moments", [
+    (["simulate", "--T", "256"], {"model": {"preset": "white", "size": 2}, "render": 8}, 0, False),
+    (["truth"], {"model": {"preset": "far1", "size": 3}, "render": 8}, 0, False),
+    (["estimate", None], {"basis_size": 2}, 0, False),
+    (["reproduce", "far2", "--T", "512"], {"render": 8}, 0, False),
+    (["check"], EVERY_REPORT, 1, False),
+    (["evaluate"], EVERY_REPORT, 1, True),
+    (["evaluate"], {"model": {"preset": "far1", "size": 3}, "checks": ["imse"], "replications": 4,
+                    "imse": {"T_list": [256, 512]}}, 0, False),
+], ids=["simulate", "truth", "estimate", "reproduce", "check", "evaluate", "evaluate-imse"])
+def test_no_command_imports_numpy_ma(tmp_path, argv, config, code, moments):
     # np.percentile, np.median and np.unique import numpy.ma on first use, which
-    # adds about 1 MB to a run's peak; no run's data is ever masked
+    # adds about 1 MB to a run's peak; no run's data is ever masked.  The kernel
+    # moments' quadrature imports numpy.polynomial (about 0.9 MB), so neither
+    # the import nor any run but one whose report reads a kernel moment (bias,
+    # covariance, normality) loads it
     argv = [white_series(tmp_path) if a is None else a for a in argv]
     run = ("import sys, tvfspec.cli; code = tvfspec.cli.main(sys.argv[1:]); "
-           "print(code, 'numpy.ma' in sys.modules)")
+           "print(code, 'numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)")
     out = fresh_interpreter(run, *argv, "--config", write_config(tmp_path, "run.json", config),
                             "--seed", "7", "--out", str(tmp_path / "out"))
-    assert out.splitlines()[-1] == f"{code} False"
+    assert out.splitlines()[-1] == f"{code} False {moments}"
 
 
 def manifest_for_threads(tmp_path, argv, threads):
@@ -796,6 +801,37 @@ def test_non_finite_model_file_exits_2_before_any_write(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("form", ["path", "inline"])
+@pytest.mark.parametrize("doc, message", [
+    ({"format": "tvfspec-model", "version": 1}, "model document has no field dim"),
+    ([1, 2], "must be an object, got [1, 2]"),
+    (ar1_document(dim=None), "model document field dim must be an integer, got None"),
+    (ar1_document(dim="2"), "model document field dim must be an integer, got '2'"),
+    (ar1_document(dim=True), "model document field dim must be an integer, got True"),
+    (ar1_document(ar_order=0.9), "model document field ar_order must be an integer, got 0.9"),
+    (ar1_document(ar=[{"knots": [0.0]}]), "model document has no field ar[0].values"),
+    (ar1_document(sigma={"a": 1.0}), "model document field sigma must hold numbers"),
+    (ar1_document(sigma=["1", "1"]), "model document field sigma must hold numbers"),
+    (ar1_document(ar=[{"knots": [0.0], "values": [[0.5, 0.0, 0.0, None]]}]),
+     "model document field ar[0].values[0] must hold a 2 x 2 matrix of numbers"),
+], ids=["no-dim", "list", "dim-null", "dim-string", "dim-bool", "ar_order-float",
+        "curve-no-values", "sigma-object", "sigma-strings", "value-null"])
+def test_malformed_model_document_exits_2_before_any_write(tmp_path, capsys, form, doc,
+                                                           message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    spec = {"path": str(model)} if form == "path" else doc
+    config = write_config(tmp_path, "truth.json", {"model": spec})
+    out = tmp_path / "out"
+    assert cli.main(["truth", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"{message}\n") and err.count("\n") == 1
+    if type(doc) is dict:  # an inline list fails the config table's own check first
+        prefix = f"cannot load model {model}: " if form == "path" else "bad inline model document: "
+        assert err.startswith(f"config error: {prefix}")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["estimate", "evaluate"])
 def test_frequency_kernel_width_is_not_a_setting(tmp_path, capsys, command):
     # b_f alone sets the kernel support: a width w is b_f scaled by w / 0.5
@@ -866,6 +902,25 @@ def test_estimate_names_the_bad_series_line(tmp_path, capsys):
     out = tmp_path / "est"
     assert cli.main(["estimate", str(series), "--out", str(out)]) == 5
     assert f"parse error: {series}:5: non-numeric field" in capsys.readouterr().err
+
+
+def test_series_that_is_not_utf8_is_a_parse_error_on_its_line(tmp_path, capsys):
+    series = Path(white_series(tmp_path))
+    lines = series.read_bytes().split(b"\n")
+    lines[2] = lines[2][:5] + b"\x99" + lines[2][5:]
+    series.write_bytes(b"\n".join(lines))
+    out = tmp_path / "est"
+    assert cli.main(["estimate", str(series), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == f"parse error: {series}:3: byte 0x99 is not UTF-8 text\n"
+
+
+def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_bytes(b'{"render": 8,\n "out": "\xff"}\n')
+    out = tmp_path / "out"
+    assert cli.main(["truth", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config {config} is not UTF-8 text: ")
+    assert not out.exists()
 
 
 def table_entries(table=cli._TABLE, path=""):

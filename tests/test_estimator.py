@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvfspec.estimator import (
-    FREQ_KERNEL,
     BoundaryError,
     _smoothed_rows,
     _smoothing_band,
     EstimatorConfig,
-    FreqKernelSpec,
     TaperSpec,
     estimate_grid,
     fourier_frequencies,
+    frequency_constants,
+    frequency_kernel,
     induced_time_kernel,
     kernel_constants,
     local_fdft,
@@ -76,17 +76,11 @@ class TestTapers:
 
 class TestKernelConstants:
     def test_epanechnikov_moments(self):
-        c = kernel_constants(FREQ_KERNEL)
+        c = frequency_constants()
         assert c.mass == pytest.approx(1.0, abs=1e-10)
         assert c.mean == pytest.approx(0.0, abs=1e-12)
         assert c.kappa == pytest.approx(1.0 / 20.0, abs=1e-10)
         assert c.l2 == pytest.approx(6.0 / 5.0, abs=1e-10)
-
-    def test_rescaled_support_scales_moments(self):
-        c = kernel_constants(FreqKernelSpec(half_width=1.0))
-        assert c.mass == pytest.approx(1.0, abs=1e-10)
-        assert c.kappa == pytest.approx(4.0 / 20.0, abs=1e-10)
-        assert c.l2 == pytest.approx(0.5 * 6.0 / 5.0, abs=1e-10)
 
     def test_flat_taper_moments(self):
         c = kernel_constants(TaperSpec(name="flat"))
@@ -98,12 +92,6 @@ class TestKernelConstants:
         c = kernel_constants(TaperSpec(name="cosine_flat", rho=rho))
         assert c.mass == pytest.approx(1.0, abs=1e-13)
         assert c.mean == pytest.approx(0.0, abs=1e-13)
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown frequency kernel"):
-            FreqKernelSpec(name="gauss")
-        with pytest.raises(TypeError):
-            kernel_constants(object())
 
 
 class TestFrequencyGrids:
@@ -252,7 +240,7 @@ def weight_loop_estimate(x, cfg, T, u, omegas):
     grid = fourier_frequencies(cfg.N)
     out = []
     for omega in omegas:
-        w = FREQ_KERNEL.values(wrap_frequency(omega - grid) / cfg.b_f)
+        w = frequency_kernel(wrap_frequency(omega - grid) / cfg.b_f)
         out.append(sum(wn * pn for wn, pn in zip(w / w.sum(), per)))
     return np.array(out)
 
@@ -260,7 +248,7 @@ def weight_loop_estimate(x, cfg, T, u, omegas):
 def dense_estimate(x, cfg, T, u, omegas, t0=1):
     """Reference smoother: dense weight matrix over all N periodogram operators."""
     per = local_periodogram_grid(x, u, cfg, T, t0=t0)
-    w = FREQ_KERNEL.values(
+    w = frequency_kernel(
         wrap_frequency(np.asarray(omegas)[:, None] - fourier_frequencies(cfg.N)) / cfg.b_f
     )
     w /= w.sum(axis=1, keepdims=True)

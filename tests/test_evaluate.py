@@ -828,9 +828,9 @@ class TestStabilityGate:
         for module in (model_module, evaluate_module):
             monkeypatch.setattr(module, "_simulate_rows", spy("_simulate_rows"))
         # every way into the filter recursion: the public call, the
-        # recursion itself, and the autocovariance pass's own entry
+        # recursion itself, and the autocovariance pass's own binding
         for module, name in [(model_module, "ma_coefficients"), (model_module, "_filter_blocks"),
-                             (spectrum_module, "_filters")]:
+                             (spectrum_module, "ma_coefficients")]:
             monkeypatch.setattr(module, name, spy(name))
         with pytest.raises(StabilityError) as err:
             _entries(build())[entry]()

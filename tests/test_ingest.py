@@ -267,6 +267,9 @@ class TestSpectralGridFiles:
             read_kernel_table(coeff_path)
         with pytest.raises(ValueError, match="unknown grid mode"):
             write_spectral_grid(grid, tmp_path / "x.csv", mode="surface")
+        with pytest.raises(ValueError, match="kernel mode needs the render axis taus"):
+            write_spectral_grid(grid, tmp_path / "y.csv", mode="kernel")
+        assert not (tmp_path / "y.csv").exists()
 
     def test_retired_periodogram_provenance_rejected(self, tmp_path):
         grid = truth_grid(white([1.0]), [0.5], [0.0])
@@ -518,7 +521,7 @@ class TestGoldenBytes:
         model = far2()
         grid = truth_grid(model, [0.25, 0.75], [0.0, 1.0, 2.5])
         path = tmp_path / "kernel.csv"
-        write_spectral_grid(grid, path, mode="kernel")
+        write_spectral_grid(grid, path, mode="kernel", taus=render_grid(64))
         assert sha256(path) == "4b9ba1b25ad3f1ed5646c1b86f26780b5124fa17e2370d53cfcff49d862efab4"
 
     def test_coeff_layout(self, tmp_path):

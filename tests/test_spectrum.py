@@ -233,7 +233,7 @@ class TestWignerVille:
     def test_one_truncation_and_every_filter_stack_within_the_budget(self, monkeypatch):
         truncations = []
         anchors = []
-        real_order, real_filters = spectrum.choose_ma_order, spectrum._filters
+        real_order, real_filters = spectrum.choose_ma_order, spectrum.ma_coefficients
 
         def order(*args, **kwargs):
             truncations.append(real_order(*args, **kwargs))
@@ -246,7 +246,7 @@ class TestWignerVille:
             return out
 
         monkeypatch.setattr(spectrum, "choose_ma_order", order)
-        monkeypatch.setattr(spectrum, "_filters", filters)
+        monkeypatch.setattr(spectrum, "ma_coefficients", filters)
         us = [0.3, 0.5, 0.7]
         # K = 15 at L = 64 fits 8 anchors in the budget: 33 anchors per u take 5 calls
         wigner_ville(far2(size=15), us, OMEGAS, T=512, s_max=32)
@@ -265,13 +265,13 @@ class TestWignerVille:
         near = np.abs(later - earlier) <= lags
         wanted = set(earlier[near]) | set(later[near])
         seen = []
-        real = spectrum._filters
+        real = spectrum.ma_coefficients
 
         def filters(model, ts, T, lags):
             seen.extend(ts.tolist())
             return real(model, ts, T, lags)
 
-        monkeypatch.setattr(spectrum, "_filters", filters)
+        monkeypatch.setattr(spectrum, "ma_coefficients", filters)
         covs = autocov_sequence(model, u, T, 256, lags=lags)
         assert set(seen) <= wanted
         assert not covs[~near].any()
@@ -394,7 +394,7 @@ class TestBoundedAutocovariances:
         model = random_model(0, 2, 1, 1, True)
         per_call = max(1, budget // ((lags + 1) * model.dim**2 * 8))
         calls = []
-        real = spectrum._filters
+        real = spectrum.ma_coefficients
 
         def filters(model, ts, T, lags):
             calls.append(ts.tolist())
@@ -402,7 +402,7 @@ class TestBoundedAutocovariances:
 
         with pytest.MonkeyPatch.context() as mp:
             filter_budget(mp, budget)
-            mp.setattr(spectrum, "_filters", filters)
+            mp.setattr(spectrum, "ma_coefficients", filters)
             autocov_sequence(model, u, T, s_max, lags=lags)
         s = np.arange(s_max + 1)
         earlier = np.floor(u * T - s / 2.0).astype(int)
